@@ -28,6 +28,7 @@ from .members import (
     Polynomial,
     Rotation,
     SchwarzSeed,
+    check_pair,
     member_from_seed,
     suggested_order,
 )
@@ -150,6 +151,13 @@ def _setting(args: argparse.Namespace, config: dict, key: str, cast=None):
     return DEFAULTS.get(key)
 
 
+def _int_setting(args: argparse.Namespace, config: dict, key: str, minimum: int) -> int:
+    value = int(_setting(args, config, key, int))
+    if value < minimum:
+        raise ConfigError(f"{key} = {value} must be at least {minimum}")
+    return value
+
+
 def _parse_grid(args, config):
     js = [int(v) for v in _split(_setting(args, config, "j"))]
     ks = [int(v) for v in _split(_setting(args, config, "k"))]
@@ -158,21 +166,18 @@ def _parse_grid(args, config):
     grid, skipped = [], []
     for j in js:
         for k in ks:
-            for A in As:
-                for B in Bs:
-                    try:
-                        grid.append(ClassParams(j=j, k=k, A=A, B=B))
-                    except InvalidParams as exc:
-                        skipped.append((j, k, A, B, str(exc)))
+            try:
+                check_pair(j, k)
+            except InvalidParams as exc:
+                skipped.append((j, k, str(exc)))
+                continue
+            # an invalid A or B is a config error, not a point to skip
+            grid.extend(ClassParams(j=j, k=k, A=A, B=B) for A in As for B in Bs)
     return grid, skipped
 
 
 def _log_skipped(skipped):
-    seen = set()
-    for j, k, A, B, reason in skipped:
-        if (j, k) in seen:
-            continue
-        seen.add((j, k))
+    for j, k, reason in skipped:
         print(f"warning: skipping (j, k) = ({j}, {k}): {reason}", file=sys.stderr)
 
 
@@ -223,7 +228,7 @@ def cmd_verify(args) -> int:
     t_values = tuple(float(v) for v in _split(_setting(args, config, "t")))
     tol = _setting(args, config, "tol", float)
     tol = 1e-9 if tol is None else float(tol)
-    terms = int(_setting(args, config, "terms", int))
+    terms = _int_setting(args, config, "terms", minimum=0)
     inject = float(getattr(args, "inject_d1", 0.0) or 0.0)
     timestamp = datetime.now(timezone.utc).isoformat()
 
@@ -288,7 +293,7 @@ def cmd_sharpness(args) -> int:
     _log_skipped(skipped)
     tol = _setting(args, config, "tol", float)
     tol = 1e-8 if tol is None else float(tol)
-    terms = int(_setting(args, config, "terms", int))
+    terms = _int_setting(args, config, "terms", minimum=0)
     timestamp = datetime.now(timezone.utc).isoformat()
 
     rows = []
@@ -357,9 +362,9 @@ def cmd_search(args) -> int:
     family = _setting(args, config, "family")
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    budget = int(_setting(args, config, "budget", int))
-    rng_seed = int(_setting(args, config, "rng_seed", int))
-    terms = int(_setting(args, config, "terms", int))
+    budget = _int_setting(args, config, "budget", minimum=1)
+    rng_seed = _int_setting(args, config, "rng_seed", minimum=0)
+    terms = _int_setting(args, config, "terms", minimum=0)
     tol = _setting(args, config, "tol", float)
     tol = 1e-9 if tol is None else float(tol)
     timestamp = datetime.now(timezone.utc).isoformat()
@@ -428,7 +433,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--A", help="comma list of complex A values, re+imi syntax")
     parser.add_argument("--B", help="comma list of real B values in [-1, 0]")
     parser.add_argument("--t", help="comma list of weight exponents t <= 2")
-    parser.add_argument("--terms", type=int, help="truncation order N (0 = auto)")
+    parser.add_argument("--terms", type=int, help="truncation order N >= 0 (0 = auto)")
     parser.add_argument("--seeds", help="comma list of seed descriptors")
     parser.add_argument("--tol", type=float, help="pass tolerance on ratios")
     parser.add_argument("--rng-seed", dest="rng_seed", type=int, help="deterministic RNG seed")

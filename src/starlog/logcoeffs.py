@@ -13,10 +13,10 @@ import numpy as np
 
 from .errors import SupportViolation, WeightOutOfRange
 from .members import ClassMember, ClassParams
-from .series import log_series
+from .series import TruncatedSeries, log_series
 
-#: coefficients at exponents not divisible by m must vanish identically in
-#: exact arithmetic; any excess signals a pipeline bug, not rounding.
+#: coefficients of f/z at exponents not divisible by m must vanish identically
+#: in exact arithmetic; any excess signals a pipeline bug, not rounding.
 OFF_SUPPORT_TOL = 1e-12
 
 
@@ -36,17 +36,22 @@ class LogCoeffVector:
 
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
-    """Extract d_n = [z^{n m}] log(f/z) / 2 for n = 1..floor(order/m)."""
+    """Extract d_n = [z^{n m}] log(f/z) / 2 for n = 1..floor(order/m).
+
+    f/z = S(z^m) is a series in w = z^m once its off-support coefficients
+    are checked to vanish, so log(f/z) = log(S)(z^m) and one log at length
+    N_d = floor(order/m) gives every d_n.
+    """
     m = member.params.m
-    L = log_series(member.ratio_series())
-    for q in range(1, L.order + 1):
-        if q % m != 0 and abs(L[q]) > OFF_SUPPORT_TOL:
-            raise SupportViolation(
-                f"log(f/z) coefficient {L[q]} at exponent {q} not divisible by m={m}"
-            )
-    n_d = member.order // m
-    d = tuple(L[n * m] / 2.0 for n in range(1, n_d + 1))
-    return LogCoeffVector(d=d, m=m)
+    ratio = member.ratio_series().coeffs
+    off = np.abs(np.asarray(ratio, dtype=np.complex128))
+    off[::m] = 0.0
+    bad = np.nonzero(off > OFF_SUPPORT_TOL)[0]
+    if bad.size:
+        q = int(bad[0])
+        raise SupportViolation(f"f/z coefficient {ratio[q]} at exponent {q} not divisible by m={m}")
+    L = log_series(TruncatedSeries(ratio[::m]))
+    return LogCoeffVector(d=tuple(c / 2.0 for c in L.coeffs[1:]), m=m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:

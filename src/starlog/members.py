@@ -5,10 +5,13 @@ with m = j + k - 1.  Members are generated by picking the subordination
 witness directly at the level w = z^m through certified Schwarz seeds:
 any analytic v with v(0) = 0 and |v(w)| <= |w| yields
 
-    z f'/f - 1 = (A - B) V / (1 + B V),     V(z) = v(z^m),
+    z f'/f - 1 = P(z^m),     P(w) = (A - B) v(w) / (1 + B v(w)),
 
-and f is recovered as z * exp(int_0^z (z f'/f - 1) dt / t).  The identity
-seed v(w) = w reproduces the closed-form extremal function.
+and f is recovered as f/z = S(z^m) with S(w) = exp((1/m) int_0^w P(u)/u du).
+Every recursion runs on series in w at length N_d = floor(N/m); only the
+final f is spread out to the z-level with `compose_power`, which keeps the
+off-support coefficients of f/z exactly zero.  The identity seed v(w) = w
+reproduces the closed-form extremal function.
 """
 
 from __future__ import annotations
@@ -23,13 +26,22 @@ from .series import (
     compose_power,
     div,
     exp_series,
-    from_coeffs,
     integrate_over_t,
     monomial,
     one,
     pow_complex,
     scale,
 )
+
+
+def check_pair(j: int, k: int) -> None:
+    """Raise InvalidParams unless (j, k) admits the class (0 <= j <= k-1 or (1, 1), m >= 1)."""
+    if k < 1 or j < 0:
+        raise InvalidParams(f"need j >= 0 and k >= 1, got (j, k) = ({j}, {k})")
+    if not (0 <= j <= k - 1 or (j, k) == (1, 1)):
+        raise InvalidParams(f"(j, k) = ({j}, {k}) outside 0 <= j <= k-1 (or (1, 1))")
+    if j + k - 1 < 1:
+        raise InvalidParams("degenerate pair j = 0, k = 1")
 
 
 @dataclass(frozen=True)
@@ -44,14 +56,13 @@ class ClassParams:
     def __post_init__(self):
         object.__setattr__(self, "A", complex(self.A))
         object.__setattr__(self, "B", float(self.B))
-        if self.k < 1 or self.j < 0:
-            raise InvalidParams(f"need j >= 0 and k >= 1, got (j, k) = ({self.j}, {self.k})")
-        if not (0 <= self.j <= self.k - 1 or (self.j, self.k) == (1, 1)):
-            raise InvalidParams(f"(j, k) = ({self.j}, {self.k}) outside 0 <= j <= k-1 (or (1, 1))")
-        if self.j + self.k - 1 < 1:
-            raise InvalidParams("degenerate pair j = 0, k = 1")
+        check_pair(self.j, self.k)
         if not -1.0 <= self.B <= 0.0:
             raise InvalidParams(f"B = {self.B} outside [-1, 0]")
+        # every bound scales with |A - B|^2, which must stay finite (this also rejects NaN)
+        scale = math.hypot(self.A.real - self.B, self.A.imag)
+        if not math.isfinite(scale * scale):
+            raise InvalidParams(f"A = {self.A}: |A - B|^2 is not a finite double")
         if self.A == complex(self.B):
             raise InvalidParams("A = B degenerates the class")
 
@@ -84,6 +95,10 @@ class Rotation(SchwarzSeed):
 
     theta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise InvalidSeed(f"angle theta = {self.theta} must be finite")
+
     def label(self) -> str:
         return f"rotation(theta={self.theta:.6g})"
 
@@ -102,8 +117,10 @@ class ExpDamp(SchwarzSeed):
     c: float
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InvalidSeed(f"damping c = {self.c} must be nonnegative")
+        if not math.isfinite(self.theta):
+            raise InvalidSeed(f"angle theta = {self.theta} must be finite")
+        if not 0 <= self.c < math.inf:
+            raise InvalidSeed(f"damping c = {self.c} must be finite and nonnegative")
 
     def label(self) -> str:
         return f"expdamp(theta={self.theta:.6g},c={self.c:.6g})"
@@ -120,7 +137,8 @@ class Polynomial(SchwarzSeed):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if sum(abs(c) for c in self.coeffs) > 1.0 + 1e-12:
+        # written so that a NaN coefficient fails the certificate too
+        if not sum(abs(c) for c in self.coeffs) <= 1.0 + 1e-12:
             raise InvalidSeed("polynomial seed violates sum |p_i| <= 1")
 
     def label(self) -> str:
@@ -181,6 +199,18 @@ def _lift(ratio: TruncatedSeries, params: ClassParams, seed: SchwarzSeed) -> Cla
     return ClassMember(series=f, params=params, seed=seed, order=ratio.order)
 
 
+def _extremal_w(params: ClassParams, sign: int, n_d: int) -> TruncatedSeries:
+    """The extremal f/z (sign = 1) or z/f (sign = -1) as a series in w = z^m.
+
+    exp(sign A w / m) for B = 0, (1 + B w)^{sign (A-B)/(mB)} otherwise.
+    """
+    m = params.m
+    if params.B == 0.0:
+        return exp_series(monomial(sign * params.A / m, 1, n_d))
+    base = one(n_d) + monomial(params.B, 1, n_d)
+    return pow_complex(base, sign * (params.A - params.B) / (m * params.B))
+
+
 def extremal_function(params: ClassParams, order: int) -> ClassMember:
     """The closed-form extremal member, truncated at log-order `order`.
 
@@ -189,12 +219,7 @@ def extremal_function(params: ClassParams, order: int) -> ClassMember:
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
-    if params.B == 0.0:
-        ratio = exp_series(monomial(params.A / m, m, order))
-    else:
-        base = from_coeffs([1.0], order) + monomial(params.B, m, order)
-        ratio = pow_complex(base, (params.A - params.B) / (m * params.B))
-    return _lift(ratio, params, Identity())
+    return _lift(compose_power(_extremal_w(params, 1, order // m), m, order), params, Identity())
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
@@ -202,20 +227,19 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
-    V = compose_power(seed_series(seed, order), m, order)
-    # z f'/f - 1 = (A - B) V / (1 + B V); constant terms stay exactly zero
-    P = div(scale(V, params.A - params.B), one(order) + scale(V, params.B))
-    ratio = exp_series(integrate_over_t(P))
-    return _lift(ratio, params, seed)
+    n_d = order // m
+    v = seed_series(seed, n_d)
+    # z f'/f - 1 = P(z^m) with P = (A - B) v / (1 + B v); constant terms stay exactly zero
+    P = div(scale(v, params.A - params.B), one(n_d) + scale(v, params.B))
+    # f/z = S(z^m) with S(w) = exp((1/m) int_0^w P(u)/u du)
+    S = exp_series(scale(integrate_over_t(P), 1.0 / m))
+    return _lift(compose_power(S, m, order), params, seed)
 
 
 def q_function(params: ClassParams, order: int) -> TruncatedSeries:
     """The superordinate series for z/f: e^{-A z^m / m} or (1 + B z^m)^{-(A-B)/(mB)}."""
     m = params.m
-    if params.B == 0.0:
-        return exp_series(monomial(-params.A / m, m, order))
-    base = from_coeffs([1.0], order) + monomial(params.B, m, order)
-    return pow_complex(base, -(params.A - params.B) / (m * params.B))
+    return compose_power(_extremal_w(params, -1, order // m), m, order)
 
 
 def suggested_order(params: ClassParams, eps: float = 1e-13, cap: int = 4096) -> int:

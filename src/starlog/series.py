@@ -189,9 +189,3 @@ def compose_power(a: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
     for i in range(min(a.order, order // m) + 1):
         out[m * i] = a.coeffs[i]
     return TruncatedSeries(tuple(out))
-
-
-def derivative_ratio(a: TruncatedSeries) -> TruncatedSeries:
-    """z * a'(z) / a(z) for a series with nonzero constant term."""
-    zda = _wrap(np.arange(len(a.coeffs)) * _arr(a))
-    return div(zda, a)

@@ -79,8 +79,9 @@ def verify_member(
 
     rows: list[CheckRow] = []
 
-    def ineq(theorem: str, t: float | None, s: float, bound: float, note: str = ""):
-        ratio = s / bound if math.isfinite(bound) and bound > 0 else 0.0
+    def ineq(theorem: str, t: float | None, s: float, bound: float):
+        # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
+        ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
         rows.append(
             CheckRow(
                 theorem=theorem,
@@ -89,7 +90,6 @@ def verify_member(
                 bound=bound,
                 ratio=ratio,
                 passed=ratio <= 1.0 + tol,
-                note=note,
             )
         )
 
@@ -115,12 +115,16 @@ def verify_member(
         try:
             ineq(tag, t, sum_weighted(d, t), thm3_bound(params, t).bound)
         except DivergentSeries:
-            ineq(
-                tag,
-                t,
-                sum_weighted(d, t),
-                math.inf,
-                note="bound series diverges at B = -1; inequality vacuous",
+            rows.append(
+                CheckRow(
+                    theorem=tag,
+                    t=t,
+                    partial_sum=sum_weighted(d, t),
+                    bound=math.inf,
+                    ratio=0.0,
+                    passed=True,
+                    note="bound series diverges at B = -1; inequality vacuous",
+                )
             )
 
     tail = extremal_tail_bound(params, d.n_terms) if isinstance(member.seed, Identity) else None

@@ -136,3 +136,21 @@ def test_bad_config_file_is_config_error(tmp_path):
     cfg.write_text("this is not a key value line\n")
     proc = run_cli("verify", "--config", str(cfg))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--j", "1", "--k", "1", "--A", "nan", "--B", "-0.5"],
+        ["verify", "--j", "1", "--k", "1", "--A", "1e300", "--B", "-0.5"],
+        ["verify", *SMALL_GRID, "--terms", "-5"],
+        ["search", *SMALL_GRID, "--budget", "0"],
+        ["search", *SMALL_GRID, "--budget", "10", "--rng-seed", "-1"],
+    ],
+    ids=["A-nan", "A-1e300", "terms-negative", "budget-zero", "rng-seed-negative"],
+)
+def test_invalid_input_is_config_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "a(0) = 0" not in proc.stderr

@@ -202,3 +202,30 @@ class TestQFunction:
         member = extremal_function(params, order)
         product = mul(q_function(params, order), member.ratio_series())
         assert max_coeff_diff(product, one(order)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "A",
+    [math.nan, complex(1, math.nan), math.inf, complex(0, -math.inf), 1e300, complex(1e200, 1e200)],
+    ids=repr,
+)
+def test_non_finite_a_rejected(A):
+    # 1e300 is finite, but |A - B|^2 (the scale of every bound) overflows
+    with pytest.raises(InvalidParams):
+        ClassParams(1, 1, A, -0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExpDamp(0.0, math.nan),
+        lambda: ExpDamp(0.0, math.inf),
+        lambda: ExpDamp(math.nan, 1.0),
+        lambda: Rotation(math.inf),
+        lambda: Polynomial((math.nan,)),
+        lambda: Polynomial((0.5, complex(0, math.nan))),
+    ],
+)
+def test_non_finite_seed_rejected(make):
+    with pytest.raises(InvalidSeed):
+        make()

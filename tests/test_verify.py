@@ -211,3 +211,26 @@ class TestAbelWeightTransfer:
             assert all(telescoping_weight(int(k), t) > 0 for k in ks[:100])
         # t = 2.5 breaks positivity
         assert any(telescoping_weight(int(k), 2.5) <= 0 for k in range(1, 50))
+
+
+@pytest.mark.parametrize("bad_bound", [math.nan, 0.0, -1.0, math.inf])
+def test_verify_member_fails_closed_on_bad_bound(monkeypatch, bad_bound):
+    import types
+
+    import starlog.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "thm_a_bound", lambda params: types.SimpleNamespace(bound=bad_bound))
+    params = ClassParams(1, 2, 1, -0.5)
+    report = verify_member(member_from_seed(params, Identity(), suggested_order(params)))
+    thma = next(r for r in report.rows if r.theorem == "ThmA")
+    assert not thma.passed and math.isnan(thma.ratio)
+    assert not report.all_passed
+
+
+def test_divergent_thm3_row_stays_vacuous_pass():
+    member = member_from_seed(ClassParams(1, 1, 1, -1), Identity(), 64)
+    report = verify_member(member, t_values=(1.0, 2.0))
+    for t in (1.0, 2.0):
+        row = next(r for r in report.rows if r.theorem == f"Thm3(t={t:g})")
+        assert row.passed and row.ratio == 0.0 and row.bound == math.inf
+        assert row.note == "bound series diverges at B = -1; inequality vacuous"

@@ -1,0 +1,132 @@
+"""The w = z^m pipeline against the z-level route it replaced.
+
+Members and log coefficients run every recursion on series in w = z^m at
+length N_d = floor(N/m).  The oracle below spells out the z-level route at
+length N (compose_power, div, integrate_over_t, exp_series / pow_complex,
+log_series), which must agree to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+
+import starlog.logcoeffs as logcoeffs_mod
+import starlog.members as members_mod
+from starlog.logcoeffs import log_coefficients
+from starlog.members import (
+    ClassParams,
+    ExpDamp,
+    Identity,
+    Polynomial,
+    Rotation,
+    extremal_function,
+    member_from_seed,
+    seed_series,
+)
+from starlog.series import (
+    compose_power,
+    div,
+    exp_series,
+    integrate_over_t,
+    log_series,
+    monomial,
+    one,
+    pow_complex,
+    scale,
+)
+
+REL = 1e-12
+PAIRS = [(1, 2), (0, 4), (2, 4)]  # m = 2, 3, 5
+SEEDS = [Identity(), Rotation(1.1), ExpDamp(0.4, 1.5), Polynomial((0.4, 0.3j, -0.2))]
+BS = [0.0, -0.5, -0.9, -1.0]
+
+
+def _orders(m):
+    return [9 * m, 9 * m + m - 1]  # divisible by m, and not
+
+
+CASES = [
+    (ClassParams(j, k, 0.8 + 0.3j, B), order)
+    for j, k in PAIRS
+    for B in BS
+    for order in _orders(j + k - 1)
+]
+
+
+def _case_id(case):
+    params, order = case
+    return f"m{params.m}-B{params.B:g}-N{order}"
+
+
+def z_level_ratio(params, seed, order):
+    """f/z through the recursions at length N on the z-level."""
+    V = compose_power(seed_series(seed, order), params.m, order)
+    P = div(scale(V, params.A - params.B), one(order) + scale(V, params.B))
+    return exp_series(integrate_over_t(P))
+
+
+def z_level_extremal_ratio(params, order):
+    m = params.m
+    if params.B == 0.0:
+        return exp_series(monomial(params.A / m, m, order))
+    base = one(order) + monomial(params.B, m, order)
+    return pow_complex(base, (params.A - params.B) / (m * params.B))
+
+
+def z_level_log_coefficients(ratio, m):
+    L = log_series(ratio)
+    return np.array([L[n * m] / 2.0 for n in range(1, ratio.order // m + 1)])
+
+
+def assert_close(got, expected):
+    got = np.asarray(got, dtype=complex)
+    expected = np.asarray(expected, dtype=complex)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= REL * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: s.label())
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_member_matches_z_level_route(case, seed):
+    params, order = case
+    member = member_from_seed(params, seed, order)
+    ratio = z_level_ratio(params, seed, order)
+    assert member.series[0] == 0
+    assert_close(member.series.coeffs[1:], ratio.coeffs)
+    assert_close(log_coefficients(member).d, z_level_log_coefficients(ratio, params.m))
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_extremal_matches_z_level_route(case):
+    params, order = case
+    member = extremal_function(params, order)
+    ratio = z_level_extremal_ratio(params, order)
+    assert_close(member.series.coeffs[1:], ratio.coeffs)
+    assert_close(log_coefficients(member).d, z_level_log_coefficients(ratio, params.m))
+
+
+def _spy(monkeypatch, module, name):
+    seen = []
+    real = getattr(module, name)
+
+    def spy(a, *args):
+        seen.append(a.order)
+        return real(a, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("order", [30, 32])
+def test_recursions_run_at_w_level_length(monkeypatch, order):
+    params = ClassParams(1, 3, 0.8 + 0.3j, -0.9)  # m = 3, N_d = 10
+    n_d = order // params.m
+    exp_orders = _spy(monkeypatch, members_mod, "exp_series")
+    div_orders = _spy(monkeypatch, members_mod, "div")
+    member = member_from_seed(params, ExpDamp(0.4, 1.5), order)
+    assert exp_orders == [n_d] and div_orders == [n_d]
+    assert member.order == order and member.series.order == order + 1
+
+    log_orders = _spy(monkeypatch, logcoeffs_mod, "log_series")
+    d = log_coefficients(member)
+    assert log_orders == [n_d]
+    assert d.n_terms == n_d
