@@ -77,6 +77,8 @@ DEFAULTS = {
     "budget": 2000,
 }
 
+SEED_KINDS = ("identity", "rotation", "expdamp", "poly")
+
 
 def parse_complex(token: str) -> complex:
     """Parse `re+imi` syntax, e.g. 0.8+0.3i or -0.5 or 1-0.2i."""
@@ -96,6 +98,23 @@ def format_complex(z: complex) -> str:
 
 def _split(text: str) -> list[str]:
     return [tok for tok in str(text).split(",") if tok.strip() != ""]
+
+
+def _split_seeds(text: str) -> list[str]:
+    """Split a seed list at the commas that start a new descriptor.
+
+    The commas inside `expdamp:theta,c` and `poly:p1,p2,...` stay with their
+    descriptor; a token that does not start with a seed kind joins the one
+    before it.
+    """
+    seeds: list[str] = []
+    for tok in _split(text):
+        kind = tok.partition(":")[0].strip().lower()
+        if seeds and kind not in SEED_KINDS:
+            seeds[-1] += "," + tok
+        else:
+            seeds.append(tok)
+    return seeds
 
 
 def parse_seed(token: str) -> SchwarzSeed:
@@ -224,7 +243,7 @@ def cmd_verify(args) -> int:
     config = load_config_file(args.config) if args.config else {}
     grid, skipped = _parse_grid(args, config)
     _log_skipped(skipped)
-    seeds = [parse_seed(s) for s in _split(_setting(args, config, "seeds"))]
+    seeds = [parse_seed(s) for s in _split_seeds(_setting(args, config, "seeds"))]
     t_values = tuple(float(v) for v in _split(_setting(args, config, "t")))
     tol = _setting(args, config, "tol", float)
     tol = 1e-9 if tol is None else float(tol)
@@ -416,8 +435,9 @@ def cmd_search(args) -> int:
         )
 
     rows = _finish_rows(rows, args.no_timestamp)
-    if args.out and args.out != "-":
-        write_report(rows, args.out, _setting(args, config, "format"))
+    out = _setting(args, config, "out")
+    if out != "-":  # stdout carries the summary lines, so "-" writes no report
+        write_report(rows, out, _setting(args, config, "format"))
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 

@@ -43,15 +43,15 @@ def log_coefficients(member: ClassMember) -> LogCoeffVector:
     N_d = floor(order/m) gives every d_n.
     """
     m = member.params.m
-    ratio = member.ratio_series().coeffs
-    off = np.abs(np.asarray(ratio, dtype=np.complex128))
+    ratio = member.ratio_series().array
+    off = np.abs(ratio)
     off[::m] = 0.0
     bad = np.nonzero(off > OFF_SUPPORT_TOL)[0]
     if bad.size:
         q = int(bad[0])
         raise SupportViolation(f"f/z coefficient {ratio[q]} at exponent {q} not divisible by m={m}")
     L = log_series(TruncatedSeries(ratio[::m]))
-    return LogCoeffVector(d=tuple(c / 2.0 for c in L.coeffs[1:]), m=m)
+    return LogCoeffVector(d=tuple((L.array[1:] / 2.0).tolist()), m=m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:

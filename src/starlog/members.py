@@ -20,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
 from .series import (
     TruncatedSeries,
@@ -171,7 +173,7 @@ def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
                 cs[i] = c
     else:
         raise InvalidSeed(f"unknown seed type {type(seed).__name__}")
-    return TruncatedSeries(tuple(cs))
+    return TruncatedSeries(cs)
 
 
 @dataclass(frozen=True)
@@ -190,12 +192,12 @@ class ClassMember:
 
     def ratio_series(self) -> TruncatedSeries:
         """f(z)/z, a unit-constant-term series of order `order`."""
-        return TruncatedSeries(self.series.coeffs[1:])
+        return TruncatedSeries(self.series.array[1:])
 
 
 def _lift(ratio: TruncatedSeries, params: ClassParams, seed: SchwarzSeed) -> ClassMember:
     """Prepend the zero constant term: f = z * ratio."""
-    f = TruncatedSeries((0j,) + ratio.coeffs)
+    f = TruncatedSeries(np.concatenate(([0j], ratio.array)))
     return ClassMember(series=f, params=params, seed=seed, order=ratio.order)
 
 
@@ -264,5 +266,5 @@ def radial_derivative(member: ClassMember) -> TruncatedSeries:
     With f = z * R this equals z R'/R.
     """
     ratio = member.ratio_series()
-    num = TruncatedSeries(tuple(n * c for n, c in enumerate(ratio.coeffs)))
+    num = TruncatedSeries(np.arange(len(ratio)) * ratio.array)
     return div(num, ratio)

@@ -2,8 +2,11 @@
 
 All operations are pure functions on immutable values.  Truncation is
 explicit: every binary operation truncates to the minimum operand order,
-never zero-pads.  log/exp use the first-order ODE coefficient recursions
-(O(N^2), numerically stable for coefficients of modulus <= 1).
+never zero-pads.  div, log and exp are lower-triangular Toeplitz solves
+(the Cauchy-product recursions q*b = a, L'*a = a' and E' = a'*E), done in
+blocks of rows: one convolution brings the solved history into a block
+and one BLAS triangular solve finishes it.  The multiply-adds stay O(N^2),
+the per-coefficient Python overhead goes.
 """
 
 from __future__ import annotations
@@ -11,36 +14,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ztrsv
 
 from .errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
 
+#: rows per triangular block solve
+_BLOCK = 64
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Taylor coefficients c_0..c_N of an analytic function, truncated at order N."""
+    """Taylor coefficients c_0..c_N of an analytic function, truncated at order N.
 
-    coeffs: tuple[complex, ...]
+    `array` is a read-only complex128 copy of the input; equality and the
+    hash go by value.
+    """
+
+    array: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        array = np.array(self.array, dtype=np.complex128)
+        if array.ndim != 1 or array.size == 0:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    @property
+    def coeffs(self) -> tuple[complex, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.array) - 1
 
     def __getitem__(self, n: int) -> complex:
-        return self.coeffs[n]
+        return self.array[n]
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     def truncated(self, n: int) -> "TruncatedSeries":
         """Drop coefficients above order n (n may not exceed the current order)."""
         if n > self.order:
             raise ValueError(f"cannot extend order {self.order} to {n}")
-        return TruncatedSeries(self.coeffs[: n + 1])
+        return TruncatedSeries(self.array[: n + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return add(self, other)
@@ -60,23 +85,36 @@ class TruncatedSeries:
         return div(self, other)
 
 
-def _arr(a: TruncatedSeries) -> np.ndarray:
-    return np.asarray(a.coeffs, dtype=np.complex128)
+def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
 
-
-def _wrap(arr: np.ndarray) -> TruncatedSeries:
-    return TruncatedSeries(tuple(arr.tolist()))
+    d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
+    """
+    n = len(rhs)
+    x = np.array(rhs, dtype=np.complex128)
+    size = min(_BLOCK, n)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    # column-major lower-triangular Toeplitz block, T[i, j] = t_{i-j}
+    block = np.asfortranarray(np.where(lag >= 0, t[np.maximum(lag, 0)], 0))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        if s:
+            x[s:e] -= np.convolve(t[1:e], x[:s], "valid")
+        tri = block[: e - s, : e - s]
+        if diag is not None:
+            np.fill_diagonal(tri, diag[s:e])
+        x = ztrsv(tri, x, offx=s, lower=1, overwrite_x=1)
+    return x
 
 
 def from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:
     """Series from an iterable of scalars, optionally zero-padded to `order`."""
-    cs = [complex(c) for c in coeffs]
+    cs = np.fromiter(coeffs, dtype=np.complex128)
     if order is not None:
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        else:
-            cs.extend([0j] * (order + 1 - len(cs)))
-    return TruncatedSeries(tuple(cs))
+        padded = np.zeros(order + 1, dtype=np.complex128)
+        padded[: len(cs)] = cs[: order + 1]
+        cs = padded
+    return TruncatedSeries(cs)
 
 
 def one(order: int) -> TruncatedSeries:
@@ -86,80 +124,68 @@ def one(order: int) -> TruncatedSeries:
 
 def monomial(c, exponent: int, order: int) -> TruncatedSeries:
     """c * z^exponent, truncated at `order`."""
-    cs = [0j] * (order + 1)
+    cs = np.zeros(order + 1, dtype=np.complex128)
     if exponent <= order:
-        cs[exponent] = complex(c)
-    return TruncatedSeries(tuple(cs))
+        cs[exponent] = c
+    return TruncatedSeries(cs)
 
 
 def scale(a: TruncatedSeries, s) -> TruncatedSeries:
-    return _wrap(_arr(a) * complex(s))
+    return TruncatedSeries(a.array * complex(s))
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return _wrap(_arr(a)[: n + 1] + _arr(b)[: n + 1])
+    return TruncatedSeries(a.array[: n + 1] + b.array[: n + 1])
 
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return _wrap(_arr(a)[: n + 1] - _arr(b)[: n + 1])
+    return TruncatedSeries(a.array[: n + 1] - b.array[: n + 1])
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the minimum operand order."""
     n = min(a.order, b.order)
-    full = np.convolve(_arr(a)[: n + 1], _arr(b)[: n + 1])
-    return _wrap(full[: n + 1])
+    full = np.convolve(a.array[: n + 1], b.array[: n + 1])
+    return TruncatedSeries(full[: n + 1])
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Series quotient q with mul(q, b) = a up to the truncation order."""
-    if b.coeffs[0] == 0:
+    if b.array[0] == 0:
         raise ZeroConstantTerm("divisor has zero constant term")
     n = min(a.order, b.order)
-    av, bv = _arr(a)[: n + 1], _arr(b)[: n + 1]
-    q = np.empty(n + 1, dtype=np.complex128)
-    q[0] = av[0] / bv[0]
-    for i in range(1, n + 1):
-        q[i] = (av[i] - np.dot(bv[1 : i + 1], q[i - 1 :: -1][:i])) / bv[0]
-    return _wrap(q)
+    return TruncatedSeries(_solve_toeplitz(b.array[: n + 1], a.array[: n + 1]))
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """Principal-branch log of a series with constant term 1.
 
-    Computed from L' = a'/a, i.e. n*L_n = n*a_n - sum_{k<n} k*L_k*a_{n-k}.
+    Solves L' = a'/a, i.e. sum_{k=1}^{n} k*L_k*a_{n-k} = n*a_n, for k*L_k.
     """
-    if a.coeffs[0] != 1:
+    if a.array[0] != 1:
         raise NotUnitConstantTerm("log needs constant term exactly 1")
-    n = a.order
-    av = _arr(a)
-    L = np.zeros(n + 1, dtype=np.complex128)
-    kL = np.zeros(n + 1, dtype=np.complex128)  # k * L_k, reused in the inner dot
-    for i in range(1, n + 1):
-        s = np.dot(kL[1:i], av[i - 1 : 0 : -1]) if i > 1 else 0.0
-        L[i] = av[i] - s / i
-        kL[i] = i * L[i]
-    return _wrap(L)
+    k = np.arange(1, a.order + 1)
+    L = np.zeros(a.order + 1, dtype=np.complex128)
+    L[1:] = _solve_toeplitz(a.array[:-1], k * a.array[1:]) / k
+    return TruncatedSeries(L)
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with constant term 0, via n*E_n = sum_k k*a_k*E_{n-k}."""
-    if a.coeffs[0] != 0:
+    if a.array[0] != 0:
         raise NonzeroConstantTerm("exp needs constant term exactly 0")
-    n = a.order
-    ka = np.arange(n + 1) * _arr(a)
-    E = np.zeros(n + 1, dtype=np.complex128)
-    E[0] = 1.0
-    for i in range(1, n + 1):
-        E[i] = np.dot(ka[1 : i + 1], E[i - 1 :: -1][:i]) / i
-    return _wrap(E)
+    k = np.arange(a.order + 1)
+    rhs = np.zeros(a.order + 1, dtype=np.complex128)
+    rhs[0] = 1.0
+    # E_0 = 1 comes from the unit diagonal entry of row 0
+    return TruncatedSeries(_solve_toeplitz(-k * a.array, rhs, diag=np.maximum(k, 1)))
 
 
 def pow_complex(a: TruncatedSeries, p) -> TruncatedSeries:
     """a^p for complex p, principal branch; requires constant term exactly 1."""
-    if a.coeffs[0] != 1:
+    if a.array[0] != 1:
         raise NotUnitConstantTerm("power needs constant term exactly 1")
     p = complex(p)
     if p == 0:
@@ -169,13 +195,11 @@ def pow_complex(a: TruncatedSeries, p) -> TruncatedSeries:
 
 def integrate_over_t(a: TruncatedSeries) -> TruncatedSeries:
     """int_0^z a(t)/t dt: maps c_n -> c_n/n; needs c_0 = 0 (no 1/t singularity)."""
-    if a.coeffs[0] != 0:
+    if a.array[0] != 0:
         raise NonzeroConstantTerm("integrand a(t)/t needs a(0) = 0")
-    av = _arr(a)
-    out = np.zeros_like(av)
-    if a.order >= 1:
-        out[1:] = av[1:] / np.arange(1, a.order + 1)
-    return _wrap(out)
+    out = np.zeros_like(a.array)
+    out[1:] = a.array[1:] / np.arange(1, a.order + 1)
+    return TruncatedSeries(out)
 
 
 def compose_power(a: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
@@ -185,7 +209,7 @@ def compose_power(a: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    out = [0j] * (order + 1)
-    for i in range(min(a.order, order // m) + 1):
-        out[m * i] = a.coeffs[i]
-    return TruncatedSeries(tuple(out))
+    out = np.zeros(order + 1, dtype=np.complex128)
+    n = min(a.order, order // m) + 1
+    out[: m * n : m] = a.array[:n]
+    return TruncatedSeries(out)

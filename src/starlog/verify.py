@@ -211,8 +211,8 @@ def rogosinski_l2_check(
     (coefficients counted from exponent 1) and returns (ok, minimum slack).
     """
     upto = min(upto, subordinate.order, superordinate.order)
-    b = np.abs(np.asarray(subordinate.coeffs[1 : upto + 1])) ** 2
-    c = np.abs(np.asarray(superordinate.coeffs[1 : upto + 1])) ** 2
+    b = np.abs(subordinate.array[1 : upto + 1]) ** 2
+    c = np.abs(superordinate.array[1 : upto + 1]) ** 2
     slack = np.cumsum(c) - np.cumsum(b)
     min_slack = float(slack.min()) if slack.size else 0.0
     return min_slack >= -1e-10, min_slack

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from starlog.cli import main
+from starlog.members import ExpDamp, Identity, Polynomial
+
 SMALL_GRID = ["--j", "1", "--k", "1,2", "--A", "1", "--B", "-0.5"]
 
 
@@ -154,3 +157,45 @@ def test_invalid_input_is_config_error(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "a(0) = 0" not in proc.stderr
+
+
+SEED_LIST = "identity,expdamp:0.3,1.0,poly:0.5,0.25i"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_list_keeps_multi_value_descriptors(tmp_path, source):
+    out = tmp_path / "seeds.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1", "--B", "-0.5", "--out", str(out), "--no-timestamp"]
+    if source == "flag":
+        argv += ["--seeds", SEED_LIST]
+    else:
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(f"seeds = {SEED_LIST}\n")
+        argv += ["--config", str(cfg)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    labels = {r["seed"] for r in json.loads(out.read_text())}
+    expected = [Identity(), ExpDamp(theta=0.3, c=1.0), Polynomial(coeffs=(0.5, 0.25j))]
+    assert labels == {s.label() for s in expected}
+
+
+@pytest.mark.parametrize(
+    "seeds", ["expdamp:0.3", "expdamp:0.3,1.0,2.0", "rotation:1.3,0.5", "0.3,identity", "poly:2", "banana"]
+)
+def test_malformed_seed_list_is_config_error(seeds, capsys):
+    assert main(["verify", *SMALL_GRID, "--seeds", seeds]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["report", "-"])
+def test_search_reads_out_from_config(tmp_path, out):
+    report = tmp_path / "search.json"
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(f"j = 1\nk = 1\nA = 1\nB = -0.5\nbudget = 40\nout = {report if out == 'report' else '-'}\n")
+    proc = run_cli("search", "--config", str(cfg), "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    if out == "report":
+        assert [r["theorem"] for r in json.loads(report.read_text())] == ["ThmA-search"]
+    else:
+        assert not report.exists()
+        assert proc.stdout.startswith("search (") and proc.stdout.count("\n") == 1

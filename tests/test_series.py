@@ -265,3 +265,134 @@ def test_compose_power_commutes_with_log(coeffs, m):
     for n in range(order + 1):
         if n % m != 0:
             assert lhs[n] == 0
+
+
+# ---------------------------------------------------------------------------
+# blocked kernels against the per-coefficient recursions they replace
+
+BLOCK_ORDERS = [0, 1, 63, 64, 65, 127, 128, 129, 300]
+
+
+def ref_div(a, b):
+    n = min(len(a), len(b)) - 1
+    q = np.empty(n + 1, dtype=np.complex128)
+    q[0] = a[0] / b[0]
+    for i in range(1, n + 1):
+        q[i] = (a[i] - np.dot(b[1 : i + 1], q[i - 1 :: -1][:i])) / b[0]
+    return q
+
+
+def ref_log(a):
+    n = len(a) - 1
+    L = np.zeros(n + 1, dtype=np.complex128)
+    kL = np.zeros(n + 1, dtype=np.complex128)
+    for i in range(1, n + 1):
+        s = np.dot(kL[1:i], a[i - 1 : 0 : -1]) if i > 1 else 0.0
+        L[i] = a[i] - s / i
+        kL[i] = i * L[i]
+    return L
+
+
+def ref_exp(a):
+    n = len(a) - 1
+    ka = np.arange(n + 1) * a
+    E = np.zeros(n + 1, dtype=np.complex128)
+    E[0] = 1.0
+    for i in range(1, n + 1):
+        E[i] = np.dot(ka[1 : i + 1], E[i - 1 :: -1][:i]) / i
+    return E
+
+
+def assert_matches_reference(got, want):
+    got = got.array
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_kernels_match_per_coefficient_recursions(order):
+    rng = np.random.default_rng(1000 + order)
+    a = _random_series(rng, order, rng.uniform(0.5, 1.0), max_modulus=0.5)
+    b = _random_series(rng, order, 1.0, max_modulus=0.5)
+    z = _random_series(rng, order, 0.0)
+    assert_matches_reference(div(a, b), ref_div(a.array, b.array))
+    assert_matches_reference(log_series(b), ref_log(b.array))
+    assert_matches_reference(exp_series(z), ref_exp(z.array))
+    p = 0.7 - 1.3j
+    assert_matches_reference(pow_complex(b, p), ref_exp(p * ref_log(b.array)))
+
+
+@pytest.mark.parametrize("order", [0, 64, 129])
+def test_constant_term_checks_at_every_order(order):
+    unit = _random_series(np.random.default_rng(order), order, 1.0)
+    with pytest.raises(ZeroConstantTerm):
+        div(unit, _random_series(np.random.default_rng(1), order, 0.0))
+    for fn in (log_series, lambda s: pow_complex(s, 0.5)):
+        with pytest.raises(NotUnitConstantTerm):
+            fn(_random_series(np.random.default_rng(2), order, 1.5))
+    for fn in (exp_series, integrate_over_t):
+        with pytest.raises(NonzeroConstantTerm):
+            fn(_random_series(np.random.default_rng(3), order, 0.25))
+
+
+@pytest.mark.parametrize("order, pos", [(1, 1), (64, 1), (64, 64), (129, 63), (129, 64), (129, 129)])
+def test_nan_coefficient_never_gives_finite_series(order, pos):
+    rng = np.random.default_rng(order + pos)
+
+    def poisoned(constant, at=pos):
+        cs = _random_series(rng, order, constant).array.copy()
+        cs[at] = np.nan
+        return TruncatedSeries(cs)
+
+    zero = TruncatedSeries(np.zeros(order + 1))
+    results = [
+        div(poisoned(1.0), _random_series(rng, order, 1.0)),
+        div(zero, poisoned(1.0)),
+        div(zero, poisoned(1.0, at=0)),
+        log_series(poisoned(1.0)),
+        exp_series(poisoned(0.0)),
+        exp_series(TruncatedSeries(np.where(np.isnan(poisoned(0.0).array), np.nan, 0.0))),
+        pow_complex(poisoned(1.0), 0.5),
+    ]
+    for s in results:
+        assert np.isnan(s.array).any()
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the ndarray-backed series
+
+
+def test_array_is_read_only():
+    s = from_coeffs([1, 2, 3])
+    with pytest.raises(ValueError):
+        s.array[0] = 5
+    assert s.coeffs == (1, 2, 3)
+
+
+def test_source_array_is_copied():
+    src = np.array([1.0, 2.0, 3.0])
+    s = TruncatedSeries(src)
+    src[1] = 99.0
+    assert s.coeffs == (1, 2, 3)
+    assert s.array.dtype == np.complex128
+
+
+def test_coeffs_is_a_tuple_of_complex():
+    coeffs = from_coeffs([1, 0.5j]).coeffs
+    assert isinstance(coeffs, tuple)
+    assert all(type(c) is complex for c in coeffs)
+
+
+def test_equal_coefficients_give_equal_series_and_hashes():
+    a = TruncatedSeries((1.0, 0.0, 2j))
+    b = TruncatedSeries(np.array([1, -0.0, 2j]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TruncatedSeries((1.0, 0.0, 2j, 0.0))
+    assert a != TruncatedSeries((1.0, 0.0, 3j))
+
+
+@pytest.mark.parametrize("empty", [(), [], np.array([], dtype=complex)])
+def test_empty_series_rejected(empty):
+    with pytest.raises(ValueError):
+        TruncatedSeries(empty)
