@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import polygamma, zeta
-
 from .errors import BExcluded, DivergentSeries, WeightOutOfRange
 from .members import ClassParams
-from .polylog import li_ratio
+from .polylog import hurwitz_zeta, li_ratio
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def _weighted_series(x: float, t: float) -> float:
     tail = 0.0
     coeff = 1.0
     for jj in range(0, 60):
-        inc = coeff * float(zeta(2.0 - t + jj, head_n + 1))
+        inc = coeff * hurwitz_zeta(2.0 - t + jj, head_n + 1.0)
         tail += inc
         if abs(inc) < 1e-18:
             break
@@ -88,7 +86,7 @@ def thm3_bound(params: ClassParams, t: float) -> BoundResult:
     B = 0 returns the series limit (|A|/(2m))^2 * 2^t (only n = 1 survives);
     B = -1 needs t < 1 for convergence.
     """
-    if t > 2.0:
+    if not t <= 2.0:  # also NaN, on which the series loop below would never stop
         raise WeightOutOfRange(f"weight exponent t = {t} > 2")
     tag = f"Thm3(t={t:g})"
     h = h_factor(params)
@@ -115,5 +113,5 @@ def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
         return 0.0
     h = h_factor(params)
     if b2 == 1.0:
-        return h * float(polygamma(1, n_terms + 1))
+        return h * hurwitz_zeta(2.0, n_terms + 1.0)
     return h * b2 ** (n_terms + 1) / ((n_terms + 1) ** 2 * (1.0 - b2))

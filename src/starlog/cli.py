@@ -19,8 +19,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .bounds import extremal_tail_bound
-from .errors import ConfigError, InvalidParams, SharpnessFailure, SlowModeRequired, StarlogError
+from .errors import ConfigError, InvalidParams, SharpnessFailure, StarlogError
 from .members import (
     ClassParams,
     ExpDamp,
@@ -60,22 +59,6 @@ REPORT_COLUMNS = [
     "elapsed",
     "timestamp",
 ]
-
-DEFAULTS = {
-    "j": "0,1,2",
-    "k": "1,2,3,4",
-    "A": "1,0.5,0.8+0.3i",
-    "B": "0,-0.25,-0.5,-0.75,-0.9",
-    "t": "-1,0,1,2",
-    "seeds": "identity",
-    "terms": 0,  # 0 means auto per (params)
-    "tol": None,  # per-command default
-    "rng_seed": 0,
-    "out": "-",
-    "format": "json",
-    "family": "expdamp",
-    "budget": 2000,
-}
 
 SEED_KINDS = ("identity", "rotation", "expdamp", "poly")
 
@@ -154,69 +137,29 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, cast=None):
-    """Flag value if given, else config-file value, else built-in default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        raw = config[key]
-        if cast is not None:
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}={raw!r}: {exc}") from exc
-        return raw
-    return DEFAULTS.get(key)
+def _values(text: str, cast, key: str) -> list:
+    """The comma list `text` of `key` values, each through `cast`."""
+    try:
+        return [cast(tok) for tok in _split(text)]
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} value in {text!r}: {exc}") from exc
 
 
-def _int_setting(args: argparse.Namespace, config: dict, key: str, minimum: int) -> int:
-    value = int(_setting(args, config, key, int))
-    if value < minimum:
-        raise ConfigError(f"{key} = {value} must be at least {minimum}")
-    return value
-
-
-def _parse_grid(args, config):
-    js = [int(v) for v in _split(_setting(args, config, "j"))]
-    ks = [int(v) for v in _split(_setting(args, config, "k"))]
-    As = [parse_complex(v) for v in _split(_setting(args, config, "A"))]
-    Bs = [float(v) for v in _split(_setting(args, config, "B"))]
-    grid, skipped = [], []
+def _parse_grid(args) -> list[ClassParams]:
+    """The (j, k, A, B) grid; a (j, k) pair outside the class is skipped with a warning."""
+    js, ks = _values(args.j, int, "j"), _values(args.k, int, "k")
+    As, Bs = _values(args.A, parse_complex, "A"), _values(args.B, float, "B")
+    grid = []
     for j in js:
         for k in ks:
             try:
                 check_pair(j, k)
             except InvalidParams as exc:
-                skipped.append((j, k, str(exc)))
+                print(f"warning: skipping (j, k) = ({j}, {k}): {exc}", file=sys.stderr)
                 continue
             # an invalid A or B is a config error, not a point to skip
             grid.extend(ClassParams(j=j, k=k, A=A, B=B) for A in As for B in Bs)
-    return grid, skipped
-
-
-def _log_skipped(skipped):
-    for j, k, reason in skipped:
-        print(f"warning: skipping (j, k) = ({j}, {k}): {reason}", file=sys.stderr)
-
-
-def _finish_rows(rows, no_timestamp: bool):
-    rows.sort(
-        key=lambda r: (
-            r["j"],
-            r["k"],
-            r["A"],
-            r["B"],
-            r["seed"],
-            r["theorem"],
-            r["t"] if r["t"] is not None else -math.inf,
-        )
-    )
-    if no_timestamp:
-        for row in rows:
-            row.pop("elapsed", None)
-            row.pop("timestamp", None)
-    return rows
+    return grid
 
 
 def write_report(rows, out: str, fmt: str):
@@ -239,233 +182,191 @@ def write_report(rows, out: str, fmt: str):
             fh.write(text)
 
 
-def cmd_verify(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    grid, skipped = _parse_grid(args, config)
-    _log_skipped(skipped)
-    seeds = [parse_seed(s) for s in _split_seeds(_setting(args, config, "seeds"))]
-    t_values = tuple(float(v) for v in _split(_setting(args, config, "t")))
-    tol = _setting(args, config, "tol", float)
-    tol = 1e-9 if tol is None else float(tol)
-    terms = _int_setting(args, config, "terms", minimum=0)
-    inject = float(getattr(args, "inject_d1", 0.0) or 0.0)
-    timestamp = datetime.now(timezone.utc).isoformat()
+def _verify_rows(args):
+    seeds = [parse_seed(s) for s in _split_seeds(args.seeds)]
+    t_values = tuple(_values(args.t, float, "t"))
 
-    if not grid:
-        print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
-        write_report([], _setting(args, config, "out"), _setting(args, config, "format"))
-        return EXIT_OK
-
-    rows = []
-    failures = 0
-    for params in grid:
-        order = terms if terms > 0 else suggested_order(params)
+    def rows(params):
+        order = args.terms or suggested_order(params)
         for seed in seeds:
-            start = time.perf_counter()
             member = member_from_seed(params, seed, order)
-            report = verify_member(member, t_values=t_values, tol=tol, d1_offset=inject)
-            elapsed = time.perf_counter() - start
+            report = verify_member(
+                member, t_values=t_values, tol=args.tol, d1_offset=args.inject_d1
+            )
             for check in report.rows:
-                if not check.passed:
-                    failures += 1
-                rows.append(
-                    {
-                        "theorem": check.theorem,
-                        "j": params.j,
-                        "k": params.k,
-                        "A": format_complex(params.A),
-                        "B": params.B,
-                        "seed": report.seed_label,
-                        "t": check.t,
-                        "N": report.order,
-                        "N_d": report.n_terms,
-                        "partial_sum": check.partial_sum,
-                        "bound": check.bound,
-                        "ratio": check.ratio,
-                        "pass": check.passed,
-                        "tail_bound": report.tail_bound,
-                        "note": check.note,
-                        "elapsed": elapsed,
-                        "timestamp": timestamp,
-                    }
-                )
+                yield {
+                    "theorem": check.theorem,
+                    "seed": report.seed_label,
+                    "t": check.t,
+                    "N": report.order,
+                    "N_d": report.n_terms,
+                    "partial_sum": check.partial_sum,
+                    "bound": check.bound,
+                    "ratio": check.ratio,
+                    "pass": check.passed,
+                    "tail_bound": report.tail_bound,
+                    "note": check.note,
+                }
 
-    rows = _finish_rows(rows, args.no_timestamp)
-    write_report(rows, _setting(args, config, "out"), _setting(args, config, "format"))
-    if failures:
-        failed = [r for r in rows if not r["pass"]]
-        print(f"FAILED: {failures} of {len(rows)} checks violated their bound", file=sys.stderr)
-        for row in failed[:20]:
-            print(
-                f"  {row['theorem']} (j={row['j']}, k={row['k']}, A={row['A']}, "
-                f"B={row['B']}, seed={row['seed']}): ratio={row['ratio']}",
-                file=sys.stderr,
-            )
-        return EXIT_CHECK_FAILED
-    print(f"ok: {len(rows)} checks passed on {len(grid)} parameter points", file=sys.stderr)
-    return EXIT_OK
+    return rows
 
 
-def cmd_sharpness(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    grid, skipped = _parse_grid(args, config)
-    _log_skipped(skipped)
-    tol = _setting(args, config, "tol", float)
-    tol = 1e-8 if tol is None else float(tol)
-    terms = _int_setting(args, config, "terms", minimum=0)
-    timestamp = datetime.now(timezone.utc).isoformat()
+def _verify_summary(rows, failed, points):
+    if not failed:
+        print(f"ok: {len(rows)} checks passed on {points} parameter points", file=sys.stderr)
+        return
+    print(f"FAILED: {len(failed)} of {len(rows)} checks violated their bound", file=sys.stderr)
+    for row in failed[:20]:
+        print(
+            f"  {row['theorem']} (j={row['j']}, k={row['k']}, A={row['A']}, "
+            f"B={row['B']}, seed={row['seed']}): ratio={row['ratio']}",
+            file=sys.stderr,
+        )
 
-    rows = []
-    failures = 0
-    for params in grid:
-        start = time.perf_counter()
+
+def _sharpness_rows(args):
+    def rows(params):
+        row = {"theorem": "ThmA-sharpness", "seed": "identity", "note": ""}
         try:
-            result = check_sharpness(
-                params, order=(terms if terms > 0 else None), tol=tol, slow=args.slow
-            )
-        except SlowModeRequired as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            result = check_sharpness(params, order=args.terms or None, tol=args.tol, slow=args.slow)
         except SharpnessFailure as exc:
-            result = {
-                "order": terms,
-                "n_terms": None,
-                "partial_sum": None,
-                "tail_bound": None,
-                "bound": None,
-                "pass": False,
-                "note": f"term-by-term equality failed at n={exc.n}: {exc}",
-            }
-        elapsed = time.perf_counter() - start
-        if not result["pass"]:
-            failures += 1
-        rows.append(
-            {
-                "theorem": "ThmA-sharpness",
-                "j": params.j,
-                "k": params.k,
-                "A": format_complex(params.A),
-                "B": params.B,
-                "seed": "identity",
-                "t": None,
-                "N": result.get("order"),
-                "N_d": result.get("n_terms"),
-                "partial_sum": result.get("partial_sum"),
-                "bound": result.get("bound"),
-                "ratio": (
-                    (result["partial_sum"] + result["tail_bound"]) / result["bound"]
-                    if result.get("bound")
-                    else None
-                ),
-                "pass": result["pass"],
-                "tail_bound": result.get("tail_bound"),
-                "note": result.get("note", ""),
-                "elapsed": elapsed,
-                "timestamp": timestamp,
-            }
-        )
+            note = f"term-by-term equality failed at n={exc.n}: {exc}"
+            return [{**row, "N": args.terms, "pass": False, "note": note}]
+        row.update({key: result[key] for key in ("partial_sum", "tail_bound", "bound", "pass")})
+        ratio = (row["partial_sum"] + row["tail_bound"]) / row["bound"] if row["bound"] else None
+        return [{**row, "N": result["order"], "N_d": result["n_terms"], "ratio": ratio}]
 
-    rows = _finish_rows(rows, args.no_timestamp)
-    write_report(rows, _setting(args, config, "out"), _setting(args, config, "format"))
-    if failures:
-        print(f"FAILED: {failures} of {len(rows)} sharpness certificates", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"ok: {len(rows)} sharpness certificates", file=sys.stderr)
-    return EXIT_OK
+    return rows
 
 
-def cmd_search(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    grid, skipped = _parse_grid(args, config)
-    _log_skipped(skipped)
-    family = _setting(args, config, "family")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    budget = _int_setting(args, config, "budget", minimum=1)
-    rng_seed = _int_setting(args, config, "rng_seed", minimum=0)
-    terms = _int_setting(args, config, "terms", minimum=0)
-    tol = _setting(args, config, "tol", float)
-    tol = 1e-9 if tol is None else float(tol)
-    timestamp = datetime.now(timezone.utc).isoformat()
+def _sharpness_summary(rows, failed, points):
+    status = f"FAILED: {len(failed)} of" if failed else "ok:"
+    print(f"{status} {len(rows)} sharpness certificates", file=sys.stderr)
 
-    rows = []
-    failures = 0
-    for params in grid:
-        start = time.perf_counter()
+
+def _search_rows(args):
+    def rows(params):
         report = adversarial_search(
-            params,
-            family=family,
-            budget=budget,
-            rng_seed=rng_seed,
-            order=(terms if terms > 0 else None),
+            params, args.family, args.budget, args.rng_seed, order=args.terms or None
         )
-        elapsed = time.perf_counter() - start
-        passed = report.max_ratio <= 1.0 + tol
-        if not passed:
-            failures += 1
         print(
             f"search (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
-            f"B={params.B}) [{family}]: max ratio {report.max_ratio!r} at "
+            f"B={params.B}) [{args.family}]: max ratio {report.max_ratio!r} at "
             f"{report.best_seed.label()} after {report.evaluations} evaluations"
             f"{'' if report.converged else ' (did not converge)'}",
         )
-        rows.append(
+        return [
             {
                 "theorem": "ThmA-search",
-                "j": params.j,
-                "k": params.k,
-                "A": format_complex(params.A),
-                "B": params.B,
                 "seed": report.best_seed.label(),
-                "t": None,
-                "N": terms if terms > 0 else suggested_order(params),
-                "N_d": None,
-                "partial_sum": None,
-                "bound": None,
+                "N": args.terms or suggested_order(params),
                 "ratio": report.max_ratio,
-                "pass": passed,
-                "tail_bound": None,
+                "pass": report.max_ratio <= 1.0 + args.tol,
                 "note": (
-                    f"family={family} budget={budget} evaluations={report.evaluations} "
-                    f"converged={report.converged}"
+                    f"family={args.family} budget={args.budget} "
+                    f"evaluations={report.evaluations} converged={report.converged}"
                 ),
-                "elapsed": elapsed,
-                "timestamp": timestamp,
             }
-        )
+        ]
 
-    rows = _finish_rows(rows, args.no_timestamp)
-    out = _setting(args, config, "out")
-    if out != "-":  # stdout carries the summary lines, so "-" writes no report
-        write_report(rows, out, _setting(args, config, "format"))
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return rows
+
+
+def _row_key(row: dict) -> tuple:
+    t = -math.inf if row["t"] is None else row["t"]
+    return (row["j"], row["k"], row["A"], row["B"], row["seed"], row["theorem"], t)
+
+
+def _run(args) -> int:
+    """Run one grid command: `args.rows(args)` maps a ClassParams to its report
+    fields, and this does the rest: timing, row filling, sorting, the report,
+    the stderr summary (`args.summary`) and the exit code."""
+    grid = _parse_grid(args)
+    point_rows = args.rows(args)
+    timestamp = datetime.now(timezone.utc).isoformat()
+    if not grid:
+        print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
+    empty_row = dict.fromkeys(REPORT_COLUMNS[:-2] if args.no_timestamp else REPORT_COLUMNS)
+    rows = []
+    for params in grid:
+        start = time.perf_counter()
+        fields = list(point_rows(params))
+        point = dict(empty_row, j=params.j, k=params.k, A=format_complex(params.A), B=params.B)
+        if not args.no_timestamp:
+            point.update(elapsed=time.perf_counter() - start, timestamp=timestamp)
+        rows.extend({**point, **f} for f in fields)  # fields hold report columns only
+    rows.sort(key=_row_key)
+    failed = [r for r in rows if not r["pass"]]
+    # without a summary (search) stdout carries one line per point, so "-" writes no report
+    if args.summary or args.out != "-":
+        write_report(rows, args.out, args.format)
+    if args.summary and grid:
+        args.summary(rows, failed, len(grid))
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def cmd_polylog(args) -> int:
-    value = li(args.v, args.x)
-    print(repr(value))
+    print(repr(li(args.v, args.x)))
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--j", help="comma list of j values")
-    parser.add_argument("--k", help="comma list of k values")
-    parser.add_argument("--A", help="comma list of complex A values, re+imi syntax")
-    parser.add_argument("--B", help="comma list of real B values in [-1, 0]")
-    parser.add_argument("--t", help="comma list of weight exponents t <= 2")
-    parser.add_argument("--terms", type=int, help="truncation order N >= 0 (0 = auto)")
-    parser.add_argument("--seeds", help="comma list of seed descriptors")
-    parser.add_argument("--tol", type=float, help="pass tolerance on ratios")
-    parser.add_argument("--rng-seed", dest="rng_seed", type=int, help="deterministic RNG seed")
-    parser.add_argument("--out", help="report path ('-' = stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], help="report format")
-    parser.add_argument(
+def _bounded(cast, minimum):
+    """argparse `type=` for a flag and its config value: cast, then require min <= value < inf."""
+
+    def parse(text):
+        value = cast(text)
+        if not minimum <= value < math.inf:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"expected a finite value >= {minimum}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value: 'x'"
+    return parse
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Make the config file's values the defaults of the chosen subcommand, whose
+    re-parse applies each flag's `type=` to them.  argparse checks no `choices`
+    on a default, so that check is made here."""
+    config = load_config_file(args.config)
+    for key, value in config.items():
+        flag = args.config_flags.get(key)
+        if flag is None:
+            raise ConfigError(f"unknown config key {key!r} for {args.command}")
+        if flag.choices is not None and value not in flag.choices:
+            raise ConfigError(f"config key {key} = {value!r}: expected one of {list(flag.choices)}")
+    args.subparser.set_defaults(**config)
+
+
+def _grid_command(sub, name: str, help_text: str, *extra) -> argparse.ArgumentParser:
+    """Add the grid subcommand `name`, run by `_run`: the shared flags, then
+    `extra`, its own value-taking flags as (flag, add_argument keywords) pairs.
+    A config file may set every value-taking flag but --config."""
+    parser = sub.add_parser(name, help=help_text)
+    add = parser.add_argument
+    b_help = "comma list of real B values in [-1, 0]; write a list of negatives as --B=-0.5,-0.9"
+    flags = [
+        add("--j", default="0,1,2", help="comma list of j values"),
+        add("--k", default="1,2,3,4", help="comma list of k values"),
+        add("--A", default="1,0.5,0.8+0.3i", help="comma list of complex A values, re+imi syntax"),
+        add("--B", default="0,-0.25,-0.5,-0.75,-0.9", help=b_help),
+        add("--t", default="-1,0,1,2", help="comma list of weight exponents t <= 2"),
+        add("--terms", type=_bounded(int, 0), default=0, help="truncation order N >= 0 (0 = auto)"),
+        add("--seeds", default="identity", help="comma list of seed descriptors"),
+        add("--tol", type=_bounded(float, 0.0), help="pass tolerance on ratios, finite and >= 0"),
+        add("--rng-seed", type=_bounded(int, 0), default=0, help="deterministic RNG seed"),
+        add("--out", default="-", help="report path ('-' = stdout)"),
+        add("--format", choices=["json", "csv"], default="json", help="report format"),
+    ]
+    add(
         "--no-timestamp",
         action="store_true",
         help="drop timestamp/elapsed fields for byte-identical reruns",
     )
-    parser.add_argument("--slow", action="store_true", help="allow long-tail certifications")
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    add("--slow", action="store_true", help="allow long-tail certifications")
+    add("--config", help="flat key=value config file; flags override it")
+    flags += [add(flag, **kw) for flag, kw in extra]
+    parser.set_defaults(func=_run, subparser=parser, config_flags={f.dest: f for f in flags})
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,26 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run every bound check over a parameter sweep")
-    _add_common(p_verify)
-    p_verify.add_argument(
-        "--inject-d1",
-        dest="inject_d1",
-        type=float,
-        default=0.0,
-        help="fault-injection test hook: offset added to d_1 before checking",
-    )
-    p_verify.set_defaults(func=cmd_verify)
+    inject_help = "fault-injection test hook: offset added to d_1 before checking"
+    inject = ("--inject-d1", dict(type=float, default=0.0, help=inject_help))
+    p_verify = _grid_command(sub, "verify", "run every bound check over a parameter sweep", inject)
+    p_verify.set_defaults(rows=_verify_rows, summary=_verify_summary, tol=1e-9)
 
-    p_sharp = sub.add_parser("sharpness", help="certify equality at the extremal member")
-    _add_common(p_sharp)
-    p_sharp.set_defaults(func=cmd_sharpness)
+    p_sharp = _grid_command(sub, "sharpness", "certify equality at the extremal member")
+    p_sharp.set_defaults(rows=_sharpness_rows, summary=_sharpness_summary, tol=1e-8)
 
-    p_search = sub.add_parser("search", help="adversarial search for bound violations")
-    _add_common(p_search)
-    p_search.add_argument("--family", choices=list(FAMILIES), help="seed family to search")
-    p_search.add_argument("--budget", type=int, help="evaluation budget")
-    p_search.set_defaults(func=cmd_search)
+    family_help = "seed family to search"
+    family = ("--family", dict(choices=list(FAMILIES), default="expdamp", help=family_help))
+    budget = ("--budget", dict(type=_bounded(int, 1), default=2000, help="evaluation budget"))
+    search_help = "adversarial search for bound violations"
+    p_search = _grid_command(sub, "search", search_help, family, budget)
+    p_search.set_defaults(rows=_search_rows, summary=None, tol=1e-9)
 
     p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision")
     p_li.add_argument("v", type=float)
@@ -509,6 +404,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _apply_config(args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ Euler reflection identity
 
     Li_2(x) + Li_2(1 - x) = pi^2/6 - ln(x) ln(1 - x)
 
-restores that rate.  Orders v > 2 fall back to the direct series, with an
-Euler-Maclaurin tail at x = 1 (where the value is zeta(v)).
+restores that rate.  Orders v > 2 fall back to the direct series; at x = 1
+the value is zeta(v), from the Hurwitz zeta that the bounds share.
 """
 
 from __future__ import annotations
@@ -37,12 +37,37 @@ def _series_sum(v: float, x: float, max_terms: int = 20_000_000) -> float:
     return math.fsum(terms)
 
 
-def _zeta_direct(v: float, cutoff: int = 100_000) -> float:
-    """zeta(v) for v > 2 by direct sum plus an Euler-Maclaurin tail."""
-    head = math.fsum(n ** (-v) for n in range(1, cutoff + 1))
-    a = cutoff + 1
-    tail = a ** (1.0 - v) / (v - 1.0) + 0.5 * a ** (-v) + v / 12.0 * a ** (-v - 1.0)
-    return head + tail
+# B_2k / (2k)! for k = 1..7, the Euler-Maclaurin correction coefficients
+_EM_COEFFS = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+)
+_ZETA_HEAD = 16
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta(s, a) = sum_{n>=0} (a+n)^-s for s > 1 and a >= 1.
+
+    A direct head of 16 terms, then the Euler-Maclaurin tail at b = a + 16
+    with seven Bernoulli corrections, summed with fsum; agrees with
+    scipy.special.zeta to ~5e-16 relative.  zeta(s) is hurwitz_zeta(s, 1) and
+    the trigamma function psi_1(x) is hurwitz_zeta(2, x).
+    """
+    if not (s > 1.0 and a >= 1.0):
+        raise DomainError(f"hurwitz_zeta needs s > 1 and a >= 1, got s={s}, a={a}")
+    b = a + _ZETA_HEAD
+    terms = [(a + n) ** -s for n in range(_ZETA_HEAD)]
+    terms += [b ** (1.0 - s) / (s - 1.0), 0.5 * b**-s]
+    corr = s * b ** (-s - 1.0)  # s (s+1) ... (s+2k-2) b^(-s-2k+1) at k = 1
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        terms.append(coeff * corr)
+        corr *= (s + 2 * k - 1) / b * (s + 2 * k) / b
+    return math.fsum(terms)
 
 
 def li(v: float, x: float) -> float:
@@ -64,7 +89,7 @@ def li(v: float, x: float) -> float:
             return ZETA2 - math.log(x) * math.log1p(-x) - _series_sum(2.0, 1.0 - x)
         return _series_sum(2.0, x)
     if x == 1.0:
-        return _zeta_direct(v)
+        return hurwitz_zeta(v, 1.0)
     return _series_sum(v, x)
 
 

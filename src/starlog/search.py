@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import thm_a_bound
 from .logcoeffs import log_coefficients, sum_sq
@@ -100,6 +99,10 @@ def adversarial_search(
     A max ratio above 1 + 1e-9 would be a counterexample; the report flags
     non-convergence when the budget runs out before refinement finishes.
     """
+    # imported here, not at module level: scipy.optimize loads scipy.special,
+    # which nothing else in `import starlog` needs
+    from scipy.optimize import minimize
+
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if budget < 1:

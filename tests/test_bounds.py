@@ -103,6 +103,11 @@ class TestThm3Bound:
         with pytest.raises(WeightOutOfRange):
             thm3_bound(ClassParams(1, 1, 1, -0.5), 2.5)
 
+    @pytest.mark.parametrize("B", [-0.5, -1.0])
+    def test_nan_weight_is_out_of_range(self, B):
+        with pytest.raises(WeightOutOfRange):
+            thm3_bound(ClassParams(1, 1, 1, B), math.nan)
+
 
 class TestTailBound:
     def test_zero_for_b_zero(self):

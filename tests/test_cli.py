@@ -199,3 +199,105 @@ def test_search_reads_out_from_config(tmp_path, out):
     else:
         assert not report.exists()
         assert proc.stdout.startswith("search (") and proc.stdout.count("\n") == 1
+
+
+
+def exit_code(argv):
+    """main()'s exit code, including argparse's SystemExit on a bad flag value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["search", *SMALL_GRID, "--budget", "20"], "famly = poly"),
+        (["sharpness", "--j", "1", "--k", "1", "--A", "1", "--B", "-1"], "slow = 1"),
+        (["verify", *SMALL_GRID], "config = other.cfg"),
+        (["verify", *SMALL_GRID], "no-timestamp = 1"),
+    ],
+    ids=["typo", "switch-slow", "config", "switch-no-timestamp"],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "bad-key.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip().replace("-", "_")
+    assert "config error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["search", *SMALL_GRID, "--budget", "20"], "family = banana"),
+        (["verify", *SMALL_GRID], "format = xml"),
+    ],
+    ids=["family", "format"],
+)
+def test_config_value_outside_choices_is_config_error(tmp_path, argv, line):
+    cfg = tmp_path / "bad-choice.cfg"
+    cfg.write_text(line + "\n")
+    proc = run_cli(*argv, "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and line.split(" = ")[1] in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "config-inf"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, tol):
+    argv = ["verify", *SMALL_GRID, "--inject-d1", "10"]
+    if tol == "config-inf":
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol = inf\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--tol={tol}")
+    assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("command", ["sharpness", "search"])
+def test_empty_grid_warns_in_every_command(tmp_path, command):
+    out = tmp_path / "empty.json"
+    proc = run_cli(command, "--j", "5", "--k", "2", "--out", str(out), "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    assert "empty parameter grid" in proc.stderr
+    assert json.loads(out.read_text()) == []
+
+
+def test_negative_b_list_with_equals_sign(tmp_path):
+    out = tmp_path / "b-list.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1", "--B=-0.5,-0.9", "--out", str(out)]
+    assert main([*argv, "--no-timestamp"]) == 0
+    assert {r["B"] for r in json.loads(out.read_text())} == {-0.5, -0.9}
+
+
+@pytest.mark.parametrize("flag", ["--j", "--k", "--B", "--t"])
+def test_malformed_number_is_config_error(capsys, flag):
+    argv = ["verify", *SMALL_GRID, "--t", "0"]
+    argv[argv.index(flag) + 1] = "x"
+    assert main(argv) == 2
+    assert f"bad {flag[2:]} value" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+    code = (
+        "import sys, starlog.cli; "
+        "print(sorted({'scipy.special', 'scipy.optimize'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_nan_weight_exponent_exits_instead_of_looping():
+    proc = subprocess.run(
+        [sys.executable, "-m", "starlog", "verify", *SMALL_GRID, "--t", "nan"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "weight exponent" in proc.stderr

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from starlog.errors import DomainError
-from starlog.polylog import li, li_ratio
+from starlog.polylog import hurwitz_zeta, li, li_ratio
 
 ZETA2 = math.pi**2 / 6
 
@@ -102,3 +104,39 @@ class TestLiRatio:
         oracle = direct_series_oracle(2, 0.25) / 0.25
         assert abs(li_ratio(0.25) - oracle) <= 1e-12
         assert abs(li_ratio(0.25) - 1.070611) <= 1e-5
+
+
+# (s, a) where the bounds and li evaluate the Hurwitz zeta: the trigamma tail
+# psi_1(N + 1) = zeta(2, N + 1), the B = -1 Thm3 tails zeta(2 - t + j, 2001),
+# and zeta(v) = zeta(v, 1) for li(v, 1)
+HURWITZ_POINTS = (
+    [(2.0, a) for a in (2.0, 1001.0, 10001.0, 40001.0)]
+    + [(2.0 - t + j, 2001.0) for t in (-1.0, 0.0, 0.5, 0.9) for j in range(0, 60, 3)]
+    + [(s, 1.0) for s in (2.5, 3.0, 4.0, 6.0)]
+)
+
+
+@pytest.mark.parametrize("s, a", HURWITZ_POINTS)
+def test_hurwitz_zeta_against_scipy(s, a):
+    reference = float(special.zeta(s, a))
+    assert abs(hurwitz_zeta(s, a) - reference) <= 5e-16 * reference
+
+
+@pytest.mark.parametrize("n", [1, 10, 150, 1000, 10_000, 40_000])
+def test_hurwitz_zeta_is_trigamma(n):
+    with mpmath.workdps(30):
+        reference = float(mpmath.psi(1, n + 1))
+    assert abs(hurwitz_zeta(2.0, n + 1.0) - reference) <= 2.2e-16 * reference
+
+
+@pytest.mark.parametrize("s", [2.5, 3.0, 4.0, 6.0])
+def test_hurwitz_zeta_at_one_is_riemann_zeta(s):
+    with mpmath.workdps(30):
+        reference = float(mpmath.zeta(s))
+    assert abs(hurwitz_zeta(s, 1.0) - reference) <= 5e-16 * reference
+
+
+@pytest.mark.parametrize("s, a", [(1.0, 2.0), (0.5, 2.0), (2.0, 0.5), (math.nan, 2.0)])
+def test_hurwitz_zeta_domain(s, a):
+    with pytest.raises(DomainError):
+        hurwitz_zeta(s, a)
