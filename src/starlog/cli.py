@@ -40,6 +40,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+#: largest --terms accepted; above slow Koebe certification's 10^4 m terms
+MAX_TERMS = 10**6
+
 REPORT_COLUMNS = [
     "theorem",
     "j",
@@ -164,7 +167,9 @@ def _parse_grid(args) -> list[ClassParams]:
 
 def write_report(rows, out: str, fmt: str):
     if fmt == "json":
-        text = json.dumps(rows, indent=2, allow_nan=True) + "\n"
+        # one compact row per line: `indent` would force the pure-Python encoder
+        body = ",\n".join(json.dumps(row) for row in rows)
+        text = f"[\n{body}\n]\n" if rows else "[]\n"
     elif fmt == "csv":
         columns = [c for c in REPORT_COLUMNS if any(c in row for row in rows)] or REPORT_COLUMNS
         buf = io.StringIO()
@@ -310,13 +315,16 @@ def cmd_polylog(args) -> int:
     return EXIT_OK
 
 
-def _bounded(cast, minimum):
-    """argparse `type=` for a flag and its config value: cast, then require min <= value < inf."""
+def _bounded(cast, minimum, maximum=math.inf):
+    """argparse `type=` for a flag and its config value: cast, then require a
+    finite value in [minimum, maximum]."""
 
     def parse(text):
         value = cast(text)
-        if not minimum <= value < math.inf:  # also false for NaN
-            raise argparse.ArgumentTypeError(f"expected a finite value >= {minimum}, got {text!r}")
+        if not (minimum <= value <= maximum and value < math.inf):  # also false for NaN
+            raise argparse.ArgumentTypeError(
+                f"expected a finite value in [{minimum}, {maximum}], got {text!r}"
+            )
         return value
 
     parse.__name__ = cast.__name__  # argparse names it in "invalid float value: 'x'"
@@ -350,7 +358,12 @@ def _grid_command(sub, name: str, help_text: str, *extra) -> argparse.ArgumentPa
         add("--A", default="1,0.5,0.8+0.3i", help="comma list of complex A values, re+imi syntax"),
         add("--B", default="0,-0.25,-0.5,-0.75,-0.9", help=b_help),
         add("--t", default="-1,0,1,2", help="comma list of weight exponents t <= 2"),
-        add("--terms", type=_bounded(int, 0), default=0, help="truncation order N >= 0 (0 = auto)"),
+        add(
+            "--terms",
+            type=_bounded(int, 0, MAX_TERMS),
+            default=0,
+            help=f"truncation order 0 <= N <= {MAX_TERMS} (0 = auto)",
+        ),
         add("--seeds", default="identity", help="comma list of seed descriptors"),
         add("--tol", type=_bounded(float, 0.0), help="pass tolerance on ratios, finite and >= 0"),
         add("--rng-seed", type=_bounded(int, 0), default=0, help="deterministic RNG seed"),

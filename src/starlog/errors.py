@@ -33,10 +33,6 @@ class TruncationTooSmall(StarlogError):
     """Requested truncation order cannot hold a single log coefficient."""
 
 
-class SupportViolation(StarlogError):
-    """log(f/z) has a nonzero coefficient off the multiples of m."""
-
-
 class WeightOutOfRange(StarlogError):
     """Weight exponent t > 2: the telescoping weight factors turn negative."""
 

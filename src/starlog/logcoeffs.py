@@ -2,7 +2,8 @@
 
 log(f/z) = 2 sum_{n>=1} d_n z^{n m} with m = j + k - 1; the index n is
 stored abstractly (d_n corresponds to exponent n*m) so the weights n^2 and
-(n+1)^t act on n, not on the raw exponent.
+(n+1)^t act on n, not on the raw exponent.  A member carries log(f/z) as a
+series in w = z^m, so the d_n are read off it directly.
 """
 
 from __future__ import annotations
@@ -11,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportViolation, WeightOutOfRange
+from .errors import WeightOutOfRange
 from .members import ClassMember, ClassParams
-from .series import TruncatedSeries, log_series
-
-#: coefficients of f/z at exponents not divisible by m must vanish identically
-#: in exact arithmetic; any excess signals a pipeline bug, not rounding.
-OFF_SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,22 +32,9 @@ class LogCoeffVector:
 
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
-    """Extract d_n = [z^{n m}] log(f/z) / 2 for n = 1..floor(order/m).
-
-    f/z = S(z^m) is a series in w = z^m once its off-support coefficients
-    are checked to vanish, so log(f/z) = log(S)(z^m) and one log at length
-    N_d = floor(order/m) gives every d_n.
-    """
-    m = member.params.m
-    ratio = member.ratio_series().array
-    off = np.abs(ratio)
-    off[::m] = 0.0
-    bad = np.nonzero(off > OFF_SUPPORT_TOL)[0]
-    if bad.size:
-        q = int(bad[0])
-        raise SupportViolation(f"f/z coefficient {ratio[q]} at exponent {q} not divisible by m={m}")
-    L = log_series(TruncatedSeries(ratio[::m]))
-    return LogCoeffVector(d=tuple((L.array[1:] / 2.0).tolist()), m=m)
+    """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
+    d = member.log_ratio.array[1:] / 2.0
+    return LogCoeffVector(d=tuple(d.tolist()), m=member.params.m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:

@@ -7,16 +7,17 @@ any analytic v with v(0) = 0 and |v(w)| <= |w| yields
 
     z f'/f - 1 = P(z^m),     P(w) = (A - B) v(w) / (1 + B v(w)),
 
-and f is recovered as f/z = S(z^m) with S(w) = exp((1/m) int_0^w P(u)/u du).
-Every recursion runs on series in w at length N_d = floor(N/m); only the
-final f is spread out to the z-level with `compose_power`, which keeps the
-off-support coefficients of f/z exactly zero.  The identity seed v(w) = w
-reproduces the closed-form extremal function.
+hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du.  A member
+stores L, a series in w of length N_d = floor(N/m) built with one series
+division; the log coefficients are read off it (2 d_n = L_n) with no exp
+or log.  f itself, z exp(L(z^m)), is computed only when asked for.  The
+identity seed v(w) = w gives the closed-form extremal function.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,9 +30,7 @@ from .series import (
     div,
     exp_series,
     integrate_over_t,
-    monomial,
     one,
-    pow_complex,
     scale,
 )
 
@@ -180,48 +179,34 @@ def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
 class ClassMember:
     """A generated class member f with its provenance.
 
-    `order` is the truncation order of log(f/z); `series` holds f itself and
-    carries one extra coefficient (order + 1) so that f/z is exact through
-    z^order.
+    `log_ratio` holds log(f/z) as a series in w = z^m, truncated at
+    N_d = floor(order/m); `order` is the truncation order in z.
     """
 
-    series: TruncatedSeries
+    log_ratio: TruncatedSeries
     params: ClassParams
     seed: SchwarzSeed
     order: int
+
+    @functools.cached_property
+    def series(self) -> TruncatedSeries:
+        """f = z exp(L(z^m)), with one extra coefficient (order + 1) so that f/z
+        is exact through z^order."""
+        ratio = compose_power(exp_series(self.log_ratio), self.params.m, self.order)
+        return TruncatedSeries(np.concatenate(([0j], ratio.array)))
 
     def ratio_series(self) -> TruncatedSeries:
         """f(z)/z, a unit-constant-term series of order `order`."""
         return TruncatedSeries(self.series.array[1:])
 
 
-def _lift(ratio: TruncatedSeries, params: ClassParams, seed: SchwarzSeed) -> ClassMember:
-    """Prepend the zero constant term: f = z * ratio."""
-    f = TruncatedSeries(np.concatenate(([0j], ratio.array)))
-    return ClassMember(series=f, params=params, seed=seed, order=ratio.order)
-
-
-def _extremal_w(params: ClassParams, sign: int, n_d: int) -> TruncatedSeries:
-    """The extremal f/z (sign = 1) or z/f (sign = -1) as a series in w = z^m.
-
-    exp(sign A w / m) for B = 0, (1 + B w)^{sign (A-B)/(mB)} otherwise.
-    """
-    m = params.m
-    if params.B == 0.0:
-        return exp_series(monomial(sign * params.A / m, 1, n_d))
-    base = one(n_d) + monomial(params.B, 1, n_d)
-    return pow_complex(base, sign * (params.A - params.B) / (m * params.B))
-
-
 def extremal_function(params: ClassParams, order: int) -> ClassMember:
     """The closed-form extremal member, truncated at log-order `order`.
 
-    f = z exp(A z^m / m) for B = 0, z (1 + B z^m)^{(A-B)/(mB)} otherwise.
+    f = z exp(A z^m / m) for B = 0, z (1 + B z^m)^{(A-B)/(mB)} otherwise:
+    the member of the identity seed v(w) = w.
     """
-    m = params.m
-    if order < m:
-        raise TruncationTooSmall(f"order {order} < m = {m}")
-    return _lift(compose_power(_extremal_w(params, 1, order // m), m, order), params, Identity())
+    return member_from_seed(params, Identity(), order)
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
@@ -233,15 +218,15 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     v = seed_series(seed, n_d)
     # z f'/f - 1 = P(z^m) with P = (A - B) v / (1 + B v); constant terms stay exactly zero
     P = div(scale(v, params.A - params.B), one(n_d) + scale(v, params.B))
-    # f/z = S(z^m) with S(w) = exp((1/m) int_0^w P(u)/u du)
-    S = exp_series(scale(integrate_over_t(P), 1.0 / m))
-    return _lift(compose_power(S, m, order), params, seed)
+    # log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du
+    L = scale(integrate_over_t(P), 1.0 / m)
+    return ClassMember(log_ratio=L, params=params, seed=seed, order=order)
 
 
 def q_function(params: ClassParams, order: int) -> TruncatedSeries:
     """The superordinate series for z/f: e^{-A z^m / m} or (1 + B z^m)^{-(A-B)/(mB)}."""
-    m = params.m
-    return compose_power(_extremal_w(params, -1, order // m), m, order)
+    L = extremal_function(params, order).log_ratio
+    return compose_power(exp_series(scale(L, -1)), params.m, order)
 
 
 def suggested_order(params: ClassParams, eps: float = 1e-13, cap: int = 4096) -> int:
@@ -261,7 +246,7 @@ def suggested_order(params: ClassParams, eps: float = 1e-13, cap: int = 4096) ->
 
 
 def radial_derivative(member: ClassMember) -> TruncatedSeries:
-    """z f'/f - 1 recomputed from the stored series (consistency probe).
+    """z f'/f - 1 recomputed from f = z exp(L(z^m)) (consistency probe).
 
     With f = z * R this equals z R'/R.
     """

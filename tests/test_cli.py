@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from starlog.cli import main
+from starlog.cli import MAX_TERMS, main, write_report
 from starlog.members import ExpDamp, Identity, Polynomial
 
 SMALL_GRID = ["--j", "1", "--k", "1,2", "--A", "1", "--B", "-0.5"]
@@ -301,3 +302,41 @@ def test_nan_weight_exponent_exits_instead_of_looping():
     )
     assert proc.returncode == 2
     assert "weight exponent" in proc.stderr
+
+
+@pytest.mark.parametrize("terms", [10**30, MAX_TERMS + 1])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_terms_above_max_is_config_error(tmp_path, capsys, terms, source):
+    argv = ["verify", *SMALL_GRID]
+    if source == "flag":
+        argv += ["--terms", str(terms)]
+    else:
+        cfg = tmp_path / "terms.cfg"
+        cfg.write_text(f"terms = {terms}\n")
+        argv += ["--config", str(cfg)]
+    assert exit_code(argv) == 2
+    assert "--terms" in capsys.readouterr().err
+
+
+NAN_ROWS = [
+    {"theorem": "ThmA", "A": "1.0", "t": None, "ratio": math.nan, "pass": False, "note": ""},
+    {"theorem": "Thm3(t=2)", "A": "0.8+0.3i", "t": 2.0, "bound": math.inf, "pass": True},
+]
+
+
+@pytest.mark.parametrize("rows", [[], NAN_ROWS], ids=["empty", "nan-inf"])
+def test_json_report_parses_back_to_rows(tmp_path, rows):
+    out = tmp_path / "rows.json"
+    write_report(rows, str(out), "json")
+    text = out.read_text()
+    # repr compares NaN by spelling; == would call two NaNs unequal
+    assert repr(json.loads(text)) == repr(rows)
+    assert len(text.splitlines()) == (len(rows) + 2 if rows else 1)  # one line per row
+
+
+def test_large_a_extremal_member_passes(tmp_path):
+    # the extremal member used to lose all precision for large |A - B| / m
+    out = tmp_path / "large-a.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1e3", "--B", "-0.5", "--out", str(out)]
+    assert main([*argv, "--no-timestamp"]) == 0
+    assert all(r["pass"] and abs(r["ratio"] - 1) <= 1e-12 for r in json.loads(out.read_text()))

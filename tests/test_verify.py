@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from starlog.bounds import extremal_tail_bound, thm_a_bound
 from starlog.errors import HypothesisViolated, SharpnessFailure, SlowModeRequired, WeightOutOfRange
+from starlog.logcoeffs import log_coefficients, sum_sq
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -99,6 +101,14 @@ class TestCheckSharpness:
         assert abs(result["partial_sum"] - math.pi**2 / 6) <= 1e-4
         assert result["bracket_err"] <= 1e-9
 
+    @pytest.mark.parametrize("A", [50, 1e3])
+    def test_large_a_extremal_bracket(self, A):
+        # d_n read off log(f/z) keep full precision for large |A - B| / m
+        params = ClassParams(1, 1, A, -0.5)
+        d = log_coefficients(extremal_function(params, suggested_order(params)))
+        ratio = (sum_sq(d) + extremal_tail_bound(params, d.n_terms)) / thm_a_bound(params).bound
+        assert abs(ratio - 1) <= 1e-12
+
     def test_detects_broken_pipeline(self, monkeypatch):
         import dataclasses
 
@@ -106,9 +116,9 @@ class TestCheckSharpness:
 
         def perturbed_extremal(params, order):
             member = extremal_function(params, order)
-            coeffs = list(member.series.coeffs)
-            coeffs[2] += 1e-4  # breaks |d_1|^2 equality at m = 1
-            return dataclasses.replace(member, series=from_coeffs(coeffs))
+            coeffs = list(member.log_ratio.coeffs)
+            coeffs[1] += 1e-4  # breaks |d_1|^2 equality
+            return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
 
         monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
         with pytest.raises(SharpnessFailure) as info:

@@ -6,11 +6,12 @@ length N (compose_power, div, integrate_over_t, exp_series / pow_complex,
 log_series), which must agree to 1e-12 relative.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-import starlog.logcoeffs as logcoeffs_mod
-import starlog.members as members_mod
+import starlog.series as series_mod
 from starlog.logcoeffs import log_coefficients
 from starlog.members import (
     ClassParams,
@@ -22,6 +23,7 @@ from starlog.members import (
     member_from_seed,
     seed_series,
 )
+from starlog.search import adversarial_search
 from starlog.series import (
     compose_power,
     div,
@@ -33,6 +35,7 @@ from starlog.series import (
     pow_complex,
     scale,
 )
+from starlog.verify import check_sharpness, verify_member
 
 REL = 1e-12
 PAIRS = [(1, 2), (0, 4), (2, 4)]  # m = 2, 3, 5
@@ -104,15 +107,19 @@ def test_extremal_matches_z_level_route(case):
     assert_close(log_coefficients(member).d, z_level_log_coefficients(ratio, params.m))
 
 
-def _spy(monkeypatch, module, name):
+def _spy(monkeypatch, name):
+    """Record the argument orders of `starlog.series.<name>`, under every
+    starlog module name it is bound to."""
     seen = []
-    real = getattr(module, name)
+    real = getattr(series_mod, name)
 
     def spy(a, *args):
         seen.append(a.order)
         return real(a, *args)
 
-    monkeypatch.setattr(module, name, spy)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("starlog") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -120,13 +127,27 @@ def _spy(monkeypatch, module, name):
 def test_recursions_run_at_w_level_length(monkeypatch, order):
     params = ClassParams(1, 3, 0.8 + 0.3j, -0.9)  # m = 3, N_d = 10
     n_d = order // params.m
-    exp_orders = _spy(monkeypatch, members_mod, "exp_series")
-    div_orders = _spy(monkeypatch, members_mod, "div")
+    div_orders = _spy(monkeypatch, "div")
+    exp_orders = _spy(monkeypatch, "exp_series")
+    log_orders = _spy(monkeypatch, "log_series")
     member = member_from_seed(params, ExpDamp(0.4, 1.5), order)
-    assert exp_orders == [n_d] and div_orders == [n_d]
-    assert member.order == order and member.series.order == order + 1
-
-    log_orders = _spy(monkeypatch, logcoeffs_mod, "log_series")
     d = log_coefficients(member)
-    assert log_orders == [n_d]
-    assert d.n_terms == n_d
+    assert div_orders == [n_d]
+    assert d.n_terms == n_d and member.log_ratio.order == n_d
+    assert exp_orders == [] and log_orders == []
+
+    # f itself is built on demand, by one exp at N_d
+    assert member.order == order and member.series.order == order + 1
+    assert exp_orders == [n_d] and log_orders == []
+
+
+def test_d_n_path_runs_no_exp_or_log(monkeypatch):
+    """verify_member, check_sharpness and adversarial_search read d_n off log(f/z)."""
+    exp_orders = _spy(monkeypatch, "exp_series")
+    log_orders = _spy(monkeypatch, "log_series")
+    params = ClassParams(1, 2, 0.8 + 0.3j, -0.5)
+    assert verify_member(member_from_seed(params, ExpDamp(0.4, 1.5), 40)).all_passed
+    assert check_sharpness(params)["pass"]
+    for family in ("expdamp", "poly"):
+        adversarial_search(params, family, 20, 0)
+    assert exp_orders == [] and log_orders == []
