@@ -10,12 +10,16 @@ Three right-hand sides, all scaled by H(A, B) = (|A-B| / (2 m B))^2
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import BExcluded, DivergentSeries, WeightOutOfRange
 from .members import ClassParams
 from .polylog import hurwitz_zeta, li_ratio
+
+#: entries kept by each memoised kernel; a sweep asks for a few distinct B^2 and t
+_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -34,9 +38,15 @@ def h_factor(params: ClassParams) -> float:
     return (abs(params.A - params.B) / (2.0 * m * params.B)) ** 2
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _li2_ratio(x: float) -> float:
+    """Li_2(x)/x, memoised on the float x."""
+    return li_ratio(x)
+
+
 def thm_a_bound(params: ClassParams) -> BoundResult:
     """Sharp bound on sum |d_n|^2: (|A-B|/(2m))^2 * Li_2(B^2)/B^2."""
-    value = (abs(params.A - params.B) / (2.0 * params.m)) ** 2 * li_ratio(params.B**2)
+    value = (abs(params.A - params.B) / (2.0 * params.m)) ** 2 * _li2_ratio(params.B**2)
     return BoundResult(bound=value, theorem="ThmA", params=params, h_factor=h_factor(params))
 
 
@@ -48,11 +58,13 @@ def thm2_bound(params: ClassParams) -> BoundResult:
     return BoundResult(bound=value, theorem="Thm2", params=params, h_factor=h_factor(params))
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _weighted_series(x: float, t: float) -> float:
     """sum_{n>=1} (n+1)^t x^n / n^2 for 0 < x <= 1 (t < 1 required at x = 1).
 
-    Absolute accuracy ~1e-13: geometric cutoff for x < 1; for x = 1 a direct
-    head plus a binomial expansion of (1+1/n)^t into Hurwitz-zeta tails.
+    Memoised on the floats (x, t).  Absolute accuracy ~1e-13: geometric
+    cutoff for x < 1; for x = 1 a direct head plus a binomial expansion of
+    (1+1/n)^t into Hurwitz-zeta tails.
     """
     if x < 1.0:
         total = 0.0
@@ -86,8 +98,9 @@ def thm3_bound(params: ClassParams, t: float) -> BoundResult:
     B = 0 returns the series limit (|A|/(2m))^2 * 2^t (only n = 1 survives);
     B = -1 needs t < 1 for convergence.
     """
-    if not t <= 2.0:  # also NaN, on which the series loop below would never stop
-        raise WeightOutOfRange(f"weight exponent t = {t} > 2")
+    # NaN would never stop the series loop below, -inf gives a NaN bound
+    if not (math.isfinite(t) and t <= 2.0):
+        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
     tag = f"Thm3(t={t:g})"
     h = h_factor(params)
     b2 = params.B * params.B

@@ -8,6 +8,7 @@ series in w = z^m, so the d_n are read off it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +17,23 @@ from .errors import WeightOutOfRange
 from .members import ClassMember, ClassParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogCoeffVector:
-    """The sequence d_1..d_{N_d}, where d_n sits at exponent n*m."""
+    """The sequence d_1..d_{N_d}, where d_n sits at exponent n*m.
 
-    d: tuple[complex, ...]
+    `d` is a read-only complex128 copy of the input; equality and the hash
+    go by value.
+    """
+
+    d: np.ndarray
     m: int
+
+    def __post_init__(self):
+        d = np.array(self.d, dtype=np.complex128)
+        if d.ndim != 1:
+            raise ValueError("log coefficients form a one-dimensional sequence")
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
 
     @property
     def n_terms(self) -> int:
@@ -30,11 +42,18 @@ class LogCoeffVector:
     def __getitem__(self, i: int) -> complex:
         return self.d[i]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LogCoeffVector):
+            return NotImplemented
+        return self.m == other.m and np.array_equal(self.d, other.d)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.d.tolist()), self.m))
+
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
     """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
-    d = member.log_ratio.array[1:] / 2.0
-    return LogCoeffVector(d=tuple(d.tolist()), m=member.params.m)
+    return LogCoeffVector(d=member.log_ratio.array[1:] / 2.0, m=member.params.m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
@@ -52,7 +71,7 @@ def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
 
 
 def _abs_sq(d: LogCoeffVector) -> np.ndarray:
-    return np.abs(np.asarray(d.d, dtype=np.complex128)) ** 2
+    return np.abs(d.d) ** 2
 
 
 def sum_sq(d: LogCoeffVector) -> float:
@@ -67,8 +86,8 @@ def sum_n2(d: LogCoeffVector) -> float:
 
 
 def sum_weighted(d: LogCoeffVector, t: float) -> float:
-    """Partial sum of (n+1)^t |d_n|^2; requires t <= 2."""
-    if t > 2.0:
-        raise WeightOutOfRange(f"weight exponent t = {t} > 2")
+    """Partial sum of (n+1)^t |d_n|^2; requires a finite t <= 2."""
+    if not (math.isfinite(t) and t <= 2.0):
+        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
     n = np.arange(1, d.n_terms + 1, dtype=np.float64)
     return float(np.sum((n + 1.0) ** t * _abs_sq(d)))

@@ -30,7 +30,6 @@ from .series import (
     div,
     exp_series,
     integrate_over_t,
-    one,
     scale,
 )
 
@@ -150,29 +149,30 @@ class Polynomial(SchwarzSeed):
         return ("poly",) + tuple(x for c in self.coeffs for x in (c.real, c.imag))
 
 
-def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
-    """Taylor coefficients of v(w) at 0, truncated at `order`; v(0) = 0 exactly."""
-    cs = [0j] * (order + 1)
+def _seed_coeffs(seed: SchwarzSeed, order: int) -> np.ndarray:
+    """The coefficients of `seed_series` as a fresh complex128 array."""
+    cs = np.zeros(order + 1, dtype=np.complex128)
     if isinstance(seed, Identity):
-        if order >= 1:
-            cs[1] = 1.0
+        cs[1:2] = 1.0
     elif isinstance(seed, Rotation):
-        if order >= 1:
-            cs[1] = cmath.exp(1j * seed.theta)
+        cs[1:2] = cmath.exp(1j * seed.theta)
     elif isinstance(seed, ExpDamp):
-        # w e^{c(w-1)} = e^{-c} sum_i c^i w^{i+1} / i!
-        factor = cmath.exp(1j * seed.theta) * math.exp(-seed.c)
-        term = complex(factor)
-        for i in range(order):
-            cs[i + 1] = term
-            term *= seed.c / (i + 1)
+        # w e^{c(w-1)} = e^{-c} sum_i c^i w^{i+1} / i!, each term the previous times c/i
+        steps = np.empty(order, dtype=np.complex128)
+        steps[:1] = cmath.exp(1j * seed.theta) * math.exp(-seed.c)
+        steps[1:] = seed.c / np.arange(1, order)
+        np.cumprod(steps, out=cs[1:])
     elif isinstance(seed, Polynomial):
-        for i, c in enumerate(seed.coeffs, start=1):
-            if i <= order:
-                cs[i] = c
+        p = seed.coeffs[:order]
+        cs[1 : len(p) + 1] = p
     else:
         raise InvalidSeed(f"unknown seed type {type(seed).__name__}")
-    return TruncatedSeries(cs)
+    return cs
+
+
+def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
+    """Taylor coefficients of v(w) at 0, truncated at `order`; v(0) = 0 exactly."""
+    return TruncatedSeries(_seed_coeffs(seed, order))
 
 
 @dataclass(frozen=True)
@@ -214,12 +214,13 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
-    n_d = order // m
-    v = seed_series(seed, n_d)
+    v = _seed_coeffs(seed, order // m)
     # z f'/f - 1 = P(z^m) with P = (A - B) v / (1 + B v); constant terms stay exactly zero
-    P = div(scale(v, params.A - params.B), one(n_d) + scale(v, params.B))
+    num = v * ((params.A - params.B) / m)  # carries the 1/m of L below
+    den = params.B * v
+    den[0] = 1.0
     # log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du
-    L = scale(integrate_over_t(P), 1.0 / m)
+    L = integrate_over_t(div(TruncatedSeries(num), TruncatedSeries(den)))
     return ClassMember(log_ratio=L, params=params, seed=seed, order=order)
 
 
@@ -229,11 +230,18 @@ def q_function(params: ClassParams, order: int) -> TruncatedSeries:
     return compose_power(exp_series(scale(L, -1)), params.m, order)
 
 
-def suggested_order(params: ClassParams, eps: float = 1e-13, cap: int = 4096) -> int:
-    """Truncation order making the extremal geometric tail below `eps`.
+#: extremal geometric tail that `suggested_order` aims below
+ORDER_TAIL_EPS = 1e-13
+#: largest N_d that `suggested_order` picks for |B| < 1
+ORDER_CAP = 4096
 
-    Picks N = m * N_d with B^{2 N_d} / (1 - B^2) < eps; B = 0 needs only a
-    handful of terms, B = -1 is capped (the tail there decays like 1/N).
+
+def suggested_order(params: ClassParams) -> int:
+    """Truncation order making the extremal geometric tail below `ORDER_TAIL_EPS`.
+
+    Picks N = m * N_d with B^{2 N_d} / (1 - B^2) < ORDER_TAIL_EPS, N_d at most
+    `ORDER_CAP`; B = 0 needs only a handful of terms, B = -1 gets a fixed
+    512 m (the tail there decays like 1/N).
     """
     m = params.m
     b2 = params.B * params.B
@@ -241,8 +249,8 @@ def suggested_order(params: ClassParams, eps: float = 1e-13, cap: int = 4096) ->
         return 32 * m
     if b2 >= 1.0:
         return 512 * m
-    n_d = max(8, math.ceil(math.log(eps * (1.0 - b2)) / math.log(b2)))
-    return m * min(n_d, cap)
+    n_d = max(8, math.ceil(math.log(ORDER_TAIL_EPS * (1.0 - b2)) / math.log(b2)))
+    return m * min(n_d, ORDER_CAP)
 
 
 def radial_derivative(member: ClassMember) -> TruncatedSeries:

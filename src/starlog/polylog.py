@@ -17,13 +17,15 @@ import math
 from .errors import DomainError
 
 ZETA2 = math.pi**2 / 6
+#: hard stop of the direct series, far beyond any cut the tail bounds make
+_SERIES_MAX_TERMS = 20_000_000
 
 
-def _series_sum(v: float, x: float, max_terms: int = 20_000_000) -> float:
+def _series_sum(v: float, x: float) -> float:
     """Direct sum of x^n / n^v; stops once both tail bounds fall below 1e-16."""
     terms = []
     xn = 1.0
-    for n in range(1, max_terms + 1):
+    for n in range(1, _SERIES_MAX_TERMS + 1):
         xn *= x
         term = xn / n**v
         terms.append(term)

@@ -20,6 +20,9 @@ from .errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
 
 #: rows per triangular block solve
 _BLOCK = 64
+#: lag j - i of an upper-triangular Toeplitz block, -1 (a zero slot) below the diagonal
+_UPPER_LAG = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+_UPPER_LAG[_UPPER_LAG < 0] = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +96,11 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
     n = len(rhs)
     x = np.array(rhs, dtype=np.complex128)
     size = min(_BLOCK, n)
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    # column-major lower-triangular Toeplitz block, T[i, j] = t_{i-j}
-    block = np.asfortranarray(np.where(lag >= 0, t[np.maximum(lag, 0)], 0))
+    padded = np.zeros(size + 1, dtype=np.complex128)
+    padded[:size] = t[:size]
+    # the transpose of the C-order block U[i, j] = t_{j-i} is the column-major
+    # lower-triangular Toeplitz block T[i, j] = t_{i-j}
+    block = padded[_UPPER_LAG[:size, :size]].T
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
         if s:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from starlog import bounds
 from starlog.bounds import (
     extremal_tail_bound,
     h_factor,
@@ -13,8 +14,9 @@ from starlog.bounds import (
     thm_a_bound,
 )
 from starlog.errors import BExcluded, DivergentSeries, WeightOutOfRange
+from starlog.logcoeffs import LogCoeffVector, sum_weighted
 from starlog.members import ClassParams
-from starlog.polylog import li
+from starlog.polylog import li, li_ratio
 
 ZETA2 = math.pi**2 / 6
 
@@ -107,6 +109,57 @@ class TestThm3Bound:
     def test_nan_weight_is_out_of_range(self, B):
         with pytest.raises(WeightOutOfRange):
             thm3_bound(ClassParams(1, 1, 1, B), math.nan)
+
+    @pytest.mark.parametrize("t", [-math.inf, math.inf])
+    @pytest.mark.parametrize("B", [0.0, -0.5, -1.0])
+    def test_infinite_weight_is_out_of_range(self, B, t):
+        with pytest.raises(WeightOutOfRange):
+            thm3_bound(ClassParams(1, 1, 1, B), t)
+
+    @pytest.mark.parametrize("t", [-math.inf, math.inf, math.nan])
+    def test_sum_weighted_rejects_non_finite_weight(self, t):
+        with pytest.raises(WeightOutOfRange):
+            sum_weighted(LogCoeffVector((0.5, 0.25), 1), t)
+
+
+MEMO_GRID = [
+    (B, t)
+    for B in (-0.1, -0.5, -0.9, -0.973, -1.0)
+    for t in (-1.0, 0.0, 0.5, 1.0, 2.0)
+    if B != -1.0 or t < 1.0  # the series diverges at B = -1 for t >= 1
+]
+
+
+class TestMemoisedKernels:
+    @pytest.mark.parametrize("B", sorted({B for B, _ in MEMO_GRID}))
+    def test_li2_ratio_equals_unmemoised(self, B):
+        assert bounds._li2_ratio(B * B) == bounds._li2_ratio.__wrapped__(B * B) == li_ratio(B * B)
+
+    def test_weighted_series_equals_unmemoised_in_any_order(self):
+        # the grid runs twice, in both orders: the second pass answers from the cache
+        bounds._weighted_series.cache_clear()
+        for B, t in list(reversed(MEMO_GRID)) + MEMO_GRID:
+            x = B * B
+            assert bounds._weighted_series(x, t) == bounds._weighted_series.__wrapped__(x, t)
+
+    def test_bounds_use_the_unmemoised_values(self):
+        for B, t in MEMO_GRID:
+            params = ClassParams(1, 2, 0.8 + 0.3j, B)
+            h = h_factor(params)
+            assert thm3_bound(params, t).bound == h * bounds._weighted_series.__wrapped__(B * B, t)
+            lead = (abs(params.A - B) / 4.0) ** 2
+            assert thm_a_bound(params).bound == lead * li_ratio(B * B)
+
+    def test_repeated_rows_hit_the_cache(self):
+        bounds._weighted_series.cache_clear()
+        bounds._li2_ratio.cache_clear()
+        for A in (1.0, 0.8 + 0.3j, 2.0):
+            params = ClassParams(1, 1, A, -0.9)
+            thm_a_bound(params)
+            for t in (-1.0, 0.0, 1.0, 2.0):
+                thm3_bound(params, t)
+        assert bounds._weighted_series.cache_info().misses == 4
+        assert bounds._li2_ratio.cache_info().misses == 1
 
 
 class TestTailBound:

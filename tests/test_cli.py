@@ -304,6 +304,23 @@ def test_nan_weight_exponent_exits_instead_of_looping():
     assert "weight exponent" in proc.stderr
 
 
+@pytest.mark.parametrize("t", ["-inf", "inf"])
+@pytest.mark.parametrize("B", ["-0.5", "-1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_weight_exponent_is_an_error_not_a_violation(tmp_path, capsys, t, B, source):
+    out = tmp_path / "inf-t.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1", f"--B={B}", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "inf-t.cfg"
+        cfg.write_text(f"t = 0,{t}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--t=0,{t}")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "weight exponent" in err and "FAILED" not in err
+
+
 @pytest.mark.parametrize("terms", [10**30, MAX_TERMS + 1])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_terms_above_max_is_config_error(tmp_path, capsys, terms, source):

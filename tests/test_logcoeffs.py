@@ -133,3 +133,29 @@ class TestSums:
         rotated = log_coefficients(member_from_seed(params, Rotation(2.1), 45))
         for b, r in zip(base.d, rotated.d):
             assert abs(abs(b) - abs(r)) <= 1e-11
+
+
+class TestLogCoeffVector:
+    def test_tuple_input_becomes_complex_array(self):
+        d = LogCoeffVector((0.5, 1, 0.25j), 2)
+        assert isinstance(d.d, np.ndarray) and d.d.dtype == np.complex128
+        assert d.d.tolist() == [0.5, 1, 0.25j]
+        assert d.n_terms == 3 and d[2] == 0.25j
+
+    def test_read_only_and_detached_from_input(self):
+        source = np.array([0.5, 0.25], dtype=np.complex128)
+        d = LogCoeffVector(source, 1)
+        source[0] = 7.0
+        assert d[0] == 0.5
+        with pytest.raises(ValueError):
+            d.d[0] = 1.0
+
+    def test_value_equality_and_hash(self):
+        a = LogCoeffVector((0.5, 0.25j), 1)
+        b = LogCoeffVector(np.array([0.5, 0.25j]), 1)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != LogCoeffVector((0.5, 0.25j), 2)
+        assert a != LogCoeffVector((0.5, 0.26j), 1)
+        assert a != LogCoeffVector((0.5,), 1)
+        assert a != (0.5, 0.25j)

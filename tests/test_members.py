@@ -111,6 +111,21 @@ class TestSeedSeries:
         with pytest.raises(InvalidSeed):
             ExpDamp(0.0, -0.1)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 64, 300])
+    @pytest.mark.parametrize("c", [0.0, 1.7, 5.0])
+    def test_expdamp_matches_per_coefficient_loop_bitwise(self, order, c):
+        theta = 0.9
+        expected = [0j] * (order + 1)
+        term = cmath.exp(1j * theta) * math.exp(-c)
+        for i in range(order):
+            expected[i + 1] = term
+            term *= c / (i + 1)
+        got = seed_series(ExpDamp(theta, c), order).array
+        assert got.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+
+    def test_polynomial_truncated_below_its_degree(self):
+        assert seed_series(Polynomial((0.5, 0.25j, 0.125)), 2).coeffs == (0, 0.5, 0.25j)
+
 
 SCHWARZ_SEEDS = [
     Identity(),

@@ -237,6 +237,42 @@ def test_verify_member_fails_closed_on_bad_bound(monkeypatch, bad_bound):
     assert not report.all_passed
 
 
+def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
+    import starlog.verify as verify_mod
+
+    seen = []
+
+    def recording_log_coefficients(member):
+        seen.append(log_coefficients(member))
+        return seen[-1]
+
+    monkeypatch.setattr(verify_mod, "log_coefficients", recording_log_coefficients)
+    params = ClassParams(1, 2, 1, -0.5)
+    member = member_from_seed(params, Rotation(0.7), 40)
+    fresh = log_coefficients(member)
+    report = verify_member(member, d1_offset=0.25)
+    assert not report.all_passed
+    assert seen == [fresh] and seen[0].d.tobytes() == fresh.d.tobytes()
+    assert verify_member(member).all_passed
+
+
+def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch):
+    import dataclasses
+
+    import starlog.verify as verify_mod
+
+    def perturbed_extremal(params, order):
+        member = extremal_function(params, order)
+        coeffs = list(member.log_ratio.coeffs)
+        coeffs[3] += 1e-6  # d_3 should vanish for B = 0
+        return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
+
+    monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
+    with pytest.raises(SharpnessFailure) as info:
+        check_sharpness(ClassParams(1, 2, 0.6, 0), order=40)
+    assert info.value.n == 3
+
+
 def test_divergent_thm3_row_stays_vacuous_pass():
     member = member_from_seed(ClassParams(1, 1, 1, -1), Identity(), 64)
     report = verify_member(member, t_values=(1.0, 2.0))
