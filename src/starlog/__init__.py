@@ -34,18 +34,7 @@ from .members import (
 )
 from .polylog import li, li_ratio
 from .search import SearchReport, adversarial_search
-from .series import (
-    TruncatedSeries,
-    add,
-    compose_power,
-    div,
-    exp_series,
-    from_coeffs,
-    integrate_over_t,
-    log_series,
-    mul,
-    pow_complex,
-)
+from .series import TruncatedSeries
 from .verify import (
     CheckRow,
     VerificationReport,
@@ -73,25 +62,16 @@ __all__ = [
     "TruncatedSeries",
     "VerificationReport",
     "abel_weight_transfer",
-    "add",
     "adversarial_search",
     "check_sharpness",
-    "compose_power",
-    "div",
-    "exp_series",
     "extremal_function",
     "extremal_log_coefficient",
     "extremal_tail_bound",
-    "from_coeffs",
     "h_factor",
-    "integrate_over_t",
     "li",
     "li_ratio",
     "log_coefficients",
-    "log_series",
     "member_from_seed",
-    "mul",
-    "pow_complex",
     "q_function",
     "rogosinski_l2_check",
     "seed_series",

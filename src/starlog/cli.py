@@ -33,7 +33,7 @@ from .members import (
 )
 from .polylog import li
 from .search import FAMILIES, adversarial_search
-from .verify import check_sharpness, verify_member
+from .verify import DEFAULT_TOL, SHARPNESS_TOL, check_sharpness, verify_member
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -264,7 +264,7 @@ def _search_rows(args):
             {
                 "theorem": "ThmA-search",
                 "seed": report.best_seed.label(),
-                "N": args.terms or suggested_order(params),
+                "N": report.order,
                 "ratio": report.max_ratio,
                 "pass": report.max_ratio <= 1.0 + args.tol,
                 "note": (
@@ -393,17 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     inject_help = "fault-injection test hook: offset added to d_1 before checking"
     inject = ("--inject-d1", dict(type=float, default=0.0, help=inject_help))
     p_verify = _grid_command(sub, "verify", "run every bound check over a parameter sweep", inject)
-    p_verify.set_defaults(rows=_verify_rows, summary=_verify_summary, tol=1e-9)
+    p_verify.set_defaults(rows=_verify_rows, summary=_verify_summary, tol=DEFAULT_TOL)
 
     p_sharp = _grid_command(sub, "sharpness", "certify equality at the extremal member")
-    p_sharp.set_defaults(rows=_sharpness_rows, summary=_sharpness_summary, tol=1e-8)
+    p_sharp.set_defaults(rows=_sharpness_rows, summary=_sharpness_summary, tol=SHARPNESS_TOL)
 
     family_help = "seed family to search"
     family = ("--family", dict(choices=list(FAMILIES), default="expdamp", help=family_help))
     budget = ("--budget", dict(type=_bounded(int, 1), default=2000, help="evaluation budget"))
     search_help = "adversarial search for bound violations"
     p_search = _grid_command(sub, "search", search_help, family, budget)
-    p_search.set_defaults(rows=_search_rows, summary=None, tol=1e-9)
+    p_search.set_defaults(rows=_search_rows, summary=None, tol=DEFAULT_TOL)
 
     p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision")
     p_li.add_argument("v", type=float)

@@ -10,7 +10,7 @@ class ZeroConstantTerm(StarlogError):
 
 
 class NotUnitConstantTerm(StarlogError):
-    """log / power of a series whose constant term is not 1."""
+    """log of a series whose constant term is not 1."""
 
 
 class NonzeroConstantTerm(StarlogError):

@@ -195,11 +195,6 @@ class ClassMember:
         ratio = compose_power(exp_series(self.log_ratio), self.params.m, self.order)
         return TruncatedSeries(np.concatenate(([0j], ratio.array)))
 
-    def ratio_series(self) -> TruncatedSeries:
-        """f(z)/z, a unit-constant-term series of order `order`."""
-        return TruncatedSeries(self.series.array[1:])
-
-
 def extremal_function(params: ClassParams, order: int) -> ClassMember:
     """The closed-form extremal member, truncated at log-order `order`.
 
@@ -251,13 +246,3 @@ def suggested_order(params: ClassParams) -> int:
         return 512 * m
     n_d = max(8, math.ceil(math.log(ORDER_TAIL_EPS * (1.0 - b2)) / math.log(b2)))
     return m * min(n_d, ORDER_CAP)
-
-
-def radial_derivative(member: ClassMember) -> TruncatedSeries:
-    """z f'/f - 1 recomputed from f = z exp(L(z^m)) (consistency probe).
-
-    With f = z * R this equals z R'/R.
-    """
-    ratio = member.ratio_series()
-    num = TruncatedSeries(np.arange(len(ratio)) * ratio.array)
-    return div(num, ratio)

@@ -29,6 +29,7 @@ class SearchReport:
     params: ClassParams
     rng_seed: int
     budget: int
+    order: int
     evaluations: int
     max_ratio: float
     best_seed: SchwarzSeed
@@ -118,7 +119,6 @@ def adversarial_search(
         thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         cs = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 3.5, _EXPDAMP_C_MAX])
         grid = [np.array([th, c]) for th in thetas for c in cs]
-        penalty_box = [(None, None), (0.0, _EXPDAMP_C_MAX)]
     else:
         make_seed = _poly_seed
         corners = [
@@ -127,7 +127,6 @@ def adversarial_search(
         ]
         randoms = [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
         grid = corners + randoms
-        penalty_box = [(None, None)] * (2 * _POLY_DEGREE)
 
     best_x = grid[0]
     for x in grid:
@@ -146,11 +145,8 @@ def adversarial_search(
             if tracker.exhausted:
                 return math.inf
             pen = 0.0
-            for xi, (lo, hi) in zip(x, penalty_box):
-                if lo is not None and xi < lo:
-                    pen += (lo - xi) ** 2
-                if hi is not None and xi > hi:
-                    pen += (xi - hi) ** 2
+            if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_seed clips it
+                pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
             seed = make_seed(x)
             r = ratio(seed)
             tracker.record(seed, r)
@@ -173,6 +169,7 @@ def adversarial_search(
         params=params,
         rng_seed=rng_seed,
         budget=budget,
+        order=order,
         evaluations=tracker.used,
         max_ratio=tracker.best_ratio,
         best_seed=tracker.best_seed,

@@ -64,28 +64,8 @@ class TruncatedSeries:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def truncated(self, n: int) -> "TruncatedSeries":
-        """Drop coefficients above order n (n may not exceed the current order)."""
-        if n > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {n}")
-        return TruncatedSeries(self.array[: n + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return scale(self, other)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return div(self, other)
 
 
 def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
@@ -127,14 +107,6 @@ def one(order: int) -> TruncatedSeries:
     return from_coeffs([1.0], order)
 
 
-def monomial(c, exponent: int, order: int) -> TruncatedSeries:
-    """c * z^exponent, truncated at `order`."""
-    cs = np.zeros(order + 1, dtype=np.complex128)
-    if exponent <= order:
-        cs[exponent] = c
-    return TruncatedSeries(cs)
-
-
 def scale(a: TruncatedSeries, s) -> TruncatedSeries:
     return TruncatedSeries(a.array * complex(s))
 
@@ -142,11 +114,6 @@ def scale(a: TruncatedSeries, s) -> TruncatedSeries:
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
     return TruncatedSeries(a.array[: n + 1] + b.array[: n + 1])
-
-
-def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = min(a.order, b.order)
-    return TruncatedSeries(a.array[: n + 1] - b.array[: n + 1])
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -186,16 +153,6 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     rhs[0] = 1.0
     # E_0 = 1 comes from the unit diagonal entry of row 0
     return TruncatedSeries(_solve_toeplitz(-k * a.array, rhs, diag=np.maximum(k, 1)))
-
-
-def pow_complex(a: TruncatedSeries, p) -> TruncatedSeries:
-    """a^p for complex p, principal branch; requires constant term exactly 1."""
-    if a.array[0] != 1:
-        raise NotUnitConstantTerm("power needs constant term exactly 1")
-    p = complex(p)
-    if p == 0:
-        return one(a.order)
-    return exp_series(scale(log_series(a), p))
 
 
 def integrate_over_t(a: TruncatedSeries) -> TruncatedSeries:

@@ -221,8 +221,8 @@ def rogosinski_l2_check(
     return min_slack >= -1e-10, min_slack
 
 
-def telescoping_weight(k: int, t: float) -> float:
-    """(k+1)^t / k^2 - (k+2)^t / (k+1)^2, positive for t <= 2."""
+def telescoping_weight(k, t: float):
+    """(k+1)^t / k^2 - (k+2)^t / (k+1)^2, positive for t <= 2; elementwise on arrays."""
     return (k + 1.0) ** t / k**2 - (k + 2.0) ** t / (k + 1.0) ** 2
 
 
@@ -237,8 +237,8 @@ def abel_weight_transfer(
     sum w_n x_n <= C sum w_n y_n with w_n = (n+1)^t / n^2.  Returns
     (conclusion holds, margin = C * rhs - lhs).
     """
-    if t > 2.0:
-        raise WeightOutOfRange(f"weight exponent t = {t} > 2")
+    if not (math.isfinite(t) and t <= 2.0):
+        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     N = min(len(x), len(y)) if n_terms is None else min(n_terms, len(x), len(y))
@@ -252,7 +252,7 @@ def abel_weight_transfer(
             f"partial-sum dominance fails at K = {K}: {cx[K - 1]} > {C} * {cy[K - 1]}"
         )
     ks = np.arange(1, N, dtype=np.float64)
-    if ks.size and np.any((ks + 1) ** t / ks**2 - (ks + 2) ** t / (ks + 1) ** 2 <= 0.0):
+    if np.any(telescoping_weight(ks, t) <= 0.0):
         raise WeightOutOfRange(f"telescoping weight factor not positive for t = {t}")
     n = np.arange(1, N + 1, dtype=np.float64)
     w = (n + 1.0) ** t / n**2

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from starlog.cli import MAX_TERMS, main, write_report
+from starlog.cli import MAX_TERMS, build_parser, main, write_report
 from starlog.members import ExpDamp, Identity, Polynomial
+from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL
 
 SMALL_GRID = ["--j", "1", "--k", "1,2", "--A", "1", "--B", "-0.5"]
 
@@ -357,3 +358,10 @@ def test_large_a_extremal_member_passes(tmp_path):
     argv = ["verify", "--j", "1", "--k", "1", "--A", "1e3", "--B", "-0.5", "--out", str(out)]
     assert main([*argv, "--no-timestamp"]) == 0
     assert all(r["pass"] and abs(r["ratio"] - 1) <= 1e-12 for r in json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize(
+    "command, tol", [("verify", DEFAULT_TOL), ("sharpness", SHARPNESS_TOL), ("search", DEFAULT_TOL)]
+)
+def test_tol_defaults_come_from_verify(command, tol):
+    assert build_parser().parse_args([command]).tol == tol

@@ -2,7 +2,7 @@
 
 import pytest
 
-from starlog.members import ClassParams, ExpDamp, Polynomial
+from starlog.members import ClassParams, ExpDamp, Polynomial, suggested_order
 from starlog.search import adversarial_search
 
 
@@ -44,3 +44,10 @@ def test_deterministic_given_seed_and_budget():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         adversarial_search(ClassParams(1, 1, 1, -0.5), "mystery", budget=10)
+
+
+@pytest.mark.parametrize("order", [None, 14])
+def test_report_records_truncation_order(order):
+    params = ClassParams(1, 2, 1, -0.5)
+    report = adversarial_search(params, "expdamp", budget=5, order=order)
+    assert report.order == (order or suggested_order(params))

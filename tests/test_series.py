@@ -18,7 +18,6 @@ from starlog.series import (
     integrate_over_t,
     log_series,
     mul,
-    pow_complex,
     scale,
 )
 
@@ -28,14 +27,6 @@ def coeffs_close(s, expected, tol=1e-12):
     want = np.asarray([complex(c) for c in expected])
     assert got.shape == want.shape, (got, want)
     assert np.max(np.abs(got - want)) <= tol, (got, want)
-
-
-def binomial_coeff(p, n):
-    """Generalized binomial C(p, n) by the independent product formula."""
-    out = 1.0 + 0j
-    for i in range(1, n + 1):
-        out *= (p - i + 1) / i
-    return out
 
 
 class TestAdd:
@@ -122,26 +113,6 @@ class TestExp:
     def test_nonzero_constant_rejected(self):
         with pytest.raises(NonzeroConstantTerm):
             exp_series(from_coeffs([1, 1]))
-
-
-class TestPow:
-    def test_sqrt_binomial(self):
-        got = pow_complex(from_coeffs([1, 1], order=6), 0.5)
-        expected = [binomial_coeff(0.5, n) for n in range(7)]
-        coeffs_close(got, expected, tol=1e-14)
-
-    def test_zero_exponent(self):
-        coeffs_close(pow_complex(from_coeffs([1, 0.7, -0.2]), 0), [1, 0, 0], tol=0)
-
-    def test_koebe_kernel(self):
-        got = pow_complex(from_coeffs([1, -1], order=6), -2)
-        expected = [binomial_coeff(-2, n) * (-1) ** n for n in range(7)]
-        coeffs_close(got, expected, tol=1e-12)
-        coeffs_close(got, [1, 2, 3, 4, 5, 6, 7], tol=1e-12)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(NotUnitConstantTerm):
-            pow_complex(from_coeffs([1.5, 1]), 2)
 
 
 class TestIntegrateOverT:
@@ -238,19 +209,6 @@ small_complex = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    coeffs=st.lists(small_complex, min_size=2, max_size=24),
-    p=st.floats(min_value=-2.0, max_value=2.0),
-    q=st.floats(min_value=-2.0, max_value=2.0),
-)
-def test_pow_exponent_addition(coeffs, p, q):
-    a = TruncatedSeries((1.0,) + tuple(0.5 * c for c in coeffs[1:]))
-    lhs = pow_complex(a, p + q)
-    rhs = mul(pow_complex(a, p), pow_complex(a, q))
-    assert np.max(np.abs(np.asarray(lhs.coeffs) - np.asarray(rhs.coeffs))) <= 1e-10
-
-
-@settings(max_examples=60, deadline=None)
-@given(
     coeffs=st.lists(small_complex, min_size=1, max_size=12),
     m=st.integers(min_value=1, max_value=5),
 )
@@ -318,8 +276,6 @@ def test_kernels_match_per_coefficient_recursions(order):
     assert_matches_reference(div(a, b), ref_div(a.array, b.array))
     assert_matches_reference(log_series(b), ref_log(b.array))
     assert_matches_reference(exp_series(z), ref_exp(z.array))
-    p = 0.7 - 1.3j
-    assert_matches_reference(pow_complex(b, p), ref_exp(p * ref_log(b.array)))
 
 
 @pytest.mark.parametrize("order", [0, 64, 129])
@@ -327,9 +283,8 @@ def test_constant_term_checks_at_every_order(order):
     unit = _random_series(np.random.default_rng(order), order, 1.0)
     with pytest.raises(ZeroConstantTerm):
         div(unit, _random_series(np.random.default_rng(1), order, 0.0))
-    for fn in (log_series, lambda s: pow_complex(s, 0.5)):
-        with pytest.raises(NotUnitConstantTerm):
-            fn(_random_series(np.random.default_rng(2), order, 1.5))
+    with pytest.raises(NotUnitConstantTerm):
+        log_series(_random_series(np.random.default_rng(2), order, 1.5))
     for fn in (exp_series, integrate_over_t):
         with pytest.raises(NonzeroConstantTerm):
             fn(_random_series(np.random.default_rng(3), order, 0.25))
@@ -352,7 +307,6 @@ def test_nan_coefficient_never_gives_finite_series(order, pos):
         log_series(poisoned(1.0)),
         exp_series(poisoned(0.0)),
         exp_series(TruncatedSeries(np.where(np.isnan(poisoned(0.0).array), np.nan, 0.0))),
-        pow_complex(poisoned(1.0), 0.5),
     ]
     for s in results:
         assert np.isnan(s.array).any()

@@ -215,6 +215,13 @@ class TestAbelWeightTransfer:
         with pytest.raises(WeightOutOfRange):
             abel_weight_transfer([1.0], [1.0], 1.0, 2.5)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_non_finite_weight_exponent_rejected(self, t, n):
+        # a NaN t used to give (False, nan) instead of an error
+        with pytest.raises(WeightOutOfRange):
+            abel_weight_transfer([1.0] * n, [1.0] * n, 1.0, t)
+
     def test_weight_positivity_and_counterexample(self):
         ks = np.arange(1, 2001)
         for t in (-1.0, 0.0, 1.0, 2.0):

@@ -2,8 +2,8 @@
 
 Members and log coefficients run every recursion on series in w = z^m at
 length N_d = floor(N/m).  The oracle below spells out the z-level route at
-length N (compose_power, div, integrate_over_t, exp_series / pow_complex,
-log_series), which must agree to 1e-12 relative.
+length N (compose_power, div, integrate_over_t, exp_series, log_series),
+which must agree to 1e-12 relative.
 """
 
 import sys
@@ -28,11 +28,10 @@ from starlog.series import (
     compose_power,
     div,
     exp_series,
+    from_coeffs,
     integrate_over_t,
     log_series,
-    monomial,
     one,
-    pow_complex,
     scale,
 )
 from starlog.verify import check_sharpness, verify_member
@@ -68,11 +67,13 @@ def z_level_ratio(params, seed, order):
 
 
 def z_level_extremal_ratio(params, order):
+    """e^{A z^m / m} for B = 0, (1 + B z^m)^{(A-B)/(mB)} otherwise."""
     m = params.m
     if params.B == 0.0:
-        return exp_series(monomial(params.A / m, m, order))
-    base = one(order) + monomial(params.B, m, order)
-    return pow_complex(base, (params.A - params.B) / (m * params.B))
+        return exp_series(compose_power(from_coeffs([0, params.A / m]), m, order))
+    base = one(order) + compose_power(from_coeffs([0, params.B]), m, order)
+    p = (params.A - params.B) / (m * params.B)
+    return exp_series(scale(log_series(base), p))
 
 
 def z_level_log_coefficients(ratio, m):
