@@ -236,7 +236,7 @@ def _sharpness_rows(args):
             result = check_sharpness(params, order=args.terms or None, tol=args.tol, slow=args.slow)
         except SharpnessFailure as exc:
             note = f"term-by-term equality failed at n={exc.n}: {exc}"
-            return [{**row, "N": args.terms, "pass": False, "note": note}]
+            return [{**row, "N": exc.order, "N_d": exc.n_terms, "pass": False, "note": note}]
         row.update({key: result[key] for key in ("partial_sum", "tail_bound", "bound", "pass")})
         ratio = (row["partial_sum"] + row["tail_bound"]) / row["bound"] if row["bound"] else None
         return [{**row, "N": result["order"], "N_d": result["n_terms"], "ratio": ratio}]

@@ -50,11 +50,23 @@ class HypothesisViolated(StarlogError):
 
 
 class SharpnessFailure(StarlogError):
-    """Extremal coefficient fails the term-by-term equality check."""
+    """Extremal coefficient fails the term-by-term equality check.
 
-    def __init__(self, message: str, n: int | None = None):
+    `n` is the first failing index; `order` and `n_terms` are the truncation
+    N and the coefficient count N_d the check ran at.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        n: int | None = None,
+        order: int | None = None,
+        n_terms: int | None = None,
+    ):
         super().__init__(message)
         self.n = n
+        self.order = order
+        self.n_terms = n_terms
 
 
 class SlowModeRequired(StarlogError):

@@ -5,8 +5,10 @@ explicit: every binary operation truncates to the minimum operand order,
 never zero-pads.  div, log and exp are lower-triangular Toeplitz solves
 (the Cauchy-product recursions q*b = a, L'*a = a' and E' = a'*E), done in
 blocks of rows: one convolution brings the solved history into a block
-and one BLAS triangular solve finishes it.  The multiply-adds stay O(N^2),
-the per-coefficient Python overhead goes.
+and one BLAS triangular solve finishes it.  The history reaches back only
+over the band of the Toeplitz entries (the index of the last nonzero), so
+a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds and a
+dense one O(N^2); the per-coefficient Python overhead goes.
 """
 
 from __future__ import annotations
@@ -72,8 +74,17 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
     """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
 
     d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
+    Row n's history runs over the band b only (t_k = 0 for k > b), which
+    costs O(n*(b + _BLOCK)).  b is scanned for only when the rows span more
+    than one block (one block has no history) and t's last entry is zero;
+    otherwise it is len(rhs) - 1, the dense path, so short and dense solves
+    pay nothing for the scan.  NaN and inf count as nonzero.
     """
     n = len(rhs)
+    band = n - 1
+    if n > _BLOCK and t[n - 1] == 0:
+        (nonzero,) = t[:n].nonzero()
+        band = int(nonzero[-1]) if nonzero.size else 0
     x = np.array(rhs, dtype=np.complex128)
     size = min(_BLOCK, n)
     padded = np.zeros(size + 1, dtype=np.complex128)
@@ -83,8 +94,9 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
     block = padded[_UPPER_LAG[:size, :size]].T
     for s in range(0, n, _BLOCK):
         e = min(s + _BLOCK, n)
-        if s:
-            x[s:e] -= np.convolve(t[1:e], x[:s], "valid")
+        if s and band:
+            lo = max(0, s - band)
+            x[s:e] -= np.convolve(t[1 : e - lo], x[lo:s], "valid")
         tri = block[: e - s, : e - s]
         if diag is not None:
             np.fill_diagonal(tri, diag[s:e])

@@ -168,15 +168,16 @@ def check_sharpness(
     d = log_coefficients(member)
     h = h_factor(params)
     b2 = params.B * params.B
+    ran_at = {"order": member.order, "n_terms": d.n_terms}
 
     if params.B == 0.0:
         expected_first = abs(params.A / (2.0 * params.m)) ** 2
         if abs(abs(d[0]) ** 2 - expected_first) > COEFF_TOL:
-            raise SharpnessFailure(f"|d_1|^2 = {abs(d[0])**2} != {expected_first}", n=1)
+            raise SharpnessFailure(f"|d_1|^2 = {abs(d[0])**2} != {expected_first}", n=1, **ran_at)
         bad = np.nonzero(np.abs(d.d[1:]) > COEFF_TOL)[0]
         if bad.size:
             n = int(bad[0]) + 2
-            raise SharpnessFailure(f"d_{n} = {d[n - 1]} should vanish for B = 0", n=n)
+            raise SharpnessFailure(f"d_{n} = {d[n - 1]} should vanish for B = 0", n=n, **ran_at)
     else:
         sq = np.abs(d.d) ** 2
         expected = h * b2 ** np.arange(1, d.n_terms + 1) / np.arange(1, d.n_terms + 1) ** 2.0
@@ -186,6 +187,7 @@ def check_sharpness(
             raise SharpnessFailure(
                 f"|d_{n}|^2 = {sq[n - 1]} != {expected[n - 1]} (diff {sq[n - 1] - expected[n - 1]})",
                 n=n,
+                **ran_at,
             )
 
     partial = sum_sq(d)

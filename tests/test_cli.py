@@ -114,6 +114,30 @@ def test_sharpness_small_grid(tmp_path):
     assert rows and all(r["pass"] for r in rows)
 
 
+def test_failed_sharpness_row_reports_the_order_it_ran_at(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import starlog.verify as verify_mod
+    from starlog.members import extremal_function
+    from starlog.series import from_coeffs
+
+    def perturbed_extremal(params, order):
+        member = extremal_function(params, order)
+        coeffs = list(member.log_ratio.coeffs)
+        coeffs[1] += 1e-4  # breaks |d_1|^2 equality
+        return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
+
+    monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
+    out = tmp_path / "sharp.json"
+    argv = ["sharpness", "--j", "1", "--k", "1", "--A", "1", "--B=-0.5", "--out", str(out)]
+    assert main([*argv, "--no-timestamp"]) == 1
+    [row] = json.loads(out.read_text())
+    assert row["pass"] is False and "n=1" in row["note"]
+    # --terms is auto (0): the row gives the order suggested_order picked
+    assert (row["N"], row["N_d"]) == (22, 22)
+    assert "FAILED" in capsys.readouterr().err
+
+
 def test_search_command_reports_ratio():
     proc = run_cli(
         "search", "--j", "1", "--k", "1", "--A", "1", "--B", "-0.5",

@@ -278,6 +278,52 @@ def test_kernels_match_per_coefficient_recursions(order):
     assert_matches_reference(exp_series(z), ref_exp(z.array))
 
 
+def _banded_divisor(rng, order, band):
+    """1 + sum_{k<=band} b_k w^k with sum |b_k| <= 1/2, so the quotient stays bounded."""
+    b = np.zeros(order + 1, dtype=np.complex128)
+    b[0] = 1.0
+    width = min(band, order)
+    tail = _random_series(rng, width, 0.0, max_modulus=1.0 / (2 * max(width, 1)))
+    b[1 : width + 1] = tail.array[1:]
+    return b
+
+
+# bands 63, 64, 65 sit at the block edge; 100 stops mid-block with a zero last entry
+BANDS = [0, 1, 4, 63, 64, 65, 100]
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_banded_div_matches_per_coefficient_recursion(order, band):
+    rng = np.random.default_rng(10 * order + band)
+    a = _random_series(rng, order, rng.uniform(0.5, 1.0), max_modulus=0.5)
+    b = _banded_divisor(rng, order, band)
+    assert_matches_reference(div(a, TruncatedSeries(b)), ref_div(a.array, b))
+
+
+@pytest.mark.parametrize("order", [65, 129, 300])
+def test_divisor_nonzero_only_at_its_last_entry_reaches_it(order):
+    # a gap of zeros, then a nonzero last entry: the band is the full length
+    rng = np.random.default_rng(order)
+    a = _random_series(rng, order, 1.0, max_modulus=0.5)
+    b = _banded_divisor(rng, order, 1)
+    b[order] = 0.25
+    assert_matches_reference(div(a, TruncatedSeries(b)), ref_div(a.array, b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("order, pos", [(300, 150), (300, 64), (129, 100)])
+def test_non_finite_divisor_entry_inside_a_zero_run_poisons_the_quotient(order, pos, bad):
+    # [1, 0.5, 0, ..., 0, bad, 0, ..., 0]: a band scan must count NaN and inf as nonzero
+    b = np.zeros(order + 1, dtype=np.complex128)
+    b[0], b[1], b[pos] = 1.0, 0.5, bad
+    a = np.zeros(order + 1, dtype=np.complex128)
+    a[0] = 1.0
+    q = div(TruncatedSeries(a), TruncatedSeries(b)).array
+    assert np.isfinite(q[:pos]).all()
+    assert not np.isfinite(q[pos:]).any()
+
+
 @pytest.mark.parametrize("order", [0, 64, 129])
 def test_constant_term_checks_at_every_order(order):
     unit = _random_series(np.random.default_rng(order), order, 1.0)

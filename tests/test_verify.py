@@ -101,6 +101,17 @@ class TestCheckSharpness:
         assert abs(result["partial_sum"] - math.pi**2 / 6) <= 1e-4
         assert result["bracket_err"] <= 1e-9
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_koebe_slow_mode_at_m_above_one(self, k):
+        # j = 1, so m = k; the benchmark's koebe certificate gates at m = 4
+        A = 0.8 + 0.3j
+        result = check_sharpness(ClassParams(1, k, A, -1), slow=True)
+        bound = (abs(A + 1) / (2 * k)) ** 2 * math.pi**2 / 6
+        assert result["n_terms"] == 10_000
+        assert abs(result["bound"] - bound) <= 1e-12 * bound
+        bracket = result["partial_sum"] + result["tail_bound"]
+        assert abs(bracket - result["bound"]) <= 1e-8 * result["bound"]
+
     @pytest.mark.parametrize("A", [50, 1e3])
     def test_large_a_extremal_bracket(self, A):
         # d_n read off log(f/z) keep full precision for large |A - B| / m
