@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -189,6 +190,8 @@ def write_report(rows, out: str, fmt: str):
 
 def _verify_rows(args):
     seeds = [parse_seed(s) for s in _split_seeds(args.seeds)]
+    if not seeds:
+        raise ConfigError(f"empty seed list {args.seeds!r}")
     t_values = tuple(_values(args.t, float, "t"))
 
     def rows(params):
@@ -331,58 +334,36 @@ def _bounded(cast, minimum, maximum=math.inf):
     return parse
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Make the config file's values the defaults of the chosen subcommand, whose
-    re-parse applies each flag's `type=` to them.  argparse checks no `choices`
-    on a default, so that check is made here."""
-    config = load_config_file(args.config)
-    for key, value in config.items():
-        flag = args.config_flags.get(key)
-        if flag is None:
-            raise ConfigError(f"unknown config key {key!r} for {args.command}")
-        if flag.choices is not None and value not in flag.choices:
-            raise ConfigError(f"config key {key} = {value!r}: expected one of {list(flag.choices)}")
-    args.subparser.set_defaults(**config)
-
-
-def _grid_command(sub, name: str, help_text: str, *extra) -> argparse.ArgumentParser:
+def _grid_command(sub, name: str, help_text: str, extra, **defaults) -> None:
     """Add the grid subcommand `name`, run by `_run`: the shared flags, then
-    `extra`, its own value-taking flags as (flag, add_argument keywords) pairs.
-    A config file may set every value-taking flag but --config."""
+    `extra`, the flags only its row builder reads, as (flag, add_argument
+    keywords) pairs, then `defaults`.  A config file may set every
+    value-taking flag but --config."""
     parser = sub.add_parser(name, help=help_text)
     add = parser.add_argument
     b_help = "comma list of real B values in [-1, 0]; write a list of negatives as --B=-0.5,-0.9"
+    terms_help = f"truncation order 0 <= N <= {MAX_TERMS} (0 = auto)"
+    stamp_help = "drop timestamp/elapsed fields for byte-identical reruns"
     flags = [
         add("--j", default="0,1,2", help="comma list of j values"),
         add("--k", default="1,2,3,4", help="comma list of k values"),
         add("--A", default="1,0.5,0.8+0.3i", help="comma list of complex A values, re+imi syntax"),
         add("--B", default="0,-0.25,-0.5,-0.75,-0.9", help=b_help),
-        add("--t", default="-1,0,1,2", help="comma list of weight exponents t <= 2"),
-        add(
-            "--terms",
-            type=_bounded(int, 0, MAX_TERMS),
-            default=0,
-            help=f"truncation order 0 <= N <= {MAX_TERMS} (0 = auto)",
-        ),
-        add("--seeds", default="identity", help="comma list of seed descriptors"),
+        add("--terms", type=_bounded(int, 0, MAX_TERMS), default=0, help=terms_help),
         add("--tol", type=_bounded(float, 0.0), help="pass tolerance on ratios, finite and >= 0"),
-        add("--rng-seed", type=_bounded(int, 0), default=0, help="deterministic RNG seed"),
         add("--out", default="-", help="report path ('-' = stdout)"),
         add("--format", choices=["json", "csv"], default="json", help="report format"),
+        add("--no-timestamp", action="store_true", help=stamp_help),
     ]
-    add(
-        "--no-timestamp",
-        action="store_true",
-        help="drop timestamp/elapsed fields for byte-identical reruns",
-    )
-    add("--slow", action="store_true", help="allow long-tail certifications")
     add("--config", help="flat key=value config file; flags override it")
     flags += [add(flag, **kw) for flag, kw in extra]
-    parser.set_defaults(func=_run, subparser=parser, config_flags={f.dest: f for f in flags})
-    return parser
+    keys = {f.dest: f for f in flags if f.nargs != 0}  # a switch (nargs 0) is no key
+    parser.set_defaults(func=_run, config_flags=keys, **defaults)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `starlog` parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="starlog",
         description="Verify logarithmic-coefficient bounds for Janowski-type "
@@ -391,19 +372,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     inject_help = "fault-injection test hook: offset added to d_1 before checking"
-    inject = ("--inject-d1", dict(type=float, default=0.0, help=inject_help))
-    p_verify = _grid_command(sub, "verify", "run every bound check over a parameter sweep", inject)
-    p_verify.set_defaults(rows=_verify_rows, summary=_verify_summary, tol=DEFAULT_TOL)
+    verify_flags = [
+        ("--t", dict(default="-1,0,1,2", help="comma list of weight exponents t <= 2")),
+        ("--seeds", dict(default="identity", help="comma list of seed descriptors")),
+        ("--inject-d1", dict(type=float, default=0.0, help=inject_help)),
+    ]
+    _grid_command(sub, "verify", "run every bound check over a parameter sweep", verify_flags,
+                  rows=_verify_rows, summary=_verify_summary, tol=DEFAULT_TOL)
 
-    p_sharp = _grid_command(sub, "sharpness", "certify equality at the extremal member")
-    p_sharp.set_defaults(rows=_sharpness_rows, summary=_sharpness_summary, tol=SHARPNESS_TOL)
+    slow = ("--slow", dict(action="store_true", help="allow long-tail certifications"))
+    _grid_command(sub, "sharpness", "certify equality at the extremal member", [slow],
+                  rows=_sharpness_rows, summary=_sharpness_summary, tol=SHARPNESS_TOL)
 
-    family_help = "seed family to search"
-    family = ("--family", dict(choices=list(FAMILIES), default="expdamp", help=family_help))
-    budget = ("--budget", dict(type=_bounded(int, 1), default=2000, help="evaluation budget"))
-    search_help = "adversarial search for bound violations"
-    p_search = _grid_command(sub, "search", search_help, family, budget)
-    p_search.set_defaults(rows=_search_rows, summary=None, tol=DEFAULT_TOL)
+    search_flags = [
+        ("--family", dict(choices=list(FAMILIES), default="expdamp", help="seed family to search")),
+        ("--budget", dict(type=_bounded(int, 1), default=2000, help="evaluation budget")),
+        ("--rng-seed", dict(type=_bounded(int, 0), default=0, help="deterministic RNG seed")),
+    ]
+    _grid_command(sub, "search", "adversarial search for bound violations", search_flags,
+                  rows=_search_rows, summary=None, tol=DEFAULT_TOL)
 
     p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision")
     p_li.add_argument("v", type=float)
@@ -413,13 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The config file's values as flags of the chosen subcommand, so that the
+    parser applies each flag's `type=` to them.  The key and `choices` checks
+    are made here to report a bad entry as a config error."""
+    argv = []
+    for key, value in load_config_file(args.config).items():
+        flag = args.config_flags.get(key)
+        if flag is None:
+            raise ConfigError(f"unknown config key {key!r} for {args.command}")
+        if flag.choices is not None and value not in flag.choices:
+            raise ConfigError(f"config key {key} = {value!r}: expected one of {list(flag.choices)}")
+        argv.append(f"{flag.option_strings[0]}={value}")
+    return argv
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args)
-            args = parser.parse_args(argv)
+            # config flags go ahead of the command line's, which override them;
+            # argv[0] is the command, since the top-level parser takes no option
+            args = parser.parse_args([argv[0], *_config_argv(args), *argv[1:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

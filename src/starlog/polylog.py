@@ -22,7 +22,8 @@ _SERIES_MAX_TERMS = 20_000_000
 
 
 def _series_sum(v: float, x: float) -> float:
-    """Direct sum of x^n / n^v; stops once both tail bounds fall below 1e-16."""
+    """Direct sum of x^n / n^v; stops once either tail bound falls below 1e-16,
+    and raises DomainError if neither does within `_SERIES_MAX_TERMS` terms."""
     terms = []
     xn = 1.0
     for n in range(1, _SERIES_MAX_TERMS + 1):
@@ -36,6 +37,8 @@ def _series_sum(v: float, x: float) -> float:
         power = xn * x * n ** (1.0 - v) / (v - 1.0) if v > 1.0 else math.inf
         if min(geo, power) < 1e-16:
             break
+    else:
+        raise DomainError(f"Li_{v}({x}): tail above 1e-16 after {_SERIES_MAX_TERMS} terms")
     return math.fsum(terms)
 
 
@@ -80,7 +83,7 @@ def li(v: float, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument x={x} outside [0, 1]")
-    if v < 2.0 and not (v > 1.0 and x < 1.0):
+    if not (v >= 2.0 or (v > 1.0 and x < 1.0)):  # also true for a NaN v
         raise DomainError(f"order v={v} unsupported at x={x}")
     if x == 0.0:
         return 0.0

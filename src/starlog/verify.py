@@ -79,55 +79,24 @@ def verify_member(
         shifted[0] += complex(d1_offset)
         d = LogCoeffVector(d=shifted, m=d.m)
 
-    rows: list[CheckRow] = []
-
-    def ineq(theorem: str, t: float | None, s: float, bound: float):
+    def check(theorem: str, t: float | None, s: float, bound_fn, *bound_args) -> CheckRow:
+        try:
+            bound = bound_fn(params, *bound_args).bound
+        except BExcluded:
+            note = "skipped: B = -1 excluded by the theorem hypothesis"
+            return CheckRow(theorem, t, s, bound=None, ratio=None, passed=True, note=note)
+        except DivergentSeries:
+            note = "bound series diverges at B = -1; inequality vacuous"
+            return CheckRow(theorem, t, s, bound=math.inf, ratio=0.0, passed=True, note=note)
         # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
         ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
-        rows.append(
-            CheckRow(
-                theorem=theorem,
-                t=t,
-                partial_sum=s,
-                bound=bound,
-                ratio=ratio,
-                passed=ratio <= 1.0 + tol,
-            )
-        )
+        return CheckRow(theorem, t, s, bound, ratio, passed=ratio <= 1.0 + tol)
 
-    ineq("ThmA", None, sum_sq(d), thm_a_bound(params).bound)
-
-    try:
-        ineq("Thm2", None, sum_n2(d), thm2_bound(params).bound)
-    except BExcluded:
-        rows.append(
-            CheckRow(
-                theorem="Thm2",
-                t=None,
-                partial_sum=sum_n2(d),
-                bound=None,
-                ratio=None,
-                passed=True,
-                note="skipped: B = -1 excluded by the theorem hypothesis",
-            )
-        )
-
-    for t in t_values:
-        tag = f"Thm3(t={t:g})"
-        try:
-            ineq(tag, t, sum_weighted(d, t), thm3_bound(params, t).bound)
-        except DivergentSeries:
-            rows.append(
-                CheckRow(
-                    theorem=tag,
-                    t=t,
-                    partial_sum=sum_weighted(d, t),
-                    bound=math.inf,
-                    ratio=0.0,
-                    passed=True,
-                    note="bound series diverges at B = -1; inequality vacuous",
-                )
-            )
+    rows = [
+        check("ThmA", None, sum_sq(d), thm_a_bound),
+        check("Thm2", None, sum_n2(d), thm2_bound),
+        *(check(f"Thm3(t={t:g})", t, sum_weighted(d, t), thm3_bound, t) for t in t_values),
+    ]
 
     tail = extremal_tail_bound(params, d.n_terms) if isinstance(member.seed, Identity) else None
     return VerificationReport(

@@ -225,7 +225,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
         )
 
     out_a = tmp_path / "a.json"
-    proc = run("verify", "--rng-seed", "3", "--no-timestamp", "--out", str(out_a))
+    proc = run("verify", "--no-timestamp", "--out", str(out_a))
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out_a.read_text())
     assert rows
@@ -237,7 +237,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
     assert fault.returncode == 1
 
     out_b = tmp_path / "b.json"
-    proc2 = run("verify", "--rng-seed", "3", "--no-timestamp", "--out", str(out_b))
+    proc2 = run("verify", "--no-timestamp", "--out", str(out_b))
     assert proc2.returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     _announce(10, "default verify exits 0 with schema-valid JSON; fault flips to 1; reruns byte-identical")

@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from starlog import cli
 from starlog.cli import MAX_TERMS, build_parser, main, write_report
 from starlog.members import ExpDamp, Identity, Polynomial
 from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL
@@ -68,7 +71,7 @@ def test_fault_injection_flips_exit_status(tmp_path):
 
 def test_report_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", *SMALL_GRID, "--rng-seed", "7", "--no-timestamp"]
+    args = ["verify", *SMALL_GRID, "--no-timestamp"]
     assert run_cli(*args, "--out", str(a)).returncode == 0
     assert run_cli(*args, "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
@@ -206,7 +209,8 @@ def test_seed_list_keeps_multi_value_descriptors(tmp_path, source):
 
 
 @pytest.mark.parametrize(
-    "seeds", ["expdamp:0.3", "expdamp:0.3,1.0,2.0", "rotation:1.3,0.5", "0.3,identity", "poly:2", "banana"]
+    "seeds",
+    ["expdamp:0.3", "expdamp:0.3,1.0,2.0", "rotation:1.3,0.5", "0.3,identity", "poly:2", "banana", ""],
 )
 def test_malformed_seed_list_is_config_error(seeds, capsys):
     assert main(["verify", *SMALL_GRID, "--seeds", seeds]) == 2
@@ -389,3 +393,86 @@ def test_large_a_extremal_member_passes(tmp_path):
 )
 def test_tol_defaults_come_from_verify(command, tol):
     assert build_parser().parse_args([command]).tol == tol
+
+
+GRID_KEYS = {"j", "k", "A", "B", "terms", "tol", "out", "format"}
+COMMAND_KEYS = {
+    "verify": GRID_KEYS | {"t", "seeds", "inject_d1"},
+    "sharpness": GRID_KEYS,
+    "search": GRID_KEYS | {"family", "budget", "rng_seed"},
+}
+KEY_VALUES = {
+    "j": "1", "k": "2", "A": "0.5", "B": "-0.5", "terms": "30", "tol": "0.1", "out": "r.json",
+    "format": "csv", "t": "0,1", "seeds": "rotation:1.3", "inject_d1": "0.5", "family": "poly",
+    "budget": "5", "rng_seed": "3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_config_keys_are_the_value_flags_the_command_reads(tmp_path, command):
+    keys = COMMAND_KEYS[command]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {KEY_VALUES[key]}\n" for key in sorted(keys)))
+    parser = build_parser()
+    args = parser.parse_args([command, "--config", str(cfg)])
+    assert set(args.config_flags) == keys
+    from_config = parser.parse_args([command, *cli._config_argv(args)])
+    flags = [f"--{key.replace('_', '-')}={KEY_VALUES[key]}" for key in sorted(keys)]
+    from_flags = parser.parse_args([command, *flags])
+    defaults = parser.parse_args([command])
+    assert vars(from_config) == vars(from_flags)
+    assert all(getattr(from_flags, key) != getattr(defaults, key) for key in keys)
+
+
+REMOVED_FLAGS = [
+    ("verify", "--rng-seed", "1"),
+    ("verify", "--slow", None),
+    ("sharpness", "--t", "0"),
+    ("sharpness", "--seeds", "identity"),
+    ("sharpness", "--rng-seed", "1"),
+    ("search", "--t", "0"),
+    ("search", "--seeds", "identity"),
+    ("search", "--slow", None),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, source, command, flag, value):
+    argv = [command, *SMALL_GRID]
+    key = flag[2:].replace("-", "_")
+    if source == "flag":
+        assert exit_code([*argv, flag, *([value] if value else [])]) == 2
+        err = capsys.readouterr().err  # "unrecognized arguments", or "ambiguous option" for --t
+        assert "error:" in err and flag in err
+    else:
+        cfg = tmp_path / "other-command.cfg"
+        cfg.write_text(f"{key} = {value or 1}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: unknown config key {key!r}" in err
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path):
+    # the parser is built once per process, so a config file must not change it
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text("B = -0.25\nformat = csv\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1", "--no-timestamp"]
+    assert main([*argv, "--config", str(cfg), "--out", str(first)]) == 0
+    assert first.read_text().startswith("theorem,")
+    assert main([*argv, "--out", str(second)]) == 0
+    assert sorted({r["B"] for r in json.loads(second.read_text())}) == [-0.9, -0.75, -0.5, -0.25, 0]
+
+
+def readme_command_lines():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("starlog ")]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_lines_exit_zero(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

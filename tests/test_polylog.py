@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from starlog import polylog
 from starlog.errors import DomainError
 from starlog.polylog import hurwitz_zeta, li, li_ratio
 
@@ -86,7 +87,16 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         li(0.5, 0.5)
     with pytest.raises(DomainError):
+        li(math.nan, 0.5)
+    with pytest.raises(DomainError):
         li_ratio(2.0)
+
+
+def test_uncertified_series_tail_is_a_domain_error(monkeypatch):
+    # the tail bounds of Li_1.5(0.999) stay far above 1e-16 at 1000 terms
+    monkeypatch.setattr(polylog, "_SERIES_MAX_TERMS", 1000)
+    with pytest.raises(DomainError, match="1000 terms"):
+        li(1.5, 0.999)
 
 
 def test_low_order_allowed_inside_interval():
