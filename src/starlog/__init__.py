@@ -2,14 +2,7 @@
 starlike functions: truncated-series pipeline, dilogarithm-based sharp
 bounds, and numerical verification."""
 
-from .bounds import (
-    BoundResult,
-    extremal_tail_bound,
-    h_factor,
-    thm2_bound,
-    thm3_bound,
-    thm_a_bound,
-)
+from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from .logcoeffs import (
     LogCoeffVector,
     extremal_log_coefficient,
@@ -48,7 +41,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundResult",
     "CheckRow",
     "ClassMember",
     "ClassParams",
@@ -67,7 +59,6 @@ __all__ = [
     "extremal_function",
     "extremal_log_coefficient",
     "extremal_tail_bound",
-    "h_factor",
     "li",
     "li_ratio",
     "log_coefficients",

@@ -193,6 +193,8 @@ def _verify_rows(args):
     if not seeds:
         raise ConfigError(f"empty seed list {args.seeds!r}")
     t_values = tuple(_values(args.t, float, "t"))
+    if not t_values:
+        raise ConfigError(f"empty t list {args.t!r}")
 
     def rows(params):
         order = args.terms or suggested_order(params)
@@ -339,7 +341,7 @@ def _grid_command(sub, name: str, help_text: str, extra, **defaults) -> None:
     `extra`, the flags only its row builder reads, as (flag, add_argument
     keywords) pairs, then `defaults`.  A config file may set every
     value-taking flag but --config."""
-    parser = sub.add_parser(name, help=help_text)
+    parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
     add = parser.add_argument
     b_help = "comma list of real B values in [-1, 0]; write a list of negatives as --B=-0.5,-0.9"
     terms_help = f"truncation order 0 <= N <= {MAX_TERMS} (0 = auto)"
@@ -366,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The `starlog` parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="starlog",
+        allow_abbrev=False,
         description="Verify logarithmic-coefficient bounds for Janowski-type "
         "(j,k)-symmetric starlike functions.",
     )
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     _grid_command(sub, "search", "adversarial search for bound violations", search_flags,
                   rows=_search_rows, summary=None, tol=DEFAULT_TOL)
 
-    p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision")
+    p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision", allow_abbrev=False)
     p_li.add_argument("v", type=float)
     p_li.add_argument("x", type=float)
     p_li.set_defaults(func=cmd_polylog)

@@ -57,17 +57,10 @@ def log_coefficients(member: ClassMember) -> LogCoeffVector:
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
-    """Closed-form d_n of the extremal member.
-
-    2 d_n = (-1)^{n-1} ((A-B)/(mB)) B^n / n for B != 0;
-    2 d_1 = A/m and d_n = 0 (n >= 2) for B = 0.
-    """
+    """Closed-form d_n = (A-B)/(2m) (-B)^{n-1} / n of the extremal member."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    m = params.m
-    if params.B == 0.0:
-        return params.A / (2.0 * m) if n == 1 else 0j
-    return 0.5 * (-1) ** (n - 1) * ((params.A - params.B) / (m * params.B)) * params.B**n / n
+    return (params.A - params.B) / (2.0 * params.m) * (-params.B) ** (n - 1) / n
 
 
 def _abs_sq(d: LogCoeffVector) -> np.ndarray:

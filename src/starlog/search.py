@@ -65,7 +65,7 @@ class _Budget:
 
 
 def _ratio_fn(params: ClassParams, order: int):
-    bound = thm_a_bound(params).bound
+    bound = thm_a_bound(params)
 
     def ratio(seed: SchwarzSeed) -> float:
         member = member_from_seed(params, seed, order)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import extremal_tail_bound, h_factor, thm2_bound, thm3_bound, thm_a_bound
+from .bounds import extremal_tail_bound, lead_factor, thm2_bound, thm3_bound, thm_a_bound
 from .errors import (
     BExcluded,
     DivergentSeries,
@@ -81,7 +81,7 @@ def verify_member(
 
     def check(theorem: str, t: float | None, s: float, bound_fn, *bound_args) -> CheckRow:
         try:
-            bound = bound_fn(params, *bound_args).bound
+            bound = bound_fn(params, *bound_args)
         except BExcluded:
             note = "skipped: B = -1 excluded by the theorem hypothesis"
             return CheckRow(theorem, t, s, bound=None, ratio=None, passed=True, note=note)
@@ -118,7 +118,7 @@ def check_sharpness(
 ) -> dict:
     """Certify equality of the plain-squares bound at the extremal member.
 
-    Verifies |d_n(K)|^2 = H(A,B) B^{2n}/n^2 term by term, then brackets the
+    Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then brackets the
     bound by partial sum plus analytic tail.  |B| > 0.9 decays too slowly
     for the default budget and requires slow=True (B = -1 then uses the
     exact trigamma tail with N_d >= 10^4).
@@ -135,8 +135,6 @@ def check_sharpness(
             order = suggested_order(params)
     member = extremal_function(params, order)
     d = log_coefficients(member)
-    h = h_factor(params)
-    b2 = params.B * params.B
     ran_at = {"order": member.order, "n_terms": d.n_terms}
 
     if params.B == 0.0:
@@ -149,7 +147,8 @@ def check_sharpness(
             raise SharpnessFailure(f"d_{n} = {d[n - 1]} should vanish for B = 0", n=n, **ran_at)
     else:
         sq = np.abs(d.d) ** 2
-        expected = h * b2 ** np.arange(1, d.n_terms + 1) / np.arange(1, d.n_terms + 1) ** 2.0
+        g, b2 = lead_factor(params), params.B * params.B
+        expected = g * b2 ** np.arange(d.n_terms) / np.arange(1, d.n_terms + 1) ** 2.0
         bad = np.nonzero(np.abs(sq - expected) > COEFF_TOL)[0]
         if bad.size:
             n = int(bad[0]) + 1
@@ -161,7 +160,7 @@ def check_sharpness(
 
     partial = sum_sq(d)
     tail = extremal_tail_bound(params, d.n_terms)
-    bound = thm_a_bound(params).bound
+    bound = thm_a_bound(params)
     bracket_err = abs(partial + tail - bound)
     passed = bracket_err <= tol * bound
     return {

@@ -67,7 +67,7 @@ def test_criterion_3_thm_a_sharpness():
     for params in grid_params():
         member = sl.extremal_function(params, sl.suggested_order(params))
         d = sl.log_coefficients(member)
-        bound = sl.thm_a_bound(params).bound
+        bound = sl.thm_a_bound(params)
         total = sl.sum_sq(d) + sl.extremal_tail_bound(params, d.n_terms)
         assert abs(total - bound) <= 1e-8 * bound, params
     _announce(3, "sum_sq + tail brackets the plain-squares bound to 1e-8 relative on the grid")
@@ -87,7 +87,7 @@ def test_criterion_4_thm2_sharpness():
             continue
         member = sl.extremal_function(params, 512)
         got = sl.sum_n2(sl.log_coefficients(member))
-        bound = sl.thm2_bound(params).bound
+        bound = sl.thm2_bound(params)
         assert abs(got - bound) <= 1e-8 * bound, params
     instance = sl.ClassParams(1, 1, 1, -0.5)
     got = sl.sum_n2(sl.log_coefficients(sl.extremal_function(instance, 512)))
@@ -97,11 +97,11 @@ def test_criterion_4_thm2_sharpness():
 
 def test_criterion_5_thm3_consistency_and_sharpness():
     for params in grid_params():
-        assert abs(sl.thm3_bound(params, 0.0).bound - sl.thm_a_bound(params).bound) <= 1e-12, params
+        assert abs(sl.thm3_bound(params, 0.0) - sl.thm_a_bound(params)) <= 1e-12, params
         member = sl.extremal_function(params, 512)
         d = sl.log_coefficients(member)
         for t in T_VALUES:
-            bound = sl.thm3_bound(params, t).bound
+            bound = sl.thm3_bound(params, t)
             assert abs(sl.sum_weighted(d, t) - bound) <= 1e-8 * bound, (params, t)
     _announce(5, "thm3(t=0) = thmA to 1e-12; weighted sums sharp to 1e-8 for t in {-1,0,1,2}")
 
@@ -206,15 +206,15 @@ def test_criterion_9_corollary_instances():
     # B = 0 specialization: bound |A|^2/(4k^2) = 1/16, attained by a single term
     p1 = sl.ClassParams(1, 2, 1, 0)
     d1 = sl.log_coefficients(sl.extremal_function(p1, 64))
-    assert abs(sl.thm_a_bound(p1).bound - 1 / 16) <= 1e-15
+    assert abs(sl.thm_a_bound(p1) - 1 / 16) <= 1e-15
     assert abs(sl.sum_sq(d1) - 1 / 16) <= 1e-12
 
     # B = -A specialization at A = 1/2: bound Li_2(1/4)
     p2 = sl.ClassParams(1, 1, 0.5, -0.5)
-    assert abs(sl.thm_a_bound(p2).bound - direct_li2_oracle(0.25)) <= 1e-10
+    assert abs(sl.thm_a_bound(p2) - direct_li2_oracle(0.25)) <= 1e-10
     d2 = sl.log_coefficients(sl.extremal_function(p2, sl.suggested_order(p2)))
     total = sl.sum_sq(d2) + sl.extremal_tail_bound(p2, d2.n_terms)
-    assert abs(total - sl.thm_a_bound(p2).bound) <= 1e-8 * sl.thm_a_bound(p2).bound
+    assert abs(total - sl.thm_a_bound(p2)) <= 1e-8 * sl.thm_a_bound(p2)
     _announce(9, "corollary instances: 1/16 attained exactly; Li_2(1/4) bound sharp")
 
 

@@ -1,18 +1,13 @@
 """Closed-form bound evaluators and their limit/consistency behavior."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from starlog import bounds
-from starlog.bounds import (
-    extremal_tail_bound,
-    h_factor,
-    thm2_bound,
-    thm3_bound,
-    thm_a_bound,
-)
+from starlog.bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from starlog.errors import BExcluded, DivergentSeries, WeightOutOfRange
 from starlog.logcoeffs import LogCoeffVector, sum_weighted
 from starlog.members import ClassParams
@@ -21,42 +16,31 @@ from starlog.polylog import li, li_ratio
 ZETA2 = math.pi**2 / 6
 
 
+def local_h(params):
+    """H = (|A-B|/(2mB))^2, the scale of the extremal series in B^{2n}; B != 0."""
+    return (abs(params.A - params.B) / (2.0 * params.m * params.B)) ** 2
+
+
 class TestThmABound:
     def test_koebe_is_zeta2(self):
-        assert abs(thm_a_bound(ClassParams(1, 1, 1, -1)).bound - ZETA2) <= 1e-13
+        assert abs(thm_a_bound(ClassParams(1, 1, 1, -1)) - ZETA2) <= 1e-13
 
     def test_b_zero_corollary(self):
         # sum |d_n|^2 <= |A|^2 / (4 k^2) at (1, 2, A, 0)
-        assert abs(thm_a_bound(ClassParams(1, 2, 1, 0)).bound - 1 / 16) <= 1e-15
+        assert abs(thm_a_bound(ClassParams(1, 2, 1, 0)) - 1 / 16) <= 1e-15
 
     def test_antisymmetric_corollary(self):
         # B = -A with A = 1/2: bound Li_2(A^2) / k^2 at k = 1
-        got = thm_a_bound(ClassParams(1, 1, 0.5, -0.5)).bound
+        got = thm_a_bound(ClassParams(1, 1, 0.5, -0.5))
         assert abs(got - li(2, 0.25)) <= 1e-13
-
-    def test_continuity_at_b_zero(self):
-        # the Li_2(x)/x -> 1 convention makes the B = 0 branch the limit value
-        base = thm_a_bound(ClassParams(1, 2, 1, 0)).bound
-        gaps = []
-        for B in (-0.1, -0.01, -1e-3, -1e-4, -1e-6):
-            nearby = thm_a_bound(ClassParams(1, 2, 1, B)).bound
-            gaps.append(abs(nearby - base))
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 1e-6
-
-    def test_h_factor_recorded(self):
-        params = ClassParams(1, 2, 1, -0.5)
-        result = thm_a_bound(params)
-        assert result.theorem == "ThmA"
-        assert abs(result.h_factor - (1.5 / (4 * 0.5)) ** 2) <= 1e-15
 
 
 class TestThm2Bound:
     def test_direct_formula(self):
-        assert abs(thm2_bound(ClassParams(1, 1, 1, -0.5)).bound - 0.75) <= 1e-15
+        assert abs(thm2_bound(ClassParams(1, 1, 1, -0.5)) - 0.75) <= 1e-15
 
     def test_twofold_instance(self):
-        assert abs(thm2_bound(ClassParams(1, 2, 1, -0.5)).bound - 3 / 16) <= 1e-15
+        assert abs(thm2_bound(ClassParams(1, 2, 1, -0.5)) - 3 / 16) <= 1e-15
 
     def test_b_minus_one_excluded(self):
         with pytest.raises(BExcluded):
@@ -76,23 +60,23 @@ class TestThm3Bound:
         ids=str,
     )
     def test_t_zero_recovers_plain_bound(self, params):
-        assert abs(thm3_bound(params, 0.0).bound - thm_a_bound(params).bound) <= 1e-12
+        assert abs(thm3_bound(params, 0.0) - thm_a_bound(params)) <= 1e-12
 
     def test_b_zero_limit_t2(self):
-        assert abs(thm3_bound(ClassParams(1, 1, 1, 0), 2.0).bound - 1.0) <= 1e-15
+        assert abs(thm3_bound(ClassParams(1, 1, 1, 0), 2.0) - 1.0) <= 1e-15
 
     def test_series_oracle_small_b(self):
         params = ClassParams(1, 1, 1, -0.5)
         t = 1.5
         x = 0.25
-        oracle = h_factor(params) * math.fsum(
+        oracle = local_h(params) * math.fsum(
             (n + 1.0) ** t * x**n / n**2 for n in range(1, 400)
         )
-        assert abs(thm3_bound(params, t).bound - oracle) <= 1e-13
+        assert abs(thm3_bound(params, t) - oracle) <= 1e-13
 
     def test_b_minus_one_convergent_case(self):
         # t = -1: sum (n+1)^{-1}/n^2 = sum (1/n^2 - 1/n + 1/(n+1)) = zeta(2) - 1
-        got = thm3_bound(ClassParams(1, 1, 1, -1), -1.0).bound
+        got = thm3_bound(ClassParams(1, 1, 1, -1), -1.0)
         assert abs(got - (ZETA2 - 1.0)) <= 1e-12
 
     def test_b_minus_one_divergent(self):
@@ -122,6 +106,36 @@ class TestThm3Bound:
             sum_weighted(LogCoeffVector((0.5, 0.25), 1), t)
 
 
+@pytest.mark.parametrize(
+    "bound, limit",
+    [(thm_a_bound, 1.0)]
+    + [(functools.partial(thm3_bound, t=t), 2.0**t) for t in (-1.0, 0.0, 1.0, 2.0)],
+    ids=["ThmA", "Thm3(t=-1)", "Thm3(t=0)", "Thm3(t=1)", "Thm3(t=2)"],
+)
+def test_continuity_at_b_zero(bound, limit):
+    # at B = 0 only the n = 1 term survives, G = 1/16 times the kernel's limit
+    # value, and the bound at B -> 0 approaches it
+    base = bound(ClassParams(1, 2, 1, 0))
+    assert base == limit / 16
+    gaps = []
+    for B in (-0.1, -0.01, -1e-3, -1e-4, -1e-6):
+        nearby = bound(ClassParams(1, 2, 1, B))
+        gaps.append(abs(nearby - base))
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-6
+
+
+def test_bounds_are_floats():
+    params = ClassParams(1, 2, 1, -0.5)
+    values = [
+        thm_a_bound(params),
+        thm2_bound(params),
+        thm3_bound(params, 1.0),
+        extremal_tail_bound(params, 10),
+    ]
+    assert [type(v) for v in values] == [float] * 4
+
+
 MEMO_GRID = [
     (B, t)
     for B in (-0.1, -0.5, -0.9, -0.973, -1.0)
@@ -145,10 +159,9 @@ class TestMemoisedKernels:
     def test_bounds_use_the_unmemoised_values(self):
         for B, t in MEMO_GRID:
             params = ClassParams(1, 2, 0.8 + 0.3j, B)
-            h = h_factor(params)
-            assert thm3_bound(params, t).bound == h * bounds._weighted_series.__wrapped__(B * B, t)
             lead = (abs(params.A - B) / 4.0) ** 2
-            assert thm_a_bound(params).bound == lead * li_ratio(B * B)
+            assert thm3_bound(params, t) == lead * bounds._weighted_series.__wrapped__(B * B, t)
+            assert thm_a_bound(params) == lead * li_ratio(B * B)
 
     def test_repeated_rows_hit_the_cache(self):
         bounds._weighted_series.cache_clear()
@@ -166,9 +179,13 @@ class TestTailBound:
     def test_zero_for_b_zero(self):
         assert extremal_tail_bound(ClassParams(1, 2, 1, 0), 10) == 0.0
 
+    def test_b_zero_with_no_terms_is_the_whole_sum(self):
+        # N = 0 drops d_1 too, so the tail is |d_1|^2 = |A/(2m)|^2, not 0
+        assert extremal_tail_bound(ClassParams(1, 2, 0.6, 0), 0) == (0.6 / 4) ** 2
+
     def test_dominates_true_tail(self):
         params = ClassParams(1, 1, 1, -0.5)
-        h = h_factor(params)
+        h = local_h(params)
         for n_terms in (5, 10, 20):
             true_tail = h * math.fsum(
                 0.25**n / n**2 for n in range(n_terms + 1, n_terms + 400)

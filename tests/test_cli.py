@@ -217,6 +217,20 @@ def test_malformed_seed_list_is_config_error(seeds, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_t_list_is_config_error(tmp_path, capsys, source):
+    # an empty list would drop every Thm3 check and still report "ok"
+    argv = ["verify", *SMALL_GRID]
+    if source == "flag":
+        argv.append("--t=")
+    else:
+        cfg = tmp_path / "empty-t.cfg"
+        cfg.write_text("t =\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "config error: empty t list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("out", ["report", "-"])
 def test_search_reads_out_from_config(tmp_path, out):
     report = tmp_path / "search.json"
@@ -443,14 +457,23 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, source, co
     key = flag[2:].replace("-", "_")
     if source == "flag":
         assert exit_code([*argv, flag, *([value] if value else [])]) == 2
-        err = capsys.readouterr().err  # "unrecognized arguments", or "ambiguous option" for --t
-        assert "error:" in err and flag in err
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
     else:
         cfg = tmp_path / "other-command.cfg"
         cfg.write_text(f"{key} = {value or 1}\n")
         assert main([*argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"config error: unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("verify", "--inj", "1e-3"), ("search", "--bud", "20"), ("search", "--rng", "3")],
+)
+def test_flag_prefix_is_not_a_second_spelling(capsys, command, flag, value):
+    # each flag has one spelling, the one a config file accepts as its key
+    assert exit_code([command, *SMALL_GRID, flag, value]) == 2
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_config_values_do_not_outlive_their_call(tmp_path):

@@ -150,3 +150,20 @@ def test_hurwitz_zeta_at_one_is_riemann_zeta(s):
 def test_hurwitz_zeta_domain(s, a):
     with pytest.raises(DomainError):
         hurwitz_zeta(s, a)
+
+
+def test_uncertified_series_holds_constant_memory(monkeypatch):
+    # Li_{1+1e-7}(1-1e-7) never certifies; the old term list held every term
+    import tracemalloc
+
+    cap = 100_000
+    monkeypatch.setattr(polylog, "_SERIES_MAX_TERMS", cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"{cap} terms"):
+            li(1.0000001, 0.9999999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of `cap` floats takes cap * (8-byte slot + 24-byte float) = 3.2 MB
+    assert peak < cap * 32 / 10

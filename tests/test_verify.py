@@ -117,7 +117,7 @@ class TestCheckSharpness:
         # d_n read off log(f/z) keep full precision for large |A - B| / m
         params = ClassParams(1, 1, A, -0.5)
         d = log_coefficients(extremal_function(params, suggested_order(params)))
-        ratio = (sum_sq(d) + extremal_tail_bound(params, d.n_terms)) / thm_a_bound(params).bound
+        ratio = (sum_sq(d) + extremal_tail_bound(params, d.n_terms)) / thm_a_bound(params)
         assert abs(ratio - 1) <= 1e-12
 
     def test_detects_broken_pipeline(self, monkeypatch):
@@ -196,7 +196,6 @@ class TestAbelWeightTransfer:
 
     def test_extremal_instantiation(self):
         # x_n = n^2 |d_n(K)|^2, y_n = B^{2n}, C = H(A, B): equality term by term
-        from starlog.bounds import h_factor
         from starlog.logcoeffs import log_coefficients
 
         params = ClassParams(1, 1, 1, -0.5)
@@ -204,7 +203,8 @@ class TestAbelWeightTransfer:
         n = np.arange(1, d.n_terms + 1)
         x = n**2 * np.abs(np.asarray(d.d)) ** 2
         y = (params.B**2) ** n
-        ok, margin = abel_weight_transfer(x, y, h_factor(params), 2.0)
+        h = (abs(params.A - params.B) / (2 * params.m * params.B)) ** 2
+        ok, margin = abel_weight_transfer(x, y, h, 2.0)
         assert ok and abs(margin) <= 1e-12
 
     def test_randomized_instances(self):
@@ -243,11 +243,9 @@ class TestAbelWeightTransfer:
 
 @pytest.mark.parametrize("bad_bound", [math.nan, 0.0, -1.0, math.inf])
 def test_verify_member_fails_closed_on_bad_bound(monkeypatch, bad_bound):
-    import types
-
     import starlog.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "thm_a_bound", lambda params: types.SimpleNamespace(bound=bad_bound))
+    monkeypatch.setattr(verify_mod, "thm_a_bound", lambda params: bad_bound)
     params = ClassParams(1, 2, 1, -0.5)
     report = verify_member(member_from_seed(params, Identity(), suggested_order(params)))
     thma = next(r for r in report.rows if r.theorem == "ThmA")
