@@ -8,6 +8,7 @@ series in w = z^m, so the d_n are read off it directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,23 +18,41 @@ from .errors import WeightOutOfRange
 from .members import ClassMember, ClassParams
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class LogCoeffVector:
     """The sequence d_1..d_{N_d}, where d_n sits at exponent n*m.
 
-    `d` is a read-only complex128 copy of the input; equality and the hash
-    go by value.
+    `d` is a read-only complex128 copy of the input, or the input itself when
+    that is a read-only complex128 array owning its data; equality and the
+    hash go by value.
     """
 
     d: np.ndarray
     m: int
 
     def __post_init__(self):
-        d = np.array(self.d, dtype=np.complex128)
+        d = self.d
+        owned = isinstance(d, np.ndarray) and d.flags.owndata and not d.flags.writeable
+        if not (owned and d.dtype == np.complex128):
+            d = _read_only(np.array(d, dtype=np.complex128))
         if d.ndim != 1:
             raise ValueError("log coefficients form a one-dimensional sequence")
-        d.flags.writeable = False
         object.__setattr__(self, "d", d)
+
+    @functools.cached_property
+    def abs_sq(self) -> np.ndarray:
+        """|d_n|^2 (read-only), computed once for every sum."""
+        return _read_only(np.abs(self.d) ** 2)
+
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        """The indices n = 1..N_d as float64 (read-only)."""
+        return _read_only(np.arange(1, self.n_terms + 1, dtype=np.float64))
 
     @property
     def n_terms(self) -> int:
@@ -53,7 +72,7 @@ class LogCoeffVector:
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
     """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
-    return LogCoeffVector(d=member.log_ratio.array[1:] / 2.0, m=member.params.m)
+    return LogCoeffVector(d=_read_only(member.log_ratio.array[1:] / 2.0), m=member.params.m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
@@ -63,24 +82,18 @@ def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
     return (params.A - params.B) / (2.0 * params.m) * (-params.B) ** (n - 1) / n
 
 
-def _abs_sq(d: LogCoeffVector) -> np.ndarray:
-    return np.abs(d.d) ** 2
-
-
 def sum_sq(d: LogCoeffVector) -> float:
     """Partial sum of |d_n|^2 (monotone nondecreasing in the term count)."""
-    return float(np.sum(_abs_sq(d)))
+    return float(np.sum(d.abs_sq))
 
 
 def sum_n2(d: LogCoeffVector) -> float:
     """Partial sum of n^2 |d_n|^2."""
-    n = np.arange(1, d.n_terms + 1, dtype=np.float64)
-    return float(np.sum(n**2 * _abs_sq(d)))
+    return float(np.sum(d.n**2 * d.abs_sq))
 
 
 def sum_weighted(d: LogCoeffVector, t: float) -> float:
     """Partial sum of (n+1)^t |d_n|^2; requires a finite t <= 2."""
     if not (math.isfinite(t) and t <= 2.0):
         raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
-    n = np.arange(1, d.n_terms + 1, dtype=np.float64)
-    return float(np.sum((n + 1.0) ** t * _abs_sq(d)))
+    return float(np.sum((d.n + 1.0) ** t * d.abs_sq))

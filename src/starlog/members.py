@@ -19,19 +19,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import (
-    TruncatedSeries,
-    compose_power,
-    div,
-    exp_series,
-    integrate_over_t,
-    scale,
-)
+from .series import TruncatedSeries, _solve_toeplitz, compose_power, exp_series, scale
 
 
 def check_pair(j: int, k: int) -> None:
@@ -149,6 +143,26 @@ class Polynomial(SchwarzSeed):
         return ("poly",) + tuple(x for c in self.coeffs for x in (c.real, c.imag))
 
 
+def _poisson_weights(c: float, count: int) -> np.ndarray:
+    """e^{-c} c^i / i! for 0 <= i < count and c >= 1, also where e^{-c} underflows.
+
+    Runs outward from the largest weight, at i = p = min(floor(c), count - 1).
+    Its log, p log(c/p) + p - c - log(2 pi p)/2 - s, is -c + p log c - log p!
+    with the large terms cancelled by hand; s = log p! - (p + 1/2) log p + p -
+    log(2 pi)/2 is Stirling's remainder, summed as its series from p = 100 on.
+    """
+    p = min(math.floor(c), count - 1)
+    if p < 1:
+        return np.full(count, math.exp(-c))
+    if p < 100:
+        s = math.lgamma(p + 1) - (p + 0.5) * math.log(p) + p - 0.5 * math.log(2 * math.pi)
+    else:
+        s = 1 / (12 * p) - 1 / (360 * p**3)
+    peak = math.exp(p * math.log1p((c - p) / p) + (p - c) - 0.5 * math.log(2 * math.pi * p) - s)
+    down = np.cumprod(np.arange(p, 0, -1) / c)[::-1]
+    return peak * np.concatenate((down, [1.0], np.cumprod(c / np.arange(p + 1, count))))
+
+
 def _seed_coeffs(seed: SchwarzSeed, order: int) -> np.ndarray:
     """The coefficients of `seed_series` as a fresh complex128 array."""
     cs = np.zeros(order + 1, dtype=np.complex128)
@@ -158,10 +172,14 @@ def _seed_coeffs(seed: SchwarzSeed, order: int) -> np.ndarray:
         cs[1:2] = cmath.exp(1j * seed.theta)
     elif isinstance(seed, ExpDamp):
         # w e^{c(w-1)} = e^{-c} sum_i c^i w^{i+1} / i!, each term the previous times c/i
-        steps = np.empty(order, dtype=np.complex128)
-        steps[:1] = cmath.exp(1j * seed.theta) * math.exp(-seed.c)
-        steps[1:] = seed.c / np.arange(1, order)
-        np.cumprod(steps, out=cs[1:])
+        # from a first term e^{-c}, while that is a normal double (c <= 708.39)
+        if math.exp(-seed.c) >= sys.float_info.min:
+            steps = np.empty(order, dtype=np.complex128)
+            steps[:1] = cmath.exp(1j * seed.theta) * math.exp(-seed.c)
+            steps[1:] = seed.c / np.arange(1, order)
+            np.cumprod(steps, out=cs[1:])
+        else:
+            cs[1:] = cmath.exp(1j * seed.theta) * _poisson_weights(seed.c, order)
     elif isinstance(seed, Polynomial):
         p = seed.coeffs[:order]
         cs[1 : len(p) + 1] = p
@@ -214,9 +232,10 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     num = v * ((params.A - params.B) / m)  # carries the 1/m of L below
     den = params.B * v
     den[0] = 1.0
-    # log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du
-    L = integrate_over_t(div(TruncatedSeries(num), TruncatedSeries(den)))
-    return ClassMember(log_ratio=L, params=params, seed=seed, order=order)
+    # log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du: the quotient, then L_n = P_n/(m n)
+    L = _solve_toeplitz(den, num)
+    L[1:] /= np.arange(1, len(L))
+    return ClassMember(log_ratio=TruncatedSeries(L), params=params, seed=seed, order=order)
 
 
 def q_function(params: ClassParams, order: int) -> TruncatedSeries:

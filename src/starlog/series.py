@@ -5,10 +5,10 @@ explicit: every binary operation truncates to the minimum operand order,
 never zero-pads.  div, log and exp are lower-triangular Toeplitz solves
 (the Cauchy-product recursions q*b = a, L'*a = a' and E' = a'*E), done in
 blocks of rows: one convolution brings the solved history into a block
-and one BLAS triangular solve finishes it.  The history reaches back only
-over the band of the Toeplitz entries (the index of the last nonzero), so
-a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds and a
-dense one O(N^2); the per-coefficient Python overhead goes.
+and one BLAS banded triangular solve finishes it.  The history and the
+band reach back only over the index of the last nonzero Toeplitz entry,
+so a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds
+and a dense one O(N^2); the per-coefficient Python overhead goes.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ztrsv
+from scipy.linalg.blas import ztbsv
 
 from .errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
 
-#: rows per triangular block solve
+#: rows per block of a dense solve; every block's band storage holds _BLOCK**2 entries
 _BLOCK = 64
-#: lag j - i of an upper-triangular Toeplitz block, -1 (a zero slot) below the diagonal
-_UPPER_LAG = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
-_UPPER_LAG[_UPPER_LAG < 0] = -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +71,11 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
     """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
 
     d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
-    Row n's history runs over the band b only (t_k = 0 for k > b), which
-    costs O(n*(b + _BLOCK)).  b is scanned for only when the rows span more
-    than one block (one block has no history) and t's last entry is zero;
-    otherwise it is len(rhs) - 1, the dense path, so short and dense solves
-    pay nothing for the scan.  NaN and inf count as nonzero.
+    Row n reaches back over the band b only (t_k = 0 for k > b).  b is
+    scanned for only past _BLOCK rows and when t's last entry is zero, else
+    it is len(rhs) - 1 (dense); NaN and inf count as nonzero.  Each block is
+    band storage of w = min(b, _BLOCK - 1) + 1 rows (row i holds t_i) over
+    _BLOCK**2 // w columns: 64 rows of x when dense, 2048 when b = 1.
     """
     n = len(rhs)
     band = n - 1
@@ -86,21 +83,20 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
         (nonzero,) = t[:n].nonzero()
         band = int(nonzero[-1]) if nonzero.size else 0
     x = np.array(rhs, dtype=np.complex128)
-    size = min(_BLOCK, n)
-    padded = np.zeros(size + 1, dtype=np.complex128)
-    padded[:size] = t[:size]
-    # the transpose of the C-order block U[i, j] = t_{j-i} is the column-major
-    # lower-triangular Toeplitz block T[i, j] = t_{i-j}
-    block = padded[_UPPER_LAG[:size, :size]].T
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
+    if not n:
+        return x
+    width = min(band, _BLOCK - 1) + 1
+    rows = min(_BLOCK * _BLOCK // width, n)
+    ab = np.empty((width, rows), dtype=np.complex128, order="F")
+    ab[:] = t[:width, None]
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
         if s and band:
             lo = max(0, s - band)
             x[s:e] -= np.convolve(t[1 : e - lo], x[lo:s], "valid")
-        tri = block[: e - s, : e - s]
         if diag is not None:
-            np.fill_diagonal(tri, diag[s:e])
-        x = ztrsv(tri, x, offx=s, lower=1, overwrite_x=1)
+            ab[0, : e - s] = diag[s:e]
+        x = ztbsv(width - 1, ab[:, : e - s], x, offx=s, lower=1, overwrite_x=1)
     return x
 
 

@@ -146,7 +146,7 @@ def check_sharpness(
             n = int(bad[0]) + 2
             raise SharpnessFailure(f"d_{n} = {d[n - 1]} should vanish for B = 0", n=n, **ran_at)
     else:
-        sq = np.abs(d.d) ** 2
+        sq = d.abs_sq
         g, b2 = lead_factor(params), params.B * params.B
         expected = g * b2 ** np.arange(d.n_terms) / np.arange(1, d.n_terms + 1) ** 2.0
         bad = np.nonzero(np.abs(sq - expected) > COEFF_TOL)[0]

@@ -191,6 +191,16 @@ def test_invalid_input_is_config_error(argv):
 SEED_LIST = "identity,expdamp:0.3,1.0,poly:0.5,0.25i"
 
 
+def test_expdamp_seed_with_underflowing_damping_is_verified_on_its_real_coefficients():
+    # at c = 750, e^{-c} is 0 in doubles: the member must not collapse to v = 0
+    argv = ["--j", "1", "--k", "1", "--A", "1", "--B=-0.5", "--terms", "2000"]
+    proc = run_cli("verify", *argv, "--seeds", "expdamp:0,750", "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert len(rows) == 6 and all(r["pass"] for r in rows)
+    assert all(r["partial_sum"] > 0 for r in rows)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_seed_list_keeps_multi_value_descriptors(tmp_path, source):
     out = tmp_path / "seeds.json"

@@ -159,3 +159,20 @@ class TestLogCoeffVector:
         assert a != LogCoeffVector((0.5, 0.26j), 1)
         assert a != LogCoeffVector((0.5,), 1)
         assert a != (0.5, 0.25j)
+
+    def test_abs_sq_and_indices_are_cached_and_read_only(self):
+        d = LogCoeffVector(np.array([0.5, 0.25j, 1 - 1j]), 1)
+        assert d.abs_sq is d.abs_sq and d.n is d.n
+        assert d.abs_sq.tobytes() == (np.abs(d.d) ** 2).tobytes()
+        assert d.n.tolist() == [1.0, 2.0, 3.0]
+        for a in (d.abs_sq, d.n):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_read_only_owning_array_is_taken_without_a_copy(self):
+        owned = np.array([0.5, 0.25j])
+        owned.flags.writeable = False
+        assert LogCoeffVector(owned, 1).d is owned
+        view = np.array([0.5, 0.25j, 1.0])[:2]
+        view.flags.writeable = False
+        assert LogCoeffVector(view, 1).d is not view

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,7 +124,7 @@ class TestSeedSeries:
             ExpDamp(0.0, -0.1)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 64, 300])
-    @pytest.mark.parametrize("c", [0.0, 1.7, 5.0])
+    @pytest.mark.parametrize("c", [0.0, 1.7, 5.0, 700.0])
     def test_expdamp_matches_per_coefficient_loop_bitwise(self, order, c):
         theta = 0.9
         expected = [0j] * (order + 1)
@@ -133,6 +134,26 @@ class TestSeedSeries:
             term *= c / (i + 1)
         got = seed_series(ExpDamp(theta, c), order).array
         assert got.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+
+    @pytest.mark.parametrize(
+        "c, order",
+        [(5.0, 2000), (700.0, 2000), (709.0, 2000), (744.0, 2000), (750.0, 2000), (1000.0, 2000),
+         (750.0, 0), (750.0, 1), (750.0, 101), (1000.0, 150), (2000.0, 701)],
+    )
+    def test_expdamp_matches_closed_form_where_exp_minus_c_underflows(self, c, order):
+        # e^{-c} is subnormal above c = 708.4 and 0 above c = 745, so a recursion
+        # started at it loses the weights e^{-c} c^i / i!.  The reference is the
+        # log-gamma closed form at 40 digits: in doubles (math.lgamma) its own
+        # rounding reaches 1.6e-12 of the largest weight at c = 1000.
+        theta = 0.9
+        with mpmath.workdps(40):
+            rot, log_c = mpmath.exp(1j * theta), mpmath.log(c)
+            ref = [rot * mpmath.exp(i * log_c - c - mpmath.loggamma(i + 1)) for i in range(order)]
+            ref = np.array([complex(r) for r in ref], dtype=np.complex128)
+        got = seed_series(ExpDamp(theta, c), order).array
+        assert got[0] == 0 and len(got) == order + 1
+        err = np.max(np.abs(got[1:] - ref), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
     def test_polynomial_truncated_below_its_degree(self):
         assert seed_series(Polynomial((0.5, 0.25j, 0.125)), 2).coeffs == (0, 0.5, 0.25j)

@@ -1,15 +1,18 @@
 """Truncated-series arithmetic: worked examples and algebraic invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starlog.cli import MAX_TERMS
 from starlog.errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
 from starlog.series import (
     TruncatedSeries,
+    _solve_toeplitz,
     add,
     compose_power,
     div,
@@ -301,6 +304,47 @@ def test_banded_div_matches_per_coefficient_recursion(order, band):
     assert_matches_reference(div(a, TruncatedSeries(b)), ref_div(a.array, b))
 
 
+# a block's band storage holds 64 * 64 entries, so its rows of x are 4096 // (min(band, 63) + 1)
+BLOCK_EDGE_BANDS = {0: 4096, 1: 2048, 4: 819, 63: 64, 64: 64, 65: 64, "dense": 64}
+
+
+def _block_edge_cases():
+    for band, rows in BLOCK_EDGE_BANDS.items():
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            yield pytest.param(band, n - 1, id=f"band{band}-n{n}")
+
+
+@pytest.mark.parametrize("band, order", list(_block_edge_cases()))
+def test_banded_kernels_match_recursions_at_block_edges(band, order):
+    rng = np.random.default_rng(order)
+    band = order if band == "dense" else band
+    a = _random_series(rng, order, 1.0, max_modulus=0.5)
+    b = _banded_divisor(rng, order, band)
+    assert_matches_reference(div(a, TruncatedSeries(b)), ref_div(a.array, b))
+    # log and exp solve with the same band: t = b[:-1] for log, -k z_k for exp,
+    # whose diagonal k differs per row and per block
+    assert_matches_reference(log_series(TruncatedSeries(b)), ref_log(b))
+    z = b.copy()
+    z[0] = 0.0
+    assert_matches_reference(exp_series(TruncatedSeries(z)), ref_exp(z))
+
+
+def test_band_one_solve_at_max_terms_allocates_only_its_result():
+    # 1/(1 - w) = sum w^n exactly; the per-block band storage stays 64 KiB
+    t = np.zeros(MAX_TERMS + 1, dtype=np.complex128)
+    t[:2] = 1.0, -1.0
+    rhs = np.zeros_like(t)
+    rhs[0] = 1.0
+    tracemalloc.start()
+    try:
+        x = _solve_toeplitz(t, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(x == 1.0)
+    assert peak <= x.nbytes + 2**20
+
+
 @pytest.mark.parametrize("order", [65, 129, 300])
 def test_divisor_nonzero_only_at_its_last_entry_reaches_it(order):
     # a gap of zeros, then a nonzero last entry: the band is the full length
@@ -312,7 +356,9 @@ def test_divisor_nonzero_only_at_its_last_entry_reaches_it(order):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("order, pos", [(300, 150), (300, 64), (129, 100)])
+@pytest.mark.parametrize(
+    "order, pos", [(300, 150), (300, 64), (129, 100), (2048, 2047), (4096, 2048), (4096, 3000)]
+)
 def test_non_finite_divisor_entry_inside_a_zero_run_poisons_the_quotient(order, pos, bad):
     # [1, 0.5, 0, ..., 0, bad, 0, ..., 0]: a band scan must count NaN and inf as nonzero
     b = np.zeros(order + 1, dtype=np.complex128)
