@@ -18,7 +18,7 @@ import math
 
 from .errors import BExcluded, DivergentSeries, WeightOutOfRange
 from .members import ClassParams
-from .polylog import hurwitz_zeta, li_ratio
+from .polylog import hurwitz_zeta, li, li_ratio
 
 #: entries kept by each memoised kernel; a sweep asks for a few distinct B^2 and t
 _CACHE_SIZE = 1024
@@ -51,10 +51,22 @@ def thm2_bound(params: ClassParams) -> float:
 def _weighted_series(x: float, t: float) -> float:
     """sum_{n>=1} (n+1)^t x^{n-1} / n^2 for 0 <= x <= 1 (t < 1 required at x = 1).
 
-    Memoised on the floats (x, t).  Absolute accuracy ~1e-13: geometric
-    cutoff for x < 1 (x = 0 gives 2^t); for x = 1 a direct head plus a
+    Memoised on the floats (x, t).  For t in {-1, 0, 1, 2} and 1/2 <= x < 1
+    a closed form S/x, where (n+1)^t/n^2 splits into 1/n^2, 1/n, 1 and
+    1/(n+1) and l = -log(1 - x):
+
+      t = 0:  S = Li_2(x)              t = 1:  S = Li_2(x) + l
+      t = 2:  S = Li_2(x) + 2l + x/(1-x)
+      t = -1: S = Li_2(x) - l + (l - x)/x   (cancels at small x, hence x >= 1/2)
+
+    Else, absolute accuracy ~1e-13: geometric cutoff for x < 1 (x = 0 gives
+    2^t), about 50 terms below x = 1/2; for x = 1 a direct head plus a
     binomial expansion of (1+1/n)^t into Hurwitz-zeta tails.
     """
+    if 0.5 <= x < 1.0 and t in (-1.0, 0.0, 1.0, 2.0):
+        ell = -math.log1p(-x)
+        extra = {-1.0: (ell - x) / x - ell, 0.0: 0.0, 1.0: ell, 2.0: 2.0 * ell + x / (1.0 - x)}
+        return (li(2.0, x) + extra[t]) / x
     if x < 1.0:
         total = 0.0
         xn = 1.0

@@ -74,4 +74,4 @@ class SlowModeRequired(StarlogError):
 
 
 class ConfigError(StarlogError):
-    """Malformed CLI configuration."""
+    """Malformed configuration: a CLI flag or config file, or a search setting."""

@@ -18,6 +18,10 @@ from .errors import WeightOutOfRange
 from .members import ClassMember, ClassParams
 
 
+#: weight arrays kept by `_weights`; a sweep asks for a few N_d per t
+_CACHE_SIZE = 256
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -72,7 +76,7 @@ class LogCoeffVector:
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
     """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
-    return LogCoeffVector(d=_read_only(member.log_ratio.array[1:] / 2.0), m=member.params.m)
+    return LogCoeffVector(d=_read_only(member.log_ratio[1:] / 2.0), m=member.params.m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
@@ -84,16 +88,22 @@ def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
 
 def sum_sq(d: LogCoeffVector) -> float:
     """Partial sum of |d_n|^2 (monotone nondecreasing in the term count)."""
-    return float(np.sum(d.abs_sq))
+    return float(d.abs_sq.sum())
 
 
 def sum_n2(d: LogCoeffVector) -> float:
     """Partial sum of n^2 |d_n|^2."""
-    return float(np.sum(d.n**2 * d.abs_sq))
+    return float((d.n**2 * d.abs_sq).sum())
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _weights(n_terms: int, t: float) -> np.ndarray:
+    """(n+1)^t for n = 1..n_terms (read-only), memoised on (n_terms, t)."""
+    return _read_only(np.arange(2.0, n_terms + 2.0) ** t)
 
 
 def sum_weighted(d: LogCoeffVector, t: float) -> float:
     """Partial sum of (n+1)^t |d_n|^2; requires a finite t <= 2."""
     if not (math.isfinite(t) and t <= 2.0):
         raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
-    return float(np.sum((d.n + 1.0) ** t * d.abs_sq))
+    return float((_weights(d.n_terms, t) * d.abs_sq).sum())

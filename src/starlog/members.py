@@ -8,10 +8,11 @@ any analytic v with v(0) = 0 and |v(w)| <= |w| yields
     z f'/f - 1 = P(z^m),     P(w) = (A - B) v(w) / (1 + B v(w)),
 
 hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du.  A member
-stores L, a series in w of length N_d = floor(N/m) built with one series
-division; the log coefficients are read off it (2 d_n = L_n) with no exp
-or log.  f itself, z exp(L(z^m)), is computed only when asked for.  The
-identity seed v(w) = w gives the closed-form extremal function.
+stores the coefficients L_0..L_{N_d} of L, with N_d = floor(N/m), as one
+read-only complex128 array built by one Toeplitz solve on raw arrays; the
+log coefficients are read off it (2 d_n = L_n) with no exp or log.  f
+itself, z exp(L(z^m)), is computed only when asked for.  The identity seed
+v(w) = w gives the closed-form extremal function.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import TruncatedSeries, _solve_toeplitz, compose_power, exp_series, scale
+from .series import TruncatedSeries, _solve_toeplitz, compose_power, exp_series
 
 
 def check_pair(j: int, k: int) -> None:
@@ -130,9 +131,9 @@ class Polynomial(SchwarzSeed):
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
         # written so that a NaN coefficient fails the certificate too
-        if not sum(abs(c) for c in self.coeffs) <= 1.0 + 1e-12:
+        if not sum(map(abs, self.coeffs)) <= 1.0 + 1e-12:
             raise InvalidSeed("polynomial seed violates sum |p_i| <= 1")
 
     def label(self) -> str:
@@ -193,15 +194,16 @@ def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
     return TruncatedSeries(_seed_coeffs(seed, order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassMember:
     """A generated class member f with its provenance.
 
-    `log_ratio` holds log(f/z) as a series in w = z^m, truncated at
-    N_d = floor(order/m); `order` is the truncation order in z.
+    `log_ratio` is the read-only complex128 array L_0..L_{N_d} of log(f/z)
+    as a series in w = z^m, N_d = floor(order/m); `order` is the truncation
+    order in z.  Members compare by identity.
     """
 
-    log_ratio: TruncatedSeries
+    log_ratio: np.ndarray
     params: ClassParams
     seed: SchwarzSeed
     order: int
@@ -210,7 +212,7 @@ class ClassMember:
     def series(self) -> TruncatedSeries:
         """f = z exp(L(z^m)), with one extra coefficient (order + 1) so that f/z
         is exact through z^order."""
-        ratio = compose_power(exp_series(self.log_ratio), self.params.m, self.order)
+        ratio = compose_power(exp_series(TruncatedSeries(self.log_ratio)), self.params.m, self.order)
         return TruncatedSeries(np.concatenate(([0j], ratio.array)))
 
 def extremal_function(params: ClassParams, order: int) -> ClassMember:
@@ -222,8 +224,9 @@ def extremal_function(params: ClassParams, order: int) -> ClassMember:
     return member_from_seed(params, Identity(), order)
 
 
-def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
-    """Generate the member induced by a Schwarz seed at level w = z^m."""
+def _log_ratio(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray:
+    """L_0..L_{N_d} of log(f/z) = L(z^m) for the seed's member, N_d = order // m,
+    as a read-only complex128 array: the whole d_n path of `member_from_seed`."""
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
@@ -232,16 +235,22 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     num = v * ((params.A - params.B) / m)  # carries the 1/m of L below
     den = params.B * v
     den[0] = 1.0
-    # log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du: the quotient, then L_n = P_n/(m n)
+    # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then L_n = P_n/(m n)
     L = _solve_toeplitz(den, num)
     L[1:] /= np.arange(1, len(L))
-    return ClassMember(log_ratio=TruncatedSeries(L), params=params, seed=seed, order=order)
+    L.flags.writeable = False
+    return L
+
+
+def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
+    """Generate the member induced by a Schwarz seed at level w = z^m."""
+    return ClassMember(_log_ratio(params, seed, order), params, seed, order)
 
 
 def q_function(params: ClassParams, order: int) -> TruncatedSeries:
     """The superordinate series for z/f: e^{-A z^m / m} or (1 + B z^m)^{-(A-B)/(mB)}."""
     L = extremal_function(params, order).log_ratio
-    return compose_power(exp_series(scale(L, -1)), params.m, order)
+    return compose_power(exp_series(TruncatedSeries(-L)), params.m, order)
 
 
 #: extremal geometric tail that `suggested_order` aims below

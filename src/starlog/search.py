@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import thm_a_bound
-from .logcoeffs import log_coefficients, sum_sq
-from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, member_from_seed, suggested_order
+from .errors import ConfigError
+from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, _log_ratio, suggested_order
 
 FAMILIES = ("expdamp", "poly")
 
@@ -68,8 +68,9 @@ def _ratio_fn(params: ClassParams, order: int):
     bound = thm_a_bound(params)
 
     def ratio(seed: SchwarzSeed) -> float:
-        member = member_from_seed(params, seed, order)
-        return sum_sq(log_coefficients(member)) / bound
+        # sum_sq(log_coefficients(member_from_seed(...))) / bound, op for op, off the array
+        d = _log_ratio(params, seed, order)[1:] / 2.0
+        return float((np.abs(d) ** 2).sum()) / bound
 
     return ratio
 
@@ -81,8 +82,8 @@ def _expdamp_seed(x) -> ExpDamp:
 
 
 def _poly_seed(x) -> Polynomial:
-    p = np.asarray(x[0::2], dtype=float) + 1j * np.asarray(x[1::2], dtype=float)
-    total = float(np.sum(np.abs(p)))
+    p = x[0::2] + 1j * x[1::2]
+    total = float(np.abs(p).sum())
     if total > 1.0:
         p = p * ((1.0 - 1e-12) / total)  # project back onto the certified simplex
     return Polynomial(coeffs=tuple(p.tolist()))
@@ -105,9 +106,9 @@ def adversarial_search(
     from scipy.optimize import minimize
 
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+        raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not budget >= 1:
+        raise ConfigError(f"budget {budget!r} must be at least 1")
     if order is None:
         order = suggested_order(params)
     ratio = _ratio_fn(params, order)

@@ -148,7 +148,7 @@ def check_sharpness(
     else:
         sq = d.abs_sq
         g, b2 = lead_factor(params), params.B * params.B
-        expected = g * b2 ** np.arange(d.n_terms) / np.arange(1, d.n_terms + 1) ** 2.0
+        expected = g * b2 ** np.arange(d.n_terms) / d.n**2
         bad = np.nonzero(np.abs(sq - expected) > COEFF_TOL)[0]
         if bad.size:
             n = int(bad[0]) + 1

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -173,6 +174,42 @@ class TestMemoisedKernels:
                 thm3_bound(params, t)
         assert bounds._weighted_series.cache_info().misses == 4
         assert bounds._li2_ratio.cache_info().misses == 1
+
+
+DEFAULT_T = (-1.0, 0.0, 1.0, 2.0)
+
+
+class TestClosedFormKernel:
+    """sum (n+1)^t x^{n-1}/n^2 for the default t at x = B^2 >= 1/2 (Li_2 and log1p)."""
+
+    @staticmethod
+    def reference(x, t):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(x)
+            li2, li1 = mpmath.polylog(2, x), mpmath.polylog(1, x)
+            # (n+1)^t / n^2 in partial fractions over 1/n^2, 1/n, 1 and 1/(n+1)
+            s = {-1: li2 - li1 + (li1 - x) / x, 0: li2, 1: li2 + li1, 2: li2 + 2 * li1 + x / (1 - x)}
+            return float(s[int(t)] / x)
+
+    @pytest.mark.parametrize("t", DEFAULT_T)
+    @pytest.mark.parametrize("B", [-0.9999, -0.99999, -0.999999])
+    def test_matches_mpmath_near_b_minus_one(self, B, t):
+        got = bounds._weighted_series.__wrapped__(B * B, t)
+        assert got == pytest.approx(self.reference(B * B, t), rel=5e-15, abs=0)
+
+    @pytest.mark.parametrize("t", DEFAULT_T)
+    @pytest.mark.parametrize("B", [-0.75, -0.9, -0.95])
+    def test_matches_the_direct_sum(self, B, t):
+        x = B * B
+        direct = math.fsum((n + 1.0) ** t * x ** (n - 1) / n**2 for n in range(1, 2000))
+        assert bounds._weighted_series.__wrapped__(x, t) == pytest.approx(direct, rel=5e-15, abs=0)
+
+    @pytest.mark.parametrize("t", DEFAULT_T)
+    def test_continuous_at_one_half(self, t):
+        closed = bounds._weighted_series.__wrapped__(0.5, t)
+        loop = bounds._weighted_series.__wrapped__(math.nextafter(0.5, 0.0), t)
+        assert closed == pytest.approx(loop, rel=1e-14, abs=0)
+        assert closed == pytest.approx(self.reference(0.5, t), rel=5e-15, abs=0)
 
 
 class TestTailBound:

@@ -122,13 +122,12 @@ def test_failed_sharpness_row_reports_the_order_it_ran_at(tmp_path, monkeypatch,
 
     import starlog.verify as verify_mod
     from starlog.members import extremal_function
-    from starlog.series import from_coeffs
 
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
-        coeffs = list(member.log_ratio.coeffs)
+        coeffs = member.log_ratio.copy()
         coeffs[1] += 1e-4  # breaks |d_1|^2 equality
-        return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
+        return dataclasses.replace(member, log_ratio=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
     out = tmp_path / "sharp.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from starlog import logcoeffs
 from starlog.errors import WeightOutOfRange
 from starlog.logcoeffs import (
     LogCoeffVector,
@@ -126,6 +127,25 @@ class TestSums:
             current = (sum_sq(d), sum_n2(d), sum_weighted(d, 1.5))
             assert all(c >= p - 1e-15 for c, p in zip(current, previous))
             previous = current
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, 0.5, 1.0, 2.0])
+    def test_sums_equal_their_np_sum_forms_bitwise(self, t):
+        d = log_coefficients(member_from_seed(ClassParams(1, 2, 0.8 + 0.3j, -0.9), Rotation(0.7), 300))
+        sq = np.abs(d.d) ** 2
+        n = np.arange(1, d.n_terms + 1)
+        assert sum_sq(d) == float(np.sum(sq))
+        assert sum_n2(d) == float(np.sum(n**2.0 * sq))
+        assert sum_weighted(d, t) == float(np.sum((n + 1.0) ** t * sq))
+
+    def test_weights_are_memoised_per_length_and_exponent(self):
+        logcoeffs._weights.cache_clear()
+        for A in (1.0, 0.8 + 0.3j):
+            d = log_coefficients(extremal_function(ClassParams(1, 1, A, -0.9), 40))
+            for t in (-1.0, 0.0, 1.0, 2.0):
+                sum_weighted(d, t)
+        assert logcoeffs._weights.cache_info().misses == 4
+        with pytest.raises(ValueError):
+            logcoeffs._weights(40, 1.0)[0] = 0.0
 
     def test_rotation_preserves_moduli(self):
         params = ClassParams(1, 3, 0.5, -0.6)

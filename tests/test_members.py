@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from starlog.errors import InvalidParams, InvalidSeed, TruncationTooSmall
+from starlog.logcoeffs import log_coefficients
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -207,6 +208,16 @@ class TestMemberFromSeed:
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
             member_from_seed(ClassParams(1, 4, 1, -0.5), Identity(), 3)
+
+    def test_log_ratio_is_a_read_only_array_at_w_level(self):
+        # m = 3, N = 25: L_0..L_8 in w = z^3, read as the d_n with no copy of L kept
+        member = member_from_seed(ClassParams(1, 3, 1, -0.5), ExpDamp(0.3, 1.0), 25)
+        L = member.log_ratio
+        assert type(L) is np.ndarray and L.dtype == np.complex128 and L.shape == (9,)
+        assert L[0] == 0
+        with pytest.raises(ValueError):
+            L[1] = 0.0
+        assert log_coefficients(member).d.tolist() == (L[1:] / 2.0).tolist()
 
     @pytest.mark.parametrize("seed", SCHWARZ_SEEDS, ids=lambda s: s.label())
     def test_subordination_consistency(self, seed):

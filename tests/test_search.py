@@ -1,9 +1,16 @@
 """Adversarial extremal search: determinism and expected argmax location."""
 
+import math
+
+import numpy as np
 import pytest
 
-from starlog.members import ClassParams, ExpDamp, Polynomial, suggested_order
-from starlog.search import adversarial_search
+from starlog import search
+from starlog.bounds import thm_a_bound
+from starlog.errors import ConfigError, InvalidSeed
+from starlog.logcoeffs import log_coefficients, sum_sq
+from starlog.members import ClassParams, ExpDamp, Polynomial, member_from_seed, suggested_order
+from starlog.search import FAMILIES, adversarial_search
 
 
 def test_expdamp_finds_identity_corner():
@@ -42,8 +49,48 @@ def test_deterministic_given_seed_and_budget():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         adversarial_search(ClassParams(1, 1, 1, -0.5), "mystery", budget=10)
+
+
+def test_budget_below_one_rejected():
+    with pytest.raises(ConfigError):
+        adversarial_search(ClassParams(1, 1, 1, -0.5), "expdamp", budget=0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("B", [-0.5, -0.9])
+def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, B):
+    """Each ratio the search scores straight off the Toeplitz solve is the
+    plain-squares ratio of the seed's member, to the last bit."""
+    params = ClassParams(1, 2, 0.8 + 0.3j, B)
+    order = suggested_order(params)
+    recorded = []
+    record = search._Budget.record
+
+    def spy(self, seed, ratio):
+        recorded.append((seed, ratio))
+        return record(self, seed, ratio)
+
+    monkeypatch.setattr(search._Budget, "record", spy)
+    report = adversarial_search(params, family, budget=300, rng_seed=5)
+    assert len(recorded) == report.evaluations > 64
+    bound = thm_a_bound(params)
+    for seed, ratio in recorded:
+        assert ratio == sum_sq(log_coefficients(member_from_seed(params, seed, order))) / bound
+
+
+@pytest.mark.parametrize(
+    "make_seed, x",
+    [
+        (search._poly_seed, [0.1, math.nan, 0, 0, 0, 0, 0, 0]),
+        (search._expdamp_seed, [math.nan, 1.0]),
+        (search._expdamp_seed, [0.5, math.nan]),
+    ],
+)
+def test_nan_coordinate_raises_invalid_seed(make_seed, x):
+    with pytest.raises(InvalidSeed):
+        make_seed(np.array(x))
 
 
 @pytest.mark.parametrize("order", [None, 14])

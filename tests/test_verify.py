@@ -127,9 +127,9 @@ class TestCheckSharpness:
 
         def perturbed_extremal(params, order):
             member = extremal_function(params, order)
-            coeffs = list(member.log_ratio.coeffs)
+            coeffs = member.log_ratio.copy()
             coeffs[1] += 1e-4  # breaks |d_1|^2 equality
-            return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
+            return dataclasses.replace(member, log_ratio=coeffs)
 
         monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
         with pytest.raises(SharpnessFailure) as info:
@@ -279,9 +279,9 @@ def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch):
 
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
-        coeffs = list(member.log_ratio.coeffs)
+        coeffs = member.log_ratio.copy()
         coeffs[3] += 1e-6  # d_3 should vanish for B = 0
-        return dataclasses.replace(member, log_ratio=from_coeffs(coeffs))
+        return dataclasses.replace(member, log_ratio=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
     with pytest.raises(SharpnessFailure) as info:

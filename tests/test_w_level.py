@@ -134,7 +134,7 @@ def test_recursions_run_at_w_level_length(monkeypatch, order):
     member = member_from_seed(params, ExpDamp(0.4, 1.5), order)
     d = log_coefficients(member)
     assert solve_orders == [n_d]
-    assert d.n_terms == n_d and member.log_ratio.order == n_d
+    assert d.n_terms == n_d and len(member.log_ratio) == n_d + 1
     assert exp_orders == [] and log_orders == []
 
     # f itself is built on demand, by one exp at N_d
