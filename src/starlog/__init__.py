@@ -30,7 +30,6 @@ from .search import SearchReport, adversarial_search
 from .series import TruncatedSeries
 from .verify import (
     CheckRow,
-    VerificationReport,
     abel_weight_transfer,
     check_sharpness,
     rogosinski_l2_check,
@@ -52,7 +51,6 @@ __all__ = [
     "SchwarzSeed",
     "SearchReport",
     "TruncatedSeries",
-    "VerificationReport",
     "abel_weight_transfer",
     "adversarial_search",
     "check_sharpness",

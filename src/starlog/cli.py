@@ -20,7 +20,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from .errors import ConfigError, InvalidParams, SharpnessFailure, StarlogError
+from .errors import ConfigError, InvalidParams, StarlogError
 from .members import (
     ClassParams,
     ExpDamp,
@@ -34,7 +34,7 @@ from .members import (
 )
 from .polylog import li
 from .search import FAMILIES, adversarial_search
-from .verify import DEFAULT_TOL, SHARPNESS_TOL, check_sharpness, verify_member
+from .verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness, verify_member
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -200,23 +200,9 @@ def _verify_rows(args):
         order = args.terms or suggested_order(params)
         for seed in seeds:
             member = member_from_seed(params, seed, order)
-            report = verify_member(
+            yield from verify_member(
                 member, t_values=t_values, tol=args.tol, d1_offset=args.inject_d1
             )
-            for check in report.rows:
-                yield {
-                    "theorem": check.theorem,
-                    "seed": report.seed_label,
-                    "t": check.t,
-                    "N": report.order,
-                    "N_d": report.n_terms,
-                    "partial_sum": check.partial_sum,
-                    "bound": check.bound,
-                    "ratio": check.ratio,
-                    "pass": check.passed,
-                    "tail_bound": report.tail_bound,
-                    "note": check.note,
-                }
 
     return rows
 
@@ -235,18 +221,7 @@ def _verify_summary(rows, failed, points):
 
 
 def _sharpness_rows(args):
-    def rows(params):
-        row = {"theorem": "ThmA-sharpness", "seed": "identity", "note": ""}
-        try:
-            result = check_sharpness(params, order=args.terms or None, tol=args.tol, slow=args.slow)
-        except SharpnessFailure as exc:
-            note = f"term-by-term equality failed at n={exc.n}: {exc}"
-            return [{**row, "N": exc.order, "N_d": exc.n_terms, "pass": False, "note": note}]
-        row.update({key: result[key] for key in ("partial_sum", "tail_bound", "bound", "pass")})
-        ratio = (row["partial_sum"] + row["tail_bound"]) / row["bound"] if row["bound"] else None
-        return [{**row, "N": result["order"], "N_d": result["n_terms"], "ratio": ratio}]
-
-    return rows
+    return lambda params: [check_sharpness(params, args.terms or None, args.tol, args.slow)]
 
 
 def _sharpness_summary(rows, failed, points):
@@ -259,25 +234,19 @@ def _search_rows(args):
         report = adversarial_search(
             params, args.family, args.budget, args.rng_seed, order=args.terms or None
         )
+        seed, ratio = report.best_seed.label(), report.max_ratio
         print(
             f"search (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
-            f"B={params.B}) [{args.family}]: max ratio {report.max_ratio!r} at "
-            f"{report.best_seed.label()} after {report.evaluations} evaluations"
-            f"{'' if report.converged else ' (did not converge)'}",
+            f"B={params.B}) [{args.family}]: max ratio {ratio!r} at {seed} after "
+            f"{report.evaluations} evaluations{'' if report.converged else ' (did not converge)'}",
         )
-        return [
-            {
-                "theorem": "ThmA-search",
-                "seed": report.best_seed.label(),
-                "N": report.order,
-                "ratio": report.max_ratio,
-                "pass": report.max_ratio <= 1.0 + args.tol,
-                "note": (
-                    f"family={args.family} budget={args.budget} "
-                    f"evaluations={report.evaluations} converged={report.converged}"
-                ),
-            }
-        ]
+        note = (
+            f"family={args.family} budget={args.budget} "
+            f"evaluations={report.evaluations} converged={report.converged}"
+        )
+        passed = ratio <= 1.0 + args.tol
+        N = report.order
+        return [CheckRow("ThmA-search", seed, N, None, None, None, None, ratio, passed, None, note)]
 
     return rows
 
@@ -288,23 +257,29 @@ def _row_key(row: dict) -> tuple:
 
 
 def _run(args) -> int:
-    """Run one grid command: `args.rows(args)` maps a ClassParams to its report
-    fields, and this does the rest: timing, row filling, sorting, the report,
-    the stderr summary (`args.summary`) and the exit code."""
+    """Run one grid command: `args.rows(args)` maps a ClassParams to its
+    CheckRows, and this does the rest: timing, report rows, sorting, the
+    report, the stderr summary (`args.summary`) and the exit code."""
     grid = _parse_grid(args)
     point_rows = args.rows(args)
     timestamp = datetime.now(timezone.utc).isoformat()
     if not grid:
         print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
-    empty_row = dict.fromkeys(REPORT_COLUMNS[:-2] if args.no_timestamp else REPORT_COLUMNS)
     rows = []
     for params in grid:
         start = time.perf_counter()
-        fields = list(point_rows(params))
-        point = dict(empty_row, j=params.j, k=params.k, A=format_complex(params.A), B=params.B)
-        if not args.no_timestamp:
-            point.update(elapsed=time.perf_counter() - start, timestamp=timestamp)
-        rows.extend({**point, **f} for f in fields)  # fields hold report columns only
+        checks = list(point_rows(params))
+        elapsed = time.perf_counter() - start
+        stamp = {} if args.no_timestamp else {"elapsed": elapsed, "timestamp": timestamp}
+        j, k, A, B = params.j, params.k, format_complex(params.A), params.B
+        # each CheckRow becomes its report row here, keyed in REPORT_COLUMNS order
+        rows.extend(
+            {"theorem": c.theorem, "j": j, "k": k, "A": A, "B": B, "seed": c.seed, "t": c.t,
+             "N": c.N, "N_d": c.N_d, "partial_sum": c.partial_sum, "bound": c.bound,
+             "ratio": c.ratio, "pass": c.passed, "tail_bound": c.tail_bound, "note": c.note,
+             **stamp}
+            for c in checks
+        )
     rows.sort(key=_row_key)
     failed = [r for r in rows if not r["pass"]]
     # without a summary (search) stdout carries one line per point, so "-" writes no report

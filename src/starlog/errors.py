@@ -49,26 +49,6 @@ class HypothesisViolated(StarlogError):
     """Partial-sum dominance hypothesis fails in the weight-transfer check."""
 
 
-class SharpnessFailure(StarlogError):
-    """Extremal coefficient fails the term-by-term equality check.
-
-    `n` is the first failing index; `order` and `n_terms` are the truncation
-    N and the coefficient count N_d the check ran at.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        n: int | None = None,
-        order: int | None = None,
-        n_terms: int | None = None,
-    ):
-        super().__init__(message)
-        self.n = n
-        self.order = order
-        self.n_terms = n_terms
-
-
 class SlowModeRequired(StarlogError):
     """Requested certification needs the explicit slow mode (|B| near 1)."""
 

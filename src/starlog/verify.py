@@ -8,7 +8,7 @@ an analytic tail bound to bracket the bound value from both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import (
     BExcluded,
     DivergentSeries,
     HypothesisViolated,
-    SharpnessFailure,
     SlowModeRequired,
     WeightOutOfRange,
 )
@@ -31,34 +30,21 @@ SHARPNESS_TOL = 1e-8
 COEFF_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    """Outcome of one inequality check."""
+class CheckRow(NamedTuple):
+    """One check, as one report row: every report column but the parameters
+    and the timing, with `passed` for the report's `pass`."""
 
     theorem: str
+    seed: str
+    N: int | None
+    N_d: int | None
     t: float | None
     partial_sum: float | None
     bound: float | None
     ratio: float | None
     passed: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """All checks for one (params, seed) member."""
-
-    params: ClassParams
-    seed_label: str
-    order: int
-    n_terms: int
-    tol: float
     tail_bound: float | None
-    rows: list[CheckRow] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+    note: str
 
 
 def verify_member(
@@ -66,7 +52,7 @@ def verify_member(
     t_values: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0),
     tol: float = DEFAULT_TOL,
     d1_offset: complex = 0j,
-) -> VerificationReport:
+) -> list[CheckRow]:
     """Check every bound on one member; pass means ratio <= 1 + tol.
 
     `d1_offset` is a fault-injection hook: it perturbs d_1 before checking,
@@ -78,36 +64,30 @@ def verify_member(
         shifted = d.d.copy()
         shifted[0] += complex(d1_offset)
         d = LogCoeffVector(d=shifted, m=d.m)
+    seed, order, n_d = member.seed.label(), member.order, d.n_terms
+    tail = extremal_tail_bound(params, n_d) if isinstance(member.seed, Identity) else None
 
     def check(theorem: str, t: float | None, s: float, bound_fn, *bound_args) -> CheckRow:
+        note = ""
         try:
             bound = bound_fn(params, *bound_args)
         except BExcluded:
+            bound, ratio, passed = None, None, True
             note = "skipped: B = -1 excluded by the theorem hypothesis"
-            return CheckRow(theorem, t, s, bound=None, ratio=None, passed=True, note=note)
         except DivergentSeries:
+            bound, ratio, passed = math.inf, 0.0, True
             note = "bound series diverges at B = -1; inequality vacuous"
-            return CheckRow(theorem, t, s, bound=math.inf, ratio=0.0, passed=True, note=note)
-        # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
-        ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
-        return CheckRow(theorem, t, s, bound, ratio, passed=ratio <= 1.0 + tol)
+        else:
+            # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
+            ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
+            passed = ratio <= 1.0 + tol
+        return CheckRow(theorem, seed, order, n_d, t, s, bound, ratio, passed, tail, note)
 
-    rows = [
+    return [
         check("ThmA", None, sum_sq(d), thm_a_bound),
         check("Thm2", None, sum_n2(d), thm2_bound),
         *(check(f"Thm3(t={t:g})", t, sum_weighted(d, t), thm3_bound, t) for t in t_values),
     ]
-
-    tail = extremal_tail_bound(params, d.n_terms) if isinstance(member.seed, Identity) else None
-    return VerificationReport(
-        params=params,
-        seed_label=member.seed.label(),
-        order=member.order,
-        n_terms=d.n_terms,
-        tol=tol,
-        tail_bound=tail,
-        rows=rows,
-    )
 
 
 def check_sharpness(
@@ -115,13 +95,14 @@ def check_sharpness(
     order: int | None = None,
     tol: float = SHARPNESS_TOL,
     slow: bool = False,
-) -> dict:
+) -> CheckRow:
     """Certify equality of the plain-squares bound at the extremal member.
 
     Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then brackets the
-    bound by partial sum plus analytic tail.  |B| > 0.9 decays too slowly
-    for the default budget and requires slow=True (B = -1 then uses the
-    exact trigamma tail with N_d >= 10^4).
+    bound by partial sum plus analytic tail; a term that differs gives a
+    failed row whose note names the first such n.  |B| > 0.9 decays too
+    slowly for the default budget and requires slow=True (B = -1 then uses
+    the exact trigamma tail with N_d >= 10^4).
     """
     if abs(params.B) > 0.9 and not slow:
         raise SlowModeRequired(
@@ -135,16 +116,17 @@ def check_sharpness(
             order = suggested_order(params)
     member = extremal_function(params, order)
     d = log_coefficients(member)
-    ran_at = {"order": member.order, "n_terms": d.n_terms}
+    ran_at = ("ThmA-sharpness", "identity", member.order, d.n_terms, None)
 
+    mismatch = None
     if params.B == 0.0:
         expected_first = abs(params.A / (2.0 * params.m)) ** 2
-        if abs(abs(d[0]) ** 2 - expected_first) > COEFF_TOL:
-            raise SharpnessFailure(f"|d_1|^2 = {abs(d[0])**2} != {expected_first}", n=1, **ran_at)
         bad = np.nonzero(np.abs(d.d[1:]) > COEFF_TOL)[0]
-        if bad.size:
+        if abs(abs(d[0]) ** 2 - expected_first) > COEFF_TOL:
+            mismatch = f"n=1: |d_1|^2 = {abs(d[0])**2} != {expected_first}"
+        elif bad.size:
             n = int(bad[0]) + 2
-            raise SharpnessFailure(f"d_{n} = {d[n - 1]} should vanish for B = 0", n=n, **ran_at)
+            mismatch = f"n={n}: d_{n} = {d[n - 1]} should vanish for B = 0"
     else:
         sq = d.abs_sq
         g, b2 = lead_factor(params), params.B * params.B
@@ -152,27 +134,18 @@ def check_sharpness(
         bad = np.nonzero(np.abs(sq - expected) > COEFF_TOL)[0]
         if bad.size:
             n = int(bad[0]) + 1
-            raise SharpnessFailure(
-                f"|d_{n}|^2 = {sq[n - 1]} != {expected[n - 1]} (diff {sq[n - 1] - expected[n - 1]})",
-                n=n,
-                **ran_at,
-            )
+            diff = sq[n - 1] - expected[n - 1]
+            mismatch = f"n={n}: |d_{n}|^2 = {sq[n - 1]} != {expected[n - 1]} (diff {diff})"
+    if mismatch is not None:
+        note = f"term-by-term equality failed at {mismatch}"
+        return CheckRow(*ran_at, None, None, None, False, None, note)
 
     partial = sum_sq(d)
     tail = extremal_tail_bound(params, d.n_terms)
     bound = thm_a_bound(params)
-    bracket_err = abs(partial + tail - bound)
-    passed = bracket_err <= tol * bound
-    return {
-        "params": params,
-        "order": member.order,
-        "n_terms": d.n_terms,
-        "partial_sum": partial,
-        "tail_bound": tail,
-        "bound": bound,
-        "bracket_err": bracket_err,
-        "pass": passed,
-    }
+    ratio = (partial + tail) / bound if bound else None
+    passed = abs(partial + tail - bound) <= tol * bound
+    return CheckRow(*ran_at, partial, bound, ratio, passed, tail, "")
 
 
 def rogosinski_l2_check(

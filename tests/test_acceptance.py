@@ -75,9 +75,9 @@ def test_criterion_3_thm_a_sharpness():
 
 def test_criterion_3_koebe_slow_mode():
     result = sl.check_sharpness(sl.ClassParams(1, 1, 1, -1), slow=True)
-    assert result["n_terms"] >= 10_000
-    assert abs(result["partial_sum"] - ZETA2) <= 1e-4
-    assert abs(result["partial_sum"] + result["tail_bound"] - ZETA2) <= 1e-9
+    assert result.N_d >= 10_000
+    assert abs(result.partial_sum - ZETA2) <= 1e-4
+    assert abs(result.partial_sum + result.tail_bound - ZETA2) <= 1e-9
     _announce(3, "Koebe slow mode reproduces pi^2/6 (1e-4 by partial sum, 1e-9 with tail)")
 
 
@@ -120,8 +120,8 @@ def test_criterion_6_soundness_fuzzing():
             seed = sl.Polynomial(coeffs=tuple(raw.tolist()))
         member = sl.member_from_seed(params, seed, sl.suggested_order(params))
         report = sl.verify_member(member, t_values=T_VALUES, tol=1e-9)
-        assert report.all_passed, (params, seed.label())
-        checked += sum(1 for r in report.rows if r.ratio is not None)
+        assert all(r.passed for r in report), (params, seed.label())
+        checked += sum(1 for r in report if r.ratio is not None)
     _announce(6, f"200 fuzzed members, {checked} ratios, zero violations at 1 + 1e-9")
 
 
