@@ -60,6 +60,12 @@ class ClassParams:
             raise InvalidParams(f"A = {self.A}: |A - B|^2 is not a finite double")
         if self.A == complex(self.B):
             raise InvalidParams("A = B degenerates the class")
+        # below the smallest normal double G = (|A - B|/(2m))^2 loses its digits, and at 0
+        # every bound reads 0
+        if not (scale / (2.0 * self.m)) ** 2 >= sys.float_info.min:
+            raise InvalidParams(
+                f"A = {self.A}, B = {self.B}: G = (|A - B|/(2m))^2 is not a positive normal double"
+            )
 
     @property
     def m(self) -> int:

@@ -143,8 +143,10 @@ def check_sharpness(
     partial = sum_sq(d)
     tail = extremal_tail_bound(params, d.n_terms)
     bound = thm_a_bound(params)
-    ratio = (partial + tail) / bound if bound else None
-    passed = abs(partial + tail - bound) <= tol * bound
+    # fail closed, as verify_member does: only a positive finite bound can pass
+    ok = math.isfinite(bound) and bound > 0
+    ratio = (partial + tail) / bound if ok else math.nan
+    passed = ok and abs(partial + tail - bound) <= tol * bound
     return CheckRow(*ran_at, partial, bound, ratio, passed, tail, "")
 
 

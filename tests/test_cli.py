@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from starlog import cli
-from starlog.cli import MAX_TERMS, build_parser, main, write_report
-from starlog.members import ExpDamp, Identity, Polynomial
-from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL
+from starlog.cli import MAX_TERMS, REPORT_COLUMNS, build_parser, main, write_report
+from starlog.members import ClassParams, ExpDamp, Identity, Polynomial
+from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness
 
 SMALL_GRID = ["--j", "1", "--k", "1,2", "--A", "1", "--B", "-0.5"]
 
@@ -115,6 +115,27 @@ def test_sharpness_small_grid(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(out.read_text())
     assert rows and all(r["pass"] for r in rows)
+
+
+def test_check_row_fields_are_the_report_columns():
+    # `passed` is reported as `pass`, the only renamed column; the parameters and the
+    # timing are the only columns a CheckRow does not carry
+    columns = ["pass" if name == "passed" else name for name in CheckRow._fields]
+    assert "passed" not in REPORT_COLUMNS and "pass" in REPORT_COLUMNS
+    assert set(CheckRow._fields) - {"passed"} <= set(REPORT_COLUMNS)
+    assert set(REPORT_COLUMNS) - set(columns) == {"j", "k", "A", "B", "elapsed", "timestamp"}
+
+
+def test_report_row_carries_every_check_row_field(tmp_path):
+    out = tmp_path / "sharp.json"
+    assert main(["sharpness", "--j", "1", "--k", "2", "--A", "0.8+0.3i", "--B=-0.5",
+                 "--no-timestamp", "--out", str(out)]) == 0
+    [row] = json.loads(out.read_text())
+    check = check_sharpness(ClassParams(1, 2, 0.8 + 0.3j, -0.5))
+    assert {name: row["pass" if name == "passed" else name] for name in CheckRow._fields} == (
+        check._asdict()
+    )
+    assert (row["j"], row["k"], row["A"], row["B"]) == (1, 2, "0.8+0.3i", -0.5)
 
 
 def test_failed_sharpness_row_reports_the_order_it_ran_at(tmp_path, monkeypatch, capsys):
@@ -253,6 +274,18 @@ def test_search_reads_out_from_config(tmp_path, out):
         assert not report.exists()
         assert proc.stdout.startswith("search (") and proc.stdout.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("command", ["verify", "sharpness", "search"])
+def test_underflowing_lead_factor_is_a_config_error(tmp_path, command):
+    # at A = 1e-170, B = 0 every bound's scale G underflows to 0
+    out = tmp_path / "report.json"
+    grid = ["--j", "1", "--k", "1", "--A", "1e-170", "--B", "0"]
+    budget = ["--budget", "20"] if command == "search" else []
+    proc = run_cli(command, *grid, *budget, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "positive normal double" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def exit_code(argv):

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from starlog.bounds import lead_factor
 from starlog.errors import InvalidParams, InvalidSeed, TruncationTooSmall
 from starlog.logcoeffs import log_coefficients
 from starlog.members import (
@@ -271,6 +273,20 @@ def test_non_finite_a_rejected(A):
     # 1e300 is finite, but |A - B|^2 (the scale of every bound) overflows
     with pytest.raises(InvalidParams):
         ClassParams(1, 1, A, -0.5)
+
+
+@pytest.mark.parametrize(
+    "j, k, A", [(1, 1, 1e-170), (1, 1, 1e-155), (1, 4, 1e-153), (1, 2, 1e-170j)]
+)
+def test_underflowing_lead_factor_rejected(j, k, A):
+    # G = (|A - B|/(2m))^2 scales every bound; subnormal or 0, the bounds lose their digits
+    with pytest.raises(InvalidParams, match="positive normal double"):
+        ClassParams(j, k, A, 0.0)
+
+
+def test_smallest_normal_lead_factor_accepted():
+    params = ClassParams(1, 1, 3e-154, 0.0)  # G = 2.25e-308, just above the smallest normal
+    assert lead_factor(params) >= sys.float_info.min
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,15 @@ def test_verify_member_fails_closed_on_bad_bound(monkeypatch, bad_bound):
     assert not all(r.passed for r in rows)
 
 
+@pytest.mark.parametrize("bad_bound", [math.nan, 0.0, -1.0, math.inf])
+def test_check_sharpness_fails_closed_on_bad_bound(monkeypatch, bad_bound):
+    import starlog.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "thm_a_bound", lambda params: bad_bound)
+    row = check_sharpness(ClassParams(1, 2, 1, -0.5))
+    assert not row.passed and math.isnan(row.ratio)
+
+
 def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
     import starlog.verify as verify_mod
 
