@@ -9,6 +9,8 @@ right-hand side is G times a kernel of B^2 (and t):
   * (n+1)^t weights:    G * sum_n (n+1)^t B^{2(n-1)} / n^2,  t <= 2.
 
 Every kernel is continuous at B = 0, where only the n = 1 term survives.
+1 - B^2 is taken as (1 - B)(1 + B), not from the rounded square B*B, which
+would lose about 1e-16/(1 - B^2) relative as B -> -1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import BExcluded, DivergentSeries, WeightOutOfRange
 from .members import ClassParams
 from .polylog import hurwitz_zeta, li, li_ratio
 
-#: entries kept by each memoised kernel; a sweep asks for a few distinct B^2 and t
+#: entries kept by each memoised kernel; a sweep asks for a few distinct B and t
 _CACHE_SIZE = 1024
 
 
@@ -44,16 +46,16 @@ def thm2_bound(params: ClassParams) -> float:
     """Sharp bound on sum n^2 |d_n|^2: G / (1 - B^2); B != -1."""
     if params.B == -1.0:
         raise BExcluded("the n^2-weighted bound excludes B = -1")
-    return lead_factor(params) / (1.0 - params.B**2)
+    return lead_factor(params) / ((1.0 - params.B) * (1.0 + params.B))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _weighted_series(x: float, t: float) -> float:
-    """sum_{n>=1} (n+1)^t x^{n-1} / n^2 for 0 <= x <= 1 (t < 1 required at x = 1).
+def _weighted_series(B: float, t: float) -> float:
+    """sum_{n>=1} (n+1)^t x^{n-1} / n^2 at x = B^2 <= 1 (t < 1 required at x = 1).
 
-    Memoised on the floats (x, t).  For t in {-1, 0, 1, 2} and 1/2 <= x < 1
+    Memoised on the floats (B, t).  For t in {-1, 0, 1, 2} and 1/2 <= x < 1
     a closed form S/x, where (n+1)^t/n^2 splits into 1/n^2, 1/n, 1 and
-    1/(n+1) and l = -log(1 - x):
+    1/(n+1), and l = -log(1 - x) and 1 - x come from (1 - B)(1 + B):
 
       t = 0:  S = Li_2(x)              t = 1:  S = Li_2(x) + l
       t = 2:  S = Li_2(x) + 2l + x/(1-x)
@@ -63,9 +65,15 @@ def _weighted_series(x: float, t: float) -> float:
     2^t), about 50 terms below x = 1/2; for x = 1 a direct head plus a
     binomial expansion of (1+1/n)^t into Hurwitz-zeta tails.
     """
+    x = B * B
     if 0.5 <= x < 1.0 and t in (-1.0, 0.0, 1.0, 2.0):
-        ell = -math.log1p(-x)
-        extra = {-1.0: (ell - x) / x - ell, 0.0: 0.0, 1.0: ell, 2.0: 2.0 * ell + x / (1.0 - x)}
+        ell = -(math.log1p(B) + math.log1p(-B))
+        extra = {
+            -1.0: (ell - x) / x - ell,
+            0.0: 0.0,
+            1.0: ell,
+            2.0: 2.0 * ell + x / ((1.0 - B) * (1.0 + B)),
+        }
         return (li(2.0, x) + extra[t]) / x
     if x < 1.0:
         total = 0.0
@@ -101,10 +109,9 @@ def thm3_bound(params: ClassParams, t: float) -> float:
     # NaN would never stop the series loop, -inf gives a NaN bound
     if not (math.isfinite(t) and t <= 2.0):
         raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
-    b2 = params.B * params.B
-    if b2 == 1.0 and t >= 1.0:
+    if params.B == -1.0 and t >= 1.0:
         raise DivergentSeries(f"sum (n+1)^t / n^2 diverges for t = {t} >= 1 at B = -1")
-    return lead_factor(params) * _weighted_series(b2, t)
+    return lead_factor(params) * _weighted_series(params.B, t)
 
 
 def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
@@ -113,8 +120,8 @@ def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
     Geometric bound G * B^{2N} / ((N+1)^2 (1 - B^2)) for |B| < 1; the exact
     trigamma tail G * psi_1(N+1) at B = -1.
     """
-    b2 = params.B * params.B
+    B = params.B
     g = lead_factor(params)
-    if b2 == 1.0:
+    if B == -1.0:
         return g * hurwitz_zeta(2.0, n_terms + 1.0)
-    return g * b2**n_terms / ((n_terms + 1) ** 2 * (1.0 - b2))
+    return g * (B * B) ** n_terms / ((n_terms + 1) ** 2 * ((1.0 - B) * (1.0 + B)))

@@ -154,14 +154,13 @@ class TestMemoisedKernels:
         # the grid runs twice, in both orders: the second pass answers from the cache
         bounds._weighted_series.cache_clear()
         for B, t in list(reversed(MEMO_GRID)) + MEMO_GRID:
-            x = B * B
-            assert bounds._weighted_series(x, t) == bounds._weighted_series.__wrapped__(x, t)
+            assert bounds._weighted_series(B, t) == bounds._weighted_series.__wrapped__(B, t)
 
     def test_bounds_use_the_unmemoised_values(self):
         for B, t in MEMO_GRID:
             params = ClassParams(1, 2, 0.8 + 0.3j, B)
             lead = (abs(params.A - B) / 4.0) ** 2
-            assert thm3_bound(params, t) == lead * bounds._weighted_series.__wrapped__(B * B, t)
+            assert thm3_bound(params, t) == lead * bounds._weighted_series.__wrapped__(B, t)
             assert thm_a_bound(params) == lead * li_ratio(B * B)
 
     def test_repeated_rows_hit_the_cache(self):
@@ -183,9 +182,10 @@ class TestClosedFormKernel:
     """sum (n+1)^t x^{n-1}/n^2 for the default t at x = B^2 >= 1/2 (Li_2 and log1p)."""
 
     @staticmethod
-    def reference(x, t):
+    def reference(B, t):
+        """The kernel at the exact square of the double B, to 40 digits."""
         with mpmath.workdps(40):
-            x = mpmath.mpf(x)
+            x = mpmath.mpf(B) ** 2
             li2, li1 = mpmath.polylog(2, x), mpmath.polylog(1, x)
             # (n+1)^t / n^2 in partial fractions over 1/n^2, 1/n, 1 and 1/(n+1)
             s = {-1: li2 - li1 + (li1 - x) / x, 0: li2, 1: li2 + li1, 2: li2 + 2 * li1 + x / (1 - x)}
@@ -194,22 +194,32 @@ class TestClosedFormKernel:
     @pytest.mark.parametrize("t", DEFAULT_T)
     @pytest.mark.parametrize("B", [-0.9999, -0.99999, -0.999999])
     def test_matches_mpmath_near_b_minus_one(self, B, t):
-        got = bounds._weighted_series.__wrapped__(B * B, t)
-        assert got == pytest.approx(self.reference(B * B, t), rel=5e-15, abs=0)
+        got = bounds._weighted_series.__wrapped__(B, t)
+        assert got == pytest.approx(self.reference(B, t), rel=5e-15, abs=0)
+
+    @pytest.mark.parametrize("B", [-0.9999, -0.99999, -0.999999])
+    def test_thm2_matches_mpmath_near_b_minus_one(self, B):
+        params = ClassParams(1, 1, 1, B)
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(bounds.lead_factor(params)) / (1 - mpmath.mpf(B) ** 2))
+        assert thm2_bound(params) == pytest.approx(exact, rel=5e-15, abs=0)
 
     @pytest.mark.parametrize("t", DEFAULT_T)
     @pytest.mark.parametrize("B", [-0.75, -0.9, -0.95])
     def test_matches_the_direct_sum(self, B, t):
         x = B * B
         direct = math.fsum((n + 1.0) ** t * x ** (n - 1) / n**2 for n in range(1, 2000))
-        assert bounds._weighted_series.__wrapped__(x, t) == pytest.approx(direct, rel=5e-15, abs=0)
+        assert bounds._weighted_series.__wrapped__(B, t) == pytest.approx(direct, rel=5e-15, abs=0)
 
     @pytest.mark.parametrize("t", DEFAULT_T)
     def test_continuous_at_one_half(self, t):
-        closed = bounds._weighted_series.__wrapped__(0.5, t)
-        loop = bounds._weighted_series.__wrapped__(math.nextafter(0.5, 0.0), t)
+        # B runs over the two doubles whose squares straddle x = 1/2
+        B = -math.sqrt(0.5)
+        assert B * B >= 0.5 > math.nextafter(B, 0.0) ** 2
+        closed = bounds._weighted_series.__wrapped__(B, t)
+        loop = bounds._weighted_series.__wrapped__(math.nextafter(B, 0.0), t)
         assert closed == pytest.approx(loop, rel=1e-14, abs=0)
-        assert closed == pytest.approx(self.reference(0.5, t), rel=5e-15, abs=0)
+        assert closed == pytest.approx(self.reference(B, t), rel=5e-15, abs=0)
 
 
 class TestTailBound:
