@@ -2,7 +2,7 @@
 
 The extremal member has d_n = (A-B)/(2m) (-B)^{n-1} / n, so
 |d_n|^2 = G B^{2(n-1)} / n^2 with G = (|A-B|/(2m))^2 = |d_1|^2, and each
-right-hand side is G times a kernel of B^2 (and t):
+right-hand side is G (`ClassParams.G`) times a kernel of B^2 (and t):
 
   * plain squares:      G * Li_2(B^2)/B^2;
   * n^2 weights:        G / (1 - B^2),  B != -1;
@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
-from .errors import BExcluded, DivergentSeries, WeightOutOfRange
+from .errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from .members import ClassParams
 from .polylog import hurwitz_zeta, li, li_ratio
 
 #: entries kept by each memoised kernel; a sweep asks for a few distinct B and t
 _CACHE_SIZE = 1024
-
-
-def lead_factor(params: ClassParams) -> float:
-    """G = (|A-B|/(2m))^2, the |d_1|^2 of the extremal member."""
-    return (abs(params.A - params.B) / (2.0 * params.m)) ** 2
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -37,16 +33,33 @@ def _li2_ratio(x: float) -> float:
     return li_ratio(x)
 
 
+def _in_range(bound: float, params: ClassParams, theorem: str, t: float | None = None) -> float:
+    """`bound`, if it is a positive normal finite double; else InvalidParams
+    naming the theorem, t, A and B.
+
+    A subnormal bound has lost its digits, a zero one fails every check on a
+    NaN ratio and an infinite one makes every check vacuous.  The
+    plain-squares bound needs no check: it lies in [G, 1.65 G].
+    """
+    if not sys.float_info.min <= bound < math.inf:  # also false for NaN
+        name = theorem if t is None else f"{theorem}(t={t:g})"
+        raise InvalidParams(
+            f"{name} bound at A = {params.A}, B = {params.B} is {bound}, "
+            "not a positive normal finite double"
+        )
+    return bound
+
+
 def thm_a_bound(params: ClassParams) -> float:
     """Sharp bound on sum |d_n|^2: G * Li_2(B^2)/B^2."""
-    return lead_factor(params) * _li2_ratio(params.B**2)
+    return params.G * _li2_ratio(params.B**2)
 
 
 def thm2_bound(params: ClassParams) -> float:
     """Sharp bound on sum n^2 |d_n|^2: G / (1 - B^2); B != -1."""
     if params.B == -1.0:
         raise BExcluded("the n^2-weighted bound excludes B = -1")
-    return lead_factor(params) / ((1.0 - params.B) * (1.0 + params.B))
+    return _in_range(params.G / ((1.0 - params.B) * (1.0 + params.B)), params, "Thm2")
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -111,7 +124,7 @@ def thm3_bound(params: ClassParams, t: float) -> float:
         raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
     if params.B == -1.0 and t >= 1.0:
         raise DivergentSeries(f"sum (n+1)^t / n^2 diverges for t = {t} >= 1 at B = -1")
-    return lead_factor(params) * _weighted_series(params.B, t)
+    return _in_range(params.G * _weighted_series(params.B, t), params, "Thm3", t)
 
 
 def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
@@ -121,7 +134,6 @@ def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
     trigamma tail G * psi_1(N+1) at B = -1.
     """
     B = params.B
-    g = lead_factor(params)
     if B == -1.0:
-        return g * hurwitz_zeta(2.0, n_terms + 1.0)
-    return g * (B * B) ** n_terms / ((n_terms + 1) ** 2 * ((1.0 - B) * (1.0 + B)))
+        return params.G * hurwitz_zeta(2.0, n_terms + 1.0)
+    return params.G * (B * B) ** n_terms / ((n_terms + 1) ** 2 * ((1.0 - B) * (1.0 + B)))

@@ -44,24 +44,11 @@ EXIT_IO = 3
 #: largest --terms accepted; above slow Koebe certification's 10^4 m terms
 MAX_TERMS = 10**6
 
+#: a CheckRow's fields, `passed` written as `pass`, with the parameters after the theorem
 REPORT_COLUMNS = [
-    "theorem",
-    "j",
-    "k",
-    "A",
-    "B",
-    "seed",
-    "t",
-    "N",
-    "N_d",
-    "partial_sum",
-    "bound",
-    "ratio",
-    "pass",
-    "tail_bound",
-    "note",
-    "elapsed",
-    "timestamp",
+    "theorem", "j", "k", "A", "B",
+    *("pass" if name == "passed" else name for name in CheckRow._fields[1:]),
+    "elapsed", "timestamp",
 ]
 
 SEED_KINDS = ("identity", "rotation", "expdamp", "poly")
@@ -246,7 +233,7 @@ def _search_rows(args):
         )
         passed = ratio <= 1.0 + args.tol
         N = report.order
-        return [CheckRow("ThmA-search", seed, N, None, None, None, None, ratio, passed, None, note)]
+        return [CheckRow("ThmA-search", seed, None, N, None, None, None, ratio, passed, None, note)]
 
     return rows
 
@@ -270,16 +257,9 @@ def _run(args) -> int:
         start = time.perf_counter()
         checks = list(point_rows(params))
         elapsed = time.perf_counter() - start
-        stamp = {} if args.no_timestamp else {"elapsed": elapsed, "timestamp": timestamp}
-        j, k, A, B = params.j, params.k, format_complex(params.A), params.B
-        # each CheckRow becomes its report row here, keyed in REPORT_COLUMNS order
-        rows.extend(
-            {"theorem": c.theorem, "j": j, "k": k, "A": A, "B": B, "seed": c.seed, "t": c.t,
-             "N": c.N, "N_d": c.N_d, "partial_sum": c.partial_sum, "bound": c.bound,
-             "ratio": c.ratio, "pass": c.passed, "tail_bound": c.tail_bound, "note": c.note,
-             **stamp}
-            for c in checks
-        )
+        stamp = () if args.no_timestamp else (elapsed, timestamp)
+        point = (params.j, params.k, format_complex(params.A), params.B)
+        rows.extend(dict(zip(REPORT_COLUMNS, (c[0], *point, *c[1:], *stamp))) for c in checks)
     rows.sort(key=_row_key)
     failed = [r for r in rows if not r["pass"]]
     # without a summary (search) stdout carries one line per point, so "-" writes no report

@@ -21,7 +21,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +41,17 @@ def check_pair(j: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Parameters (j, k, A, B) of the class; m = j + k - 1."""
+    """Parameters (j, k, A, B) of the class; m = j + k - 1.
+
+    `G` = (|A - B|/(2m))^2, the |d_1|^2 of the extremal member, scales every
+    bound; it is derived, so equality, hash and repr ignore it.
+    """
 
     j: int
     k: int
     A: complex
     B: float
+    G: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", complex(self.A))
@@ -55,14 +60,14 @@ class ClassParams:
         if not -1.0 <= self.B <= 0.0:
             raise InvalidParams(f"B = {self.B} outside [-1, 0]")
         # every bound scales with |A - B|^2, which must stay finite (this also rejects NaN)
-        scale = math.hypot(self.A.real - self.B, self.A.imag)
+        scale = abs(self.A - self.B)
         if not math.isfinite(scale * scale):
             raise InvalidParams(f"A = {self.A}: |A - B|^2 is not a finite double")
         if self.A == complex(self.B):
             raise InvalidParams("A = B degenerates the class")
-        # below the smallest normal double G = (|A - B|/(2m))^2 loses its digits, and at 0
-        # every bound reads 0
-        if not (scale / (2.0 * self.m)) ** 2 >= sys.float_info.min:
+        object.__setattr__(self, "G", (scale / (2.0 * self.m)) ** 2)
+        # below the smallest normal double G loses its digits, and at 0 every bound reads 0
+        if not self.G >= sys.float_info.min:
             raise InvalidParams(
                 f"A = {self.A}, B = {self.B}: G = (|A - B|/(2m))^2 is not a positive normal double"
             )

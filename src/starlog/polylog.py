@@ -19,34 +19,28 @@ from .errors import DomainError
 ZETA2 = math.pi**2 / 6
 #: hard stop of the direct series, far beyond any cut the tail bounds make
 _SERIES_MAX_TERMS = 20_000_000
-#: terms held before they are folded into a two-float sum
-_CHUNK = 4096
 
 
 def _series_sum(v: float, x: float) -> float:
-    """Direct sum of x^n / n^v; stops once either tail bound falls below 1e-16,
-    and raises DomainError if neither does within `_SERIES_MAX_TERMS` terms.
-    Each full chunk folds into its fsum and that sum's rounding error, so
-    memory stays constant and the final fsum loses ~1e-32 relative a chunk."""
-    terms = []
-    xn = 1.0
-    for n in range(1, _SERIES_MAX_TERMS + 1):
-        xn *= x
-        term = xn / n**v
-        terms.append(term)
-        if len(terms) == _CHUNK:
-            total = math.fsum(terms)
-            terms = [total, math.fsum([*terms, -total])]
-        if term == 0.0:
-            break
-        # geometric tail and integral-test tail; either certifies the cut
-        geo = term * x / (1.0 - x) if x < 1.0 else math.inf
-        power = xn * x * n ** (1.0 - v) / (v - 1.0) if v > 1.0 else math.inf
-        if min(geo, power) < 1e-16:
-            break
-    else:
+    """Direct sum of x^n / n^v, rounded once by fsum in constant memory; stops
+    once either tail bound falls below 1e-16, and raises DomainError if
+    neither does within `_SERIES_MAX_TERMS` terms."""
+
+    def terms():
+        xn = 1.0
+        for n in range(1, _SERIES_MAX_TERMS + 1):
+            xn *= x
+            term = xn / n**v
+            yield term
+            # geometric tail and integral-test tail; either certifies the cut (a term
+            # that underflows to 0 has x < 1, so its geometric tail is 0 too)
+            geo = term * x / (1.0 - x) if x < 1.0 else math.inf
+            power = xn * x * n ** (1.0 - v) / (v - 1.0) if v > 1.0 else math.inf
+            if min(geo, power) < 1e-16:
+                return
         raise DomainError(f"Li_{v}({x}): tail above 1e-16 after {_SERIES_MAX_TERMS} terms")
-    return math.fsum(terms)
+
+    return math.fsum(terms())
 
 
 # B_2k / (2k)! for k = 1..7, the Euler-Maclaurin correction coefficients
@@ -107,8 +101,6 @@ def li(v: float, x: float) -> float:
 
 def li_ratio(x: float) -> float:
     """Li_2(x)/x, extended by its limit value 1 at x = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"argument x={x} outside [0, 1]")
     if x == 0.0:
         return 1.0
     return li(2.0, x) / x

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import extremal_tail_bound, lead_factor, thm2_bound, thm3_bound, thm_a_bound
+from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from .errors import (
     BExcluded,
     DivergentSeries,
@@ -31,14 +31,14 @@ COEFF_TOL = 1e-11
 
 
 class CheckRow(NamedTuple):
-    """One check, as one report row: every report column but the parameters
-    and the timing, with `passed` for the report's `pass`."""
+    """One check, as one report row: the report's columns, in order, but the
+    parameters and the timing, with `passed` for the report's `pass`."""
 
     theorem: str
     seed: str
+    t: float | None
     N: int | None
     N_d: int | None
-    t: float | None
     partial_sum: float | None
     bound: float | None
     ratio: float | None
@@ -81,7 +81,7 @@ def verify_member(
             # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
             passed = ratio <= 1.0 + tol
-        return CheckRow(theorem, seed, order, n_d, t, s, bound, ratio, passed, tail, note)
+        return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, note)
 
     return [
         check("ThmA", None, sum_sq(d), thm_a_bound),
@@ -116,21 +116,19 @@ def check_sharpness(
             order = suggested_order(params)
     member = extremal_function(params, order)
     d = log_coefficients(member)
-    ran_at = ("ThmA-sharpness", "identity", member.order, d.n_terms, None)
+    ran_at = ("ThmA-sharpness", "identity", None, member.order, d.n_terms)
 
     mismatch = None
     if params.B == 0.0:
-        expected_first = abs(params.A / (2.0 * params.m)) ** 2
         bad = np.nonzero(np.abs(d.d[1:]) > COEFF_TOL)[0]
-        if abs(abs(d[0]) ** 2 - expected_first) > COEFF_TOL:
-            mismatch = f"n=1: |d_1|^2 = {abs(d[0])**2} != {expected_first}"
+        if abs(abs(d[0]) ** 2 - params.G) > COEFF_TOL:
+            mismatch = f"n=1: |d_1|^2 = {abs(d[0])**2} != {params.G}"
         elif bad.size:
             n = int(bad[0]) + 2
             mismatch = f"n={n}: d_{n} = {d[n - 1]} should vanish for B = 0"
     else:
         sq = d.abs_sq
-        g, b2 = lead_factor(params), params.B * params.B
-        expected = g * b2 ** np.arange(d.n_terms) / d.n**2
+        expected = params.G * (params.B * params.B) ** np.arange(d.n_terms) / d.n**2
         bad = np.nonzero(np.abs(sq - expected) > COEFF_TOL)[0]
         if bad.size:
             n = int(bad[0]) + 1

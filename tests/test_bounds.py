@@ -9,7 +9,7 @@ import pytest
 
 from starlog import bounds
 from starlog.bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
-from starlog.errors import BExcluded, DivergentSeries, WeightOutOfRange
+from starlog.errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from starlog.logcoeffs import LogCoeffVector, sum_weighted
 from starlog.members import ClassParams
 from starlog.polylog import li, li_ratio
@@ -126,6 +126,24 @@ def test_continuity_at_b_zero(bound, limit):
     assert gaps[-1] <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "bound, A, B, t",
+    [
+        (thm3_bound, 1, -0.5, -1100.0),  # every weight (n+1)^t underflows: bound 0
+        (thm3_bound, 1, -0.5, -1070.0),  # 2^t is subnormal
+        (thm3_bound, 1.3e154, -0.5, 2.0),  # G is finite, G * kernel overflows
+        (thm2_bound, 1e150, -0.999999999999, None),
+    ],
+    ids=["Thm3-zero", "Thm3-subnormal", "Thm3-inf", "Thm2-inf"],
+)
+def test_bound_outside_the_normal_doubles_is_invalid_params(bound, A, B, t):
+    params = ClassParams(1, 1, A, B)
+    theorem, args = ("Thm2", ()) if t is None else (f"Thm3(t={t:g})", (t,))
+    with pytest.raises(InvalidParams, match="not a positive normal finite double") as info:
+        bound(params, *args)
+    assert str(info.value).startswith(f"{theorem} bound at A = {params.A}, B = {B} is ")
+
+
 def test_bounds_are_floats():
     params = ClassParams(1, 2, 1, -0.5)
     values = [
@@ -201,7 +219,7 @@ class TestClosedFormKernel:
     def test_thm2_matches_mpmath_near_b_minus_one(self, B):
         params = ClassParams(1, 1, 1, B)
         with mpmath.workdps(40):
-            exact = float(mpmath.mpf(bounds.lead_factor(params)) / (1 - mpmath.mpf(B) ** 2))
+            exact = float(mpmath.mpf(params.G) / (1 - mpmath.mpf(B) ** 2))
         assert thm2_bound(params) == pytest.approx(exact, rel=5e-15, abs=0)
 
     @pytest.mark.parametrize("t", DEFAULT_T)

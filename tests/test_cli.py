@@ -288,6 +288,29 @@ def test_underflowing_lead_factor_is_a_config_error(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grid, theorem",
+    [
+        (["--A", "1", "--B=-0.5", "--t=-1100"], "Thm3(t=-1100)"),
+        (["--A", "1.3e154", "--B=-0.5"], "Thm3(t=2)"),
+        (["--A", "1e150", "--B=-0.999999999999", "--terms", "64"], "Thm2"),
+    ],
+    ids=["Thm3-underflow", "Thm3-overflow", "Thm2-overflow"],
+)
+def test_bound_outside_the_normal_doubles_is_a_config_error(tmp_path, grid, theorem):
+    # a zero bound gives a NaN ratio and an infinite one inf / inf: neither is a verdict
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", "--j", "1", "--k", "1", *grid, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {theorem} bound at A = " in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_very_negative_weight_with_a_normal_bound_passes():
+    proc = run_cli("verify", "--j", "1", "--k", "1", "--A", "1", "--B=-0.5", "--t=-1000")
+    assert proc.returncode == 0, proc.stderr
+
+
 def exit_code(argv):
     """main()'s exit code, including argparse's SystemExit on a bad flag value."""
     try:

@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from starlog.bounds import lead_factor
 from starlog.errors import InvalidParams, InvalidSeed, TruncationTooSmall
 from starlog.logcoeffs import log_coefficients
 from starlog.members import (
@@ -141,7 +140,8 @@ class TestSeedSeries:
     @pytest.mark.parametrize(
         "c, order",
         [(5.0, 2000), (700.0, 2000), (709.0, 2000), (744.0, 2000), (750.0, 2000), (1000.0, 2000),
-         (750.0, 0), (750.0, 1), (750.0, 101), (1000.0, 150), (2000.0, 701)],
+         (750.0, 0), (750.0, 1), (750.0, 2), (750.0, 50), (750.0, 100), (750.0, 101),
+         (1000.0, 150), (2000.0, 701)],
     )
     def test_expdamp_matches_closed_form_where_exp_minus_c_underflows(self, c, order):
         # e^{-c} is subnormal above c = 708.4 and 0 above c = 745, so a recursion
@@ -286,7 +286,7 @@ def test_underflowing_lead_factor_rejected(j, k, A):
 
 def test_smallest_normal_lead_factor_accepted():
     params = ClassParams(1, 1, 3e-154, 0.0)  # G = 2.25e-308, just above the smallest normal
-    assert lead_factor(params) >= sys.float_info.min
+    assert params.G >= sys.float_info.min
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,11 @@ def test_li2_at_zero():
     assert li(2, 0.0) == 0.0
 
 
+def test_li2_at_a_tiny_argument_is_the_argument():
+    # Li_2(x) = x + x^2/4 + ...: the first term's tail bound underflows to 0
+    assert li(2, 1e-200) == 1e-200
+
+
 def test_li2_at_one_is_zeta2():
     assert abs(li(2, 1.0) - ZETA2) <= 1e-12
 

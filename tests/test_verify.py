@@ -283,7 +283,9 @@ def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
     assert all(r.passed for r in verify_member(member))
 
 
-def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch):
+# for B = 0, |d_1|^2 must be G and d_3 must vanish
+@pytest.mark.parametrize("n", [1, 3], ids=["d1", "d3"])
+def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
     import dataclasses
 
     import starlog.verify as verify_mod
@@ -291,12 +293,12 @@ def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch):
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
         coeffs = member.log_ratio.copy()
-        coeffs[3] += 1e-6  # d_3 should vanish for B = 0
+        coeffs[n] += 1e-6
         return dataclasses.replace(member, log_ratio=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
     row = check_sharpness(ClassParams(1, 2, 0.6, 0), order=40)
-    assert not row.passed and "n=3:" in row.note
+    assert not row.passed and f"n={n}:" in row.note
     assert (row.N, row.N_d) == (40, 20)
 
 
