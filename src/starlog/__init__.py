@@ -21,11 +21,10 @@ from .members import (
     SchwarzSeed,
     extremal_function,
     member_from_seed,
-    q_function,
     seed_series,
     suggested_order,
 )
-from .polylog import li, li_ratio
+from .polylog import li
 from .search import SearchReport, adversarial_search
 from .series import TruncatedSeries
 from .verify import (
@@ -58,10 +57,8 @@ __all__ = [
     "extremal_log_coefficient",
     "extremal_tail_bound",
     "li",
-    "li_ratio",
     "log_coefficients",
     "member_from_seed",
-    "q_function",
     "rogosinski_l2_check",
     "seed_series",
     "suggested_order",

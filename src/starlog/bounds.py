@@ -4,7 +4,7 @@ The extremal member has d_n = (A-B)/(2m) (-B)^{n-1} / n, so
 |d_n|^2 = G B^{2(n-1)} / n^2 with G = (|A-B|/(2m))^2 = |d_1|^2, and each
 right-hand side is G (`ClassParams.G`) times a kernel of B^2 (and t):
 
-  * plain squares:      G * Li_2(B^2)/B^2;
+  * plain squares:      G * Li_2(B^2)/B^2, the t = 0 case of the last;
   * n^2 weights:        G / (1 - B^2),  B != -1;
   * (n+1)^t weights:    G * sum_n (n+1)^t B^{2(n-1)} / n^2,  t <= 2.
 
@@ -21,16 +21,10 @@ import sys
 
 from .errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from .members import ClassParams
-from .polylog import hurwitz_zeta, li, li_ratio
+from .polylog import hurwitz_zeta, li
 
-#: entries kept by each memoised kernel; a sweep asks for a few distinct B and t
+#: entries kept by the memoised kernel; a sweep asks for a few distinct B and t
 _CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _li2_ratio(x: float) -> float:
-    """Li_2(x)/x, memoised on the float x."""
-    return li_ratio(x)
 
 
 def _in_range(bound: float, params: ClassParams, theorem: str, t: float | None = None) -> float:
@@ -51,8 +45,8 @@ def _in_range(bound: float, params: ClassParams, theorem: str, t: float | None =
 
 
 def thm_a_bound(params: ClassParams) -> float:
-    """Sharp bound on sum |d_n|^2: G * Li_2(B^2)/B^2."""
-    return params.G * _li2_ratio(params.B**2)
+    """Sharp bound on sum |d_n|^2: G * Li_2(B^2)/B^2, the t = 0 Thm3 kernel."""
+    return params.G * _weighted_series(params.B, 0.0)
 
 
 def thm2_bound(params: ClassParams) -> float:
@@ -66,12 +60,12 @@ def thm2_bound(params: ClassParams) -> float:
 def _weighted_series(B: float, t: float) -> float:
     """sum_{n>=1} (n+1)^t x^{n-1} / n^2 at x = B^2 <= 1 (t < 1 required at x = 1).
 
-    Memoised on the floats (B, t).  For t in {-1, 0, 1, 2} and 1/2 <= x < 1
-    a closed form S/x, where (n+1)^t/n^2 splits into 1/n^2, 1/n, 1 and
-    1/(n+1), and l = -log(1 - x) and 1 - x come from (1 - B)(1 + B):
+    Memoised on the floats (B, t).  t = 0 is Li_2(x)/x for 0 < x <= 1.  For
+    t in {-1, 1, 2} and 1/2 <= x < 1 a closed form S/x, where (n+1)^t/n^2
+    splits into 1/n^2, 1/n, 1 and 1/(n+1), and l = -log(1 - x) and 1 - x
+    come from (1 - B)(1 + B):
 
-      t = 0:  S = Li_2(x)              t = 1:  S = Li_2(x) + l
-      t = 2:  S = Li_2(x) + 2l + x/(1-x)
+      t = 1:  S = Li_2(x) + l          t = 2:  S = Li_2(x) + 2l + x/(1-x)
       t = -1: S = Li_2(x) - l + (l - x)/x   (cancels at small x, hence x >= 1/2)
 
     Else, absolute accuracy ~1e-13: geometric cutoff for x < 1 (x = 0 gives
@@ -79,11 +73,12 @@ def _weighted_series(B: float, t: float) -> float:
     binomial expansion of (1+1/n)^t into Hurwitz-zeta tails.
     """
     x = B * B
-    if 0.5 <= x < 1.0 and t in (-1.0, 0.0, 1.0, 2.0):
+    if t == 0.0 and x > 0.0:
+        return li(2.0, x) / x
+    if 0.5 <= x < 1.0 and t in (-1.0, 1.0, 2.0):
         ell = -(math.log1p(B) + math.log1p(-B))
         extra = {
             -1.0: (ell - x) / x - ell,
-            0.0: 0.0,
             1.0: ell,
             2.0: 2.0 * ell + x / ((1.0 - B) * (1.0 + B)),
         }

@@ -10,15 +10,13 @@ any analytic v with v(0) = 0 and |v(w)| <= |w| yields
 hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du.  A member
 stores the coefficients L_0..L_{N_d} of L, with N_d = floor(N/m), as one
 read-only complex128 array built by one Toeplitz solve on raw arrays; the
-log coefficients are read off it (2 d_n = L_n) with no exp or log.  f
-itself, z exp(L(z^m)), is computed only when asked for.  The identity seed
-v(w) = w gives the closed-form extremal function.
+log coefficients are read off it (2 d_n = L_n) with no exp or log.  The
+identity seed v(w) = w gives the closed-form extremal function.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import TruncatedSeries, _solve_toeplitz, compose_power, exp_series
+from .series import TruncatedSeries, _solve_toeplitz
 
 
 def check_pair(j: int, k: int) -> None:
@@ -219,12 +217,6 @@ class ClassMember:
     seed: SchwarzSeed
     order: int
 
-    @functools.cached_property
-    def series(self) -> TruncatedSeries:
-        """f = z exp(L(z^m)), with one extra coefficient (order + 1) so that f/z
-        is exact through z^order."""
-        ratio = compose_power(exp_series(TruncatedSeries(self.log_ratio)), self.params.m, self.order)
-        return TruncatedSeries(np.concatenate(([0j], ratio.array)))
 
 def extremal_function(params: ClassParams, order: int) -> ClassMember:
     """The closed-form extremal member, truncated at log-order `order`.
@@ -256,12 +248,6 @@ def _log_ratio(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
     """Generate the member induced by a Schwarz seed at level w = z^m."""
     return ClassMember(_log_ratio(params, seed, order), params, seed, order)
-
-
-def q_function(params: ClassParams, order: int) -> TruncatedSeries:
-    """The superordinate series for z/f: e^{-A z^m / m} or (1 + B z^m)^{-(A-B)/(mB)}."""
-    L = extremal_function(params, order).log_ratio
-    return compose_power(exp_series(TruncatedSeries(-L)), params.m, order)
 
 
 #: extremal geometric tail that `suggested_order` aims below

@@ -23,14 +23,18 @@ _SERIES_MAX_TERMS = 20_000_000
 
 def _series_sum(v: float, x: float) -> float:
     """Direct sum of x^n / n^v, rounded once by fsum in constant memory; stops
-    once either tail bound falls below 1e-16, and raises DomainError if
-    neither does within `_SERIES_MAX_TERMS` terms."""
+    once either tail bound falls below 1e-16, or once n^v passes the largest
+    double (that term and the tail after it are below 1e-308), and raises
+    DomainError if neither happens within `_SERIES_MAX_TERMS` terms."""
 
     def terms():
         xn = 1.0
         for n in range(1, _SERIES_MAX_TERMS + 1):
             xn *= x
-            term = xn / n**v
+            try:
+                term = xn / n**v
+            except OverflowError:
+                return
             yield term
             # geometric tail and integral-test tail; either certifies the cut (a term
             # that underflows to 0 has x < 1, so its geometric tail is 0 too)
@@ -97,10 +101,3 @@ def li(v: float, x: float) -> float:
     if x == 1.0:
         return hurwitz_zeta(v, 1.0)
     return _series_sum(v, x)
-
-
-def li_ratio(x: float) -> float:
-    """Li_2(x)/x, extended by its limit value 1 at x = 0."""
-    if x == 0.0:
-        return 1.0
-    return li(2.0, x) / x

@@ -36,34 +36,6 @@ class SearchReport:
     converged: bool
 
 
-class _Budget:
-    """Shared evaluation counter with deterministic best-tracking.
-
-    Ties on the ratio are broken by the lexicographic seed key, so the
-    report does not depend on evaluation order.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-        self.best_ratio = -math.inf
-        self.best_seed: SchwarzSeed | None = None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-    def record(self, seed: SchwarzSeed, ratio: float):
-        self.used += 1
-        if ratio > self.best_ratio or (
-            ratio == self.best_ratio
-            and self.best_seed is not None
-            and seed.sort_key() < self.best_seed.sort_key()
-        ):
-            self.best_ratio = ratio
-            self.best_seed = seed
-
-
 def _ratio_fn(params: ClassParams, order: int):
     bound = thm_a_bound(params)
 
@@ -112,7 +84,6 @@ def adversarial_search(
     if order is None:
         order = suggested_order(params)
     ratio = _ratio_fn(params, order)
-    tracker = _Budget(budget)
     rng = np.random.default_rng(rng_seed)
 
     if family == "expdamp":
@@ -129,50 +100,52 @@ def adversarial_search(
         randoms = [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
         grid = corners + randoms
 
-    best_x = grid[0]
-    for x in grid:
-        if tracker.exhausted:
-            break
+    # (ratio, seed) per evaluation, at most `budget` of them
+    scores: list[tuple[float, SchwarzSeed]] = []
+
+    def score(x) -> float:
         seed = make_seed(x)
         r = ratio(seed)
-        if r > tracker.best_ratio:
-            best_x = x
-        tracker.record(seed, r)
+        scores.append((r, seed))
+        return r
+
+    grid_ratios = [score(x) for x in grid[:budget]]
+    best_x = grid[grid_ratios.index(max(grid_ratios))]
 
     refined = False
-    if not tracker.exhausted:
+    if len(scores) < budget:
 
         def objective(x):
-            if tracker.exhausted:
+            if len(scores) >= budget:
                 return math.inf
             pen = 0.0
             if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_seed clips it
                 pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
-            seed = make_seed(x)
-            r = ratio(seed)
-            tracker.record(seed, r)
-            return -r + 10.0 * pen
+            return -score(x) + 10.0 * pen
 
         res = minimize(
             objective,
             np.asarray(best_x, dtype=float),
             method="Nelder-Mead",
             options={
-                "maxfev": tracker.limit - tracker.used,
+                "maxfev": budget - len(scores),
                 "xatol": 1e-10,
                 "fatol": 1e-13,
             },
         )
         refined = bool(res.success)
 
+    # the largest ratio; among seeds that reach it, the smallest sort key, so the
+    # report does not depend on evaluation order
+    max_ratio, best_seed = min(scores, key=lambda rs: (-rs[0], rs[1].sort_key()))
     return SearchReport(
         family=family,
         params=params,
         rng_seed=rng_seed,
         budget=budget,
         order=order,
-        evaluations=tracker.used,
-        max_ratio=tracker.best_ratio,
-        best_seed=tracker.best_seed,
-        converged=refined and not tracker.exhausted,
+        evaluations=len(scores),
+        max_ratio=max_ratio,
+        best_seed=best_seed,
+        converged=refined and len(scores) < budget,
     )

@@ -124,15 +124,8 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.array[: n + 1] + b.array[: n + 1])
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the minimum operand order."""
-    n = min(a.order, b.order)
-    full = np.convolve(a.array[: n + 1], b.array[: n + 1])
-    return TruncatedSeries(full[: n + 1])
-
-
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Series quotient q with mul(q, b) = a up to the truncation order."""
+    """Series quotient q with q*b = a up to the truncation order."""
     if b.array[0] == 0:
         raise ZeroConstantTerm("divisor has zero constant term")
     n = min(a.order, b.order)
@@ -169,17 +162,4 @@ def integrate_over_t(a: TruncatedSeries) -> TruncatedSeries:
         raise NonzeroConstantTerm("integrand a(t)/t needs a(0) = 0")
     out = np.zeros_like(a.array)
     out[1:] = a.array[1:] / np.arange(1, a.order + 1)
-    return TruncatedSeries(out)
-
-
-def compose_power(a: TruncatedSeries, m: int, order: int) -> TruncatedSeries:
-    """Substitute w = z^m: b(z) = a(z^m) truncated at `order`.
-
-    Off-multiple coefficients of the result are exactly zero.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    out = np.zeros(order + 1, dtype=np.complex128)
-    n = min(a.order, order // m) + 1
-    out[: m * n : m] = a.array[:n]
     return TruncatedSeries(out)

@@ -67,26 +67,28 @@ def verify_member(
     seed, order, n_d = member.seed.label(), member.order, d.n_terms
     tail = extremal_tail_bound(params, n_d) if isinstance(member.seed, Identity) else None
 
-    def check(theorem: str, t: float | None, s: float, bound_fn, *bound_args) -> CheckRow:
+    def check(theorem: str, t: float | None, sum_fn, bound_fn, *args) -> CheckRow:
         note = ""
         try:
-            bound = bound_fn(params, *bound_args)
+            bound = bound_fn(params, *args)
         except BExcluded:
             bound, ratio, passed = None, None, True
             note = "skipped: B = -1 excluded by the theorem hypothesis"
         except DivergentSeries:
             bound, ratio, passed = math.inf, 0.0, True
             note = "bound series diverges at B = -1; inequality vacuous"
-        else:
+        # after the bound: one out of range raises before its sum can overflow
+        s = sum_fn(d, *args)
+        if not note:
             # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
             passed = ratio <= 1.0 + tol
         return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, note)
 
     return [
-        check("ThmA", None, sum_sq(d), thm_a_bound),
-        check("Thm2", None, sum_n2(d), thm2_bound),
-        *(check(f"Thm3(t={t:g})", t, sum_weighted(d, t), thm3_bound, t) for t in t_values),
+        check("ThmA", None, sum_sq, thm_a_bound),
+        check("Thm2", None, sum_n2, thm2_bound),
+        *(check(f"Thm3(t={t:g})", t, sum_weighted, thm3_bound, t) for t in t_values),
     ]
 
 

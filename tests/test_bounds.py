@@ -12,7 +12,7 @@ from starlog.bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bo
 from starlog.errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from starlog.logcoeffs import LogCoeffVector, sum_weighted
 from starlog.members import ClassParams
-from starlog.polylog import li, li_ratio
+from starlog.polylog import li
 
 ZETA2 = math.pi**2 / 6
 
@@ -166,7 +166,9 @@ MEMO_GRID = [
 class TestMemoisedKernels:
     @pytest.mark.parametrize("B", sorted({B for B, _ in MEMO_GRID}))
     def test_li2_ratio_equals_unmemoised(self, B):
-        assert bounds._li2_ratio(B * B) == bounds._li2_ratio.__wrapped__(B * B) == li_ratio(B * B)
+        # Li_2(x)/x, the plain-squares kernel, is the t = 0 entry of the weighted series
+        got = bounds._weighted_series(B, 0.0)
+        assert got == bounds._weighted_series.__wrapped__(B, 0.0) == li(2.0, B * B) / (B * B)
 
     def test_weighted_series_equals_unmemoised_in_any_order(self):
         # the grid runs twice, in both orders: the second pass answers from the cache
@@ -179,18 +181,46 @@ class TestMemoisedKernels:
             params = ClassParams(1, 2, 0.8 + 0.3j, B)
             lead = (abs(params.A - B) / 4.0) ** 2
             assert thm3_bound(params, t) == lead * bounds._weighted_series.__wrapped__(B, t)
-            assert thm_a_bound(params) == lead * li_ratio(B * B)
+            assert thm_a_bound(params) == lead * (li(2.0, B * B) / (B * B))
 
     def test_repeated_rows_hit_the_cache(self):
         bounds._weighted_series.cache_clear()
-        bounds._li2_ratio.cache_clear()
         for A in (1.0, 0.8 + 0.3j, 2.0):
             params = ClassParams(1, 1, A, -0.9)
             thm_a_bound(params)
             for t in (-1.0, 0.0, 1.0, 2.0):
                 thm3_bound(params, t)
+        # thm_a_bound shares the t = 0 entry
         assert bounds._weighted_series.cache_info().misses == 4
-        assert bounds._li2_ratio.cache_info().misses == 1
+
+
+class TestPlainSquaresKernel:
+    """The plain-squares bound is G times the t = 0 kernel Li_2(x)/x, x = B^2."""
+
+    # the CLI's default B grid, and two points near the Koebe endpoint
+    @pytest.mark.parametrize("B", [0.0, -0.25, -0.5, -0.75, -0.9, -0.9999, -1.0])
+    @pytest.mark.parametrize("A", [1.0, 0.5, 0.8 + 0.3j])
+    def test_thm_a_is_thm3_at_t_zero(self, A, B):
+        params = ClassParams(1, 2, A, B)
+        assert thm_a_bound(params) == thm3_bound(params, 0.0)
+
+    @staticmethod
+    def relative_error(B):
+        params = ClassParams(1, 1, 1.0, B)
+        with mpmath.workdps(40):
+            reference = mpmath.polylog(2, B * B) / (B * B)
+            return float(abs(thm3_bound(params, 0.0) / params.G - reference) / reference)
+
+    @pytest.mark.parametrize("B", [-0.25, -0.5, -0.7])
+    def test_matches_mpmath_below_one_half(self, B):
+        assert self.relative_error(B) <= 1e-15
+
+    # li(2, x) cuts its series once the tail is below 1e-16 absolute, which is
+    # about 1e-16/x relative: 2.7e-15 at B = -0.05, 2.5e-11 at B = -1e-5
+    @pytest.mark.xfail(strict=True, reason="li(2, x) is accurate to 1e-16 absolute, not relative")
+    @pytest.mark.parametrize("B", [-0.05, -0.01, -1e-5])
+    def test_matches_mpmath_at_small_b(self, B):
+        assert self.relative_error(B) <= 1e-15
 
 
 DEFAULT_T = (-1.0, 0.0, 1.0, 2.0)

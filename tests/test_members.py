@@ -18,15 +18,10 @@ from starlog.members import (
     Rotation,
     extremal_function,
     member_from_seed,
-    q_function,
     seed_series,
 )
-from starlog.series import TruncatedSeries, compose_power, div, from_coeffs, mul, one, scale
-
-
-def ratio_series(member):
-    """f(z)/z, a unit-constant-term series of order `member.order`."""
-    return TruncatedSeries(member.series.array[1:])
+from starlog.series import TruncatedSeries, div, from_coeffs, one, scale
+from zlevel import compose_power, ratio_series
 
 
 def radial_derivative(member):
@@ -70,23 +65,23 @@ class TestClassParams:
 class TestExtremalFunction:
     def test_koebe(self):
         member = extremal_function(ClassParams(1, 1, 1, -1), 5)
-        assert max_coeff_diff(member.series, from_coeffs([0, 1, 2, 3, 4, 5, 6])) <= 1e-12
+        assert max_coeff_diff(ratio_series(member), from_coeffs([1, 2, 3, 4, 5, 6])) <= 1e-12
 
     def test_twofold_gaussian(self):
         member = extremal_function(ClassParams(1, 2, 1, 0), 4)
-        assert max_coeff_diff(member.series, from_coeffs([0, 1, 0, 0.5, 0, 0.125])) <= 1e-14
+        assert max_coeff_diff(ratio_series(member), from_coeffs([1, 0, 0.5, 0, 0.125])) <= 1e-14
 
     def test_even_symmetric_binomial(self):
         # (0,3) has m = 2; pipeline must match the direct binomial expansion
         params = ClassParams(0, 3, 1, -0.5)
         member = extremal_function(params, 8)
         p = (params.A - params.B) / (params.m * params.B)
-        expected = [0j, 1.0]
+        expected = [1.0]
         c = 1.0 + 0j
         for n in range(1, 5):
             c *= (p - n + 1) / n
             expected.extend([0.0, c * params.B**n])
-        assert max_coeff_diff(member.series, from_coeffs(expected[:10])) <= 1e-12
+        assert max_coeff_diff(ratio_series(member), from_coeffs(expected)) <= 1e-12
 
     def test_records_identity_seed(self):
         member = extremal_function(ClassParams(1, 2, 0.5, -0.25), 8)
@@ -94,8 +89,7 @@ class TestExtremalFunction:
 
     def test_normalization(self):
         member = extremal_function(ClassParams(1, 3, 0.8 + 0.3j, -0.75), 12)
-        assert member.series[0] == 0
-        assert member.series[1] == 1
+        assert ratio_series(member)[0] == 1
 
 
 class TestSeedSeries:
@@ -197,15 +191,15 @@ class TestMemberFromSeed:
     def test_identity_seed_reproduces_extremal(self, params):
         direct = extremal_function(params, 24)
         generated = member_from_seed(params, Identity(), 24)
-        assert max_coeff_diff(direct.series, generated.series) <= 1e-11
+        assert max_coeff_diff(ratio_series(direct), ratio_series(generated)) <= 1e-11
 
     def test_rotated_koebe(self):
         theta = 0.83
         member = member_from_seed(ClassParams(1, 1, 1, -1), Rotation(theta), 10)
         # closed form: z / (1 - e^{i theta} z)^2 has a_n = n e^{i (n-1) theta}
         w = cmath.exp(1j * theta)
-        expected = [0j] + [n * w ** (n - 1) for n in range(1, 12)]
-        assert max_coeff_diff(member.series, from_coeffs(expected)) <= 1e-11
+        expected = [n * w ** (n - 1) for n in range(1, 12)]
+        assert max_coeff_diff(ratio_series(member), from_coeffs(expected)) <= 1e-11
 
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
@@ -232,11 +226,16 @@ class TestMemberFromSeed:
 
     @pytest.mark.parametrize("seed", SCHWARZ_SEEDS, ids=lambda s: s.label())
     def test_kfold_symmetry_for_j1(self, seed):
-        # j = 1 members have Taylor support on exponents = 1 mod k
+        # j = 1 members have Taylor support on exponents = 1 mod k, so f/z on multiples of k
         member = member_from_seed(ClassParams(1, 3, 1, -0.5), seed, 24)
-        for n, c in enumerate(member.series.coeffs):
-            if n % 3 != 1:
+        for n, c in enumerate(ratio_series(member).coeffs):
+            if n % 3 != 0:
                 assert c == 0
+
+
+def q_function(params, order):
+    """z/f for the extremal member: e^{-A z^m / m} or (1 + B z^m)^{-(A-B)/(mB)}."""
+    return ratio_series(extremal_function(params, order), sign=-1.0)
 
 
 class TestQFunction:
@@ -260,7 +259,8 @@ class TestQFunction:
     def test_q_product_is_one(self, params):
         order = 20
         member = extremal_function(params, order)
-        product = mul(q_function(params, order), ratio_series(member))
+        q, ratio = q_function(params, order), ratio_series(member)
+        product = TruncatedSeries(np.convolve(q.array, ratio.array)[: order + 1])
         assert max_coeff_diff(product, one(order)) <= 1e-11
 
 

@@ -8,8 +8,10 @@ import pytest
 from scipy import special
 
 from starlog import polylog
+from starlog.bounds import thm_a_bound
 from starlog.errors import DomainError
-from starlog.polylog import hurwitz_zeta, li, li_ratio
+from starlog.members import ClassParams
+from starlog.polylog import hurwitz_zeta, li
 
 ZETA2 = math.pi**2 / 6
 
@@ -93,8 +95,6 @@ def test_domain_errors():
         li(0.5, 0.5)
     with pytest.raises(DomainError):
         li(math.nan, 0.5)
-    with pytest.raises(DomainError):
-        li_ratio(2.0)
 
 
 def test_uncertified_series_tail_is_a_domain_error(monkeypatch):
@@ -108,17 +108,31 @@ def test_low_order_allowed_inside_interval():
     assert abs(li(1.5, 0.5) - direct_series_oracle(1.5, 0.5)) <= 1e-12
 
 
+def test_huge_order_with_overflowing_n_to_the_v():
+    # 2^1500 overflows a double; the term after x and all the rest are below 1e-308
+    assert li(1500.0, 0.5) == 0.5
+    assert li(1024.0, 0.999) == 0.999
+
+
 class TestLiRatio:
+    """Li_2(x)/x at x = B^2: the plain-squares bound over its lead factor G."""
+
+    @staticmethod
+    def ratio(B):
+        params = ClassParams(1, 1, 1.0, B)
+        return thm_a_bound(params) / params.G
+
     def test_limit_value_at_zero(self):
-        assert li_ratio(0.0) == 1.0
+        params = ClassParams(1, 2, 0.8 + 0.3j, 0.0)
+        assert thm_a_bound(params) == params.G
 
     def test_at_one(self):
-        assert abs(li_ratio(1.0) - ZETA2) <= 1e-12
+        assert abs(self.ratio(-1.0) - ZETA2) <= 1e-12
 
     def test_at_quarter(self):
         oracle = direct_series_oracle(2, 0.25) / 0.25
-        assert abs(li_ratio(0.25) - oracle) <= 1e-12
-        assert abs(li_ratio(0.25) - 1.070611) <= 1e-5
+        assert abs(self.ratio(-0.5) - oracle) <= 1e-12
+        assert abs(self.ratio(-0.5) - 1.070611) <= 1e-5
 
 
 # (s, a) where the bounds and li evaluate the Hurwitz zeta: the trigamma tail

@@ -66,13 +66,19 @@ def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, 
     params = ClassParams(1, 2, 0.8 + 0.3j, B)
     order = suggested_order(params)
     recorded = []
-    record = search._Budget.record
+    ratio_fn = search._ratio_fn
 
-    def spy(self, seed, ratio):
-        recorded.append((seed, ratio))
-        return record(self, seed, ratio)
+    def spy(*args):
+        ratio = ratio_fn(*args)
 
-    monkeypatch.setattr(search._Budget, "record", spy)
+        def recording(seed):
+            r = ratio(seed)
+            recorded.append((seed, r))
+            return r
+
+        return recording
+
+    monkeypatch.setattr(search, "_ratio_fn", spy)
     report = adversarial_search(params, family, budget=300, rng_seed=5)
     assert len(recorded) == report.evaluations > 64
     bound = thm_a_bound(params)

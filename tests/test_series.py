@@ -14,15 +14,14 @@ from starlog.series import (
     TruncatedSeries,
     _solve_toeplitz,
     add,
-    compose_power,
     div,
     exp_series,
     from_coeffs,
     integrate_over_t,
     log_series,
-    mul,
     scale,
 )
+from zlevel import compose_power
 
 
 def coeffs_close(s, expected, tol=1e-12):
@@ -45,18 +44,6 @@ class TestAdd:
 
     def test_truncates_to_min_order(self):
         assert add(from_coeffs([1, 2, 3]), from_coeffs([1, 1])).order == 1
-
-
-class TestMul:
-    def test_difference_of_squares(self):
-        coeffs_close(mul(from_coeffs([1, 1, 0]), from_coeffs([1, -1, 0])), [1, 0, -1])
-
-    def test_identity(self):
-        s = from_coeffs([2, 1j, -1, 0.25])
-        coeffs_close(mul(s, from_coeffs([1], order=3)), s.coeffs)
-
-    def test_binomial_square(self):
-        coeffs_close(mul(from_coeffs([1, 1, 0]), from_coeffs([1, 1, 0])), [1, 2, 1])
 
 
 class TestDiv:
@@ -90,7 +77,7 @@ class TestLog:
 
     def test_log_of_square_is_doubled_mercator(self):
         # oracle: Mercator coefficients (-1)^{n+1}/n, doubled
-        sq = mul(from_coeffs([1, 1], order=8), from_coeffs([1, 1], order=8))
+        sq = from_coeffs([1, 2, 1], order=8)
         expected = [0] + [2 * (-1) ** (n + 1) / n for n in range(1, 9)]
         coeffs_close(log_series(sq), expected, tol=1e-14)
 
@@ -139,6 +126,8 @@ class TestIntegrateOverT:
 
 
 class TestComposePower:
+    """The test-side lift from w = z^m to z that the z-level oracles use."""
+
     def test_cube_substitution(self):
         coeffs_close(compose_power(from_coeffs([1, 1]), 3, 6), [1, 0, 0, 1, 0, 0, 0], tol=0)
 
@@ -189,7 +178,7 @@ def test_log_of_product_is_sum_of_logs():
     for _ in range(100):
         a = _random_series(rng, 48, 1.0, max_modulus=0.5)
         b = _random_series(rng, 48, 1.0, max_modulus=0.5)
-        lhs = log_series(mul(a, b))
+        lhs = log_series(TruncatedSeries(np.convolve(a.array, b.array)[: a.order + 1]))
         rhs = add(log_series(a), log_series(b))
         assert np.max(np.abs(np.asarray(lhs.coeffs) - np.asarray(rhs.coeffs))) <= 1e-11
 
@@ -199,8 +188,8 @@ def test_div_then_mul_recovers_dividend():
     for _ in range(100):
         a = _random_series(rng, 48, rng.uniform(0.5, 1.0), max_modulus=0.5)
         b = _random_series(rng, 48, 1.0, max_modulus=0.5)
-        back = mul(div(a, b), b)
-        assert np.max(np.abs(np.asarray(back.coeffs) - np.asarray(a.coeffs))) <= 1e-11
+        back = np.convolve(div(a, b).array, b.array)[: a.order + 1]
+        assert np.max(np.abs(back - a.array)) <= 1e-11
 
 
 small_complex = st.builds(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starlog.bounds import extremal_tail_bound, thm_a_bound
-from starlog.errors import HypothesisViolated, SlowModeRequired, WeightOutOfRange
+from starlog.errors import HypothesisViolated, InvalidParams, SlowModeRequired, WeightOutOfRange
 from starlog.logcoeffs import log_coefficients, sum_sq
 from starlog.members import (
     ClassParams,
@@ -309,3 +309,12 @@ def test_divergent_thm3_row_stays_vacuous_pass():
         row = next(r for r in rows if r.theorem == f"Thm3(t={t:g})")
         assert row.passed and row.ratio == 0.0 and row.bound == math.inf
         assert row.note == "bound series diverges at B = -1; inequality vacuous"
+
+
+def test_out_of_range_bound_raises_before_its_sum_overflows():
+    # the Thm3(t=2) bound and sum (n+1)^2 |d_n|^2 both overflow here; the bound is
+    # asked for first, so no numpy overflow warning (an error in this suite) comes first
+    params = ClassParams(1, 1, 1.3e154, -0.5)
+    member = member_from_seed(params, Identity(), suggested_order(params))
+    with pytest.raises(InvalidParams, match=r"Thm3\(t=2\) bound"):
+        verify_member(member)

@@ -25,7 +25,6 @@ from starlog.members import (
 )
 from starlog.search import adversarial_search
 from starlog.series import (
-    compose_power,
     div,
     exp_series,
     from_coeffs,
@@ -35,6 +34,7 @@ from starlog.series import (
     scale,
 )
 from starlog.verify import check_sharpness, verify_member
+from zlevel import compose_power, ratio_series
 
 REL = 1e-12
 PAIRS = [(1, 2), (0, 4), (2, 4)]  # m = 2, 3, 5
@@ -94,8 +94,7 @@ def test_member_matches_z_level_route(case, seed):
     params, order = case
     member = member_from_seed(params, seed, order)
     ratio = z_level_ratio(params, seed, order)
-    assert member.series[0] == 0
-    assert_close(member.series.coeffs[1:], ratio.coeffs)
+    assert_close(ratio_series(member).coeffs, ratio.coeffs)
     assert_close(log_coefficients(member).d, z_level_log_coefficients(ratio, params.m))
 
 
@@ -104,7 +103,7 @@ def test_extremal_matches_z_level_route(case):
     params, order = case
     member = extremal_function(params, order)
     ratio = z_level_extremal_ratio(params, order)
-    assert_close(member.series.coeffs[1:], ratio.coeffs)
+    assert_close(ratio_series(member).coeffs, ratio.coeffs)
     assert_close(log_coefficients(member).d, z_level_log_coefficients(ratio, params.m))
 
 
@@ -135,11 +134,8 @@ def test_recursions_run_at_w_level_length(monkeypatch, order):
     d = log_coefficients(member)
     assert solve_orders == [n_d]
     assert d.n_terms == n_d and len(member.log_ratio) == n_d + 1
+    assert member.order == order
     assert exp_orders == [] and log_orders == []
-
-    # f itself is built on demand, by one exp at N_d
-    assert member.order == order and member.series.order == order + 1
-    assert exp_orders == [n_d] and log_orders == []
 
 
 def test_d_n_path_runs_no_exp_or_log(monkeypatch):
