@@ -1,4 +1,4 @@
-"""Polylogarithm Li_v(x) on x in [0, 1], accurate to 1e-12 absolute.
+"""Polylogarithm Li_v(x) on x in [0, 1], accurate to 1e-12 relative.
 
 The dilogarithm (v = 2) is the primary order: for x <= 1/2 the defining
 series already converges geometrically at rate <= 2^-n; for x > 1/2 the
@@ -23,9 +23,10 @@ _SERIES_MAX_TERMS = 20_000_000
 
 def _series_sum(v: float, x: float) -> float:
     """Direct sum of x^n / n^v, rounded once by fsum in constant memory; stops
-    once either tail bound falls below 1e-16, or once n^v passes the largest
-    double (that term and the tail after it are below 1e-308), and raises
-    DomainError if neither happens within `_SERIES_MAX_TERMS` terms."""
+    once either tail bound falls below 1e-16 x, and so below 1e-16 of the sum
+    (its first term is x), or once n^v passes the largest double (that term
+    and the tail after it are below 1e-308 x), and raises DomainError if
+    neither happens within `_SERIES_MAX_TERMS` terms."""
 
     def terms():
         xn = 1.0
@@ -40,9 +41,11 @@ def _series_sum(v: float, x: float) -> float:
             # that underflows to 0 has x < 1, so its geometric tail is 0 too)
             geo = term * x / (1.0 - x) if x < 1.0 else math.inf
             power = xn * x * n ** (1.0 - v) / (v - 1.0) if v > 1.0 else math.inf
-            if min(geo, power) < 1e-16:
+            # a relative cut: an absolute one loses 1e-16/x relative at small x
+            # (divided, not 1e-16 * x, which underflows to 0 for a subnormal x)
+            if min(geo, power) / x < 1e-16:
                 return
-        raise DomainError(f"Li_{v}({x}): tail above 1e-16 after {_SERIES_MAX_TERMS} terms")
+        raise DomainError(f"Li_{v}({x}): tail above 1e-16 x after {_SERIES_MAX_TERMS} terms")
 
     return math.fsum(terms())
 

@@ -100,23 +100,29 @@ def adversarial_search(
         randoms = [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
         grid = corners + randoms
 
-    # (ratio, seed) per evaluation, at most `budget` of them
-    scores: list[tuple[float, SchwarzSeed]] = []
+    # evaluations so far and the best (ratio, seed); a tie on the ratio goes to the
+    # smaller seed key, so the report does not depend on evaluation order
+    used, max_ratio, best_seed = 0, -math.inf, None
 
     def score(x) -> float:
+        nonlocal used, max_ratio, best_seed
         seed = make_seed(x)
         r = ratio(seed)
-        scores.append((r, seed))
+        used += 1
+        if r > max_ratio or (
+            r == max_ratio and best_seed is not None and seed.sort_key() < best_seed.sort_key()
+        ):
+            max_ratio, best_seed = r, seed
         return r
 
     grid_ratios = [score(x) for x in grid[:budget]]
     best_x = grid[grid_ratios.index(max(grid_ratios))]
 
     refined = False
-    if len(scores) < budget:
+    if used < budget:
 
         def objective(x):
-            if len(scores) >= budget:
+            if used >= budget:
                 return math.inf
             pen = 0.0
             if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_seed clips it
@@ -128,24 +134,21 @@ def adversarial_search(
             np.asarray(best_x, dtype=float),
             method="Nelder-Mead",
             options={
-                "maxfev": budget - len(scores),
+                "maxfev": budget - used,
                 "xatol": 1e-10,
                 "fatol": 1e-13,
             },
         )
         refined = bool(res.success)
 
-    # the largest ratio; among seeds that reach it, the smallest sort key, so the
-    # report does not depend on evaluation order
-    max_ratio, best_seed = min(scores, key=lambda rs: (-rs[0], rs[1].sort_key()))
     return SearchReport(
         family=family,
         params=params,
         rng_seed=rng_seed,
         budget=budget,
         order=order,
-        evaluations=len(scores),
+        evaluations=used,
         max_ratio=max_ratio,
         best_seed=best_seed,
-        converged=refined and len(scores) < budget,
+        converged=refined and used < budget,
     )

@@ -68,22 +68,23 @@ def verify_member(
     tail = extremal_tail_bound(params, n_d) if isinstance(member.seed, Identity) else None
 
     def check(theorem: str, t: float | None, sum_fn, bound_fn, *args) -> CheckRow:
-        note = ""
         try:
             bound = bound_fn(params, *args)
         except BExcluded:
-            bound, ratio, passed = None, None, True
+            bound, ratio = None, None
             note = "skipped: B = -1 excluded by the theorem hypothesis"
         except DivergentSeries:
-            bound, ratio, passed = math.inf, 0.0, True
+            bound, ratio = math.inf, 0.0
             note = "bound series diverges at B = -1; inequality vacuous"
-        # after the bound: one out of range raises before its sum can overflow
-        s = sum_fn(d, *args)
-        if not note:
+        else:
+            # the bound first: one out of range raises before its sum can overflow
+            s = sum_fn(d, *args)
             # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
             passed = ratio <= 1.0 + tol
-        return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, note)
+            return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, "")
+        s = sum_fn(d, *args)
+        return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, True, tail, note)
 
     return [
         check("ThmA", None, sum_sq, thm_a_bound),

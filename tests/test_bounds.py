@@ -215,10 +215,9 @@ class TestPlainSquaresKernel:
     def test_matches_mpmath_below_one_half(self, B):
         assert self.relative_error(B) <= 1e-15
 
-    # li(2, x) cuts its series once the tail is below 1e-16 absolute, which is
-    # about 1e-16/x relative: 2.7e-15 at B = -0.05, 2.5e-11 at B = -1e-5
-    @pytest.mark.xfail(strict=True, reason="li(2, x) is accurate to 1e-16 absolute, not relative")
-    @pytest.mark.parametrize("B", [-0.05, -0.01, -1e-5])
+    # li(2, x) cuts its series at a tail of 1e-16 x; a cut at 1e-16 absolute was
+    # off by about 1e-16/x relative, 2.5e-9 just below x = 1e-8 (B = -9.9e-5)
+    @pytest.mark.parametrize("B", [-0.05, -0.01, -9.9e-5, -1e-5, -1e-100])
     def test_matches_mpmath_at_small_b(self, B):
         assert self.relative_error(B) <= 1e-15
 

@@ -36,6 +36,17 @@ def test_li2_at_zero():
 def test_li2_at_a_tiny_argument_is_the_argument():
     # Li_2(x) = x + x^2/4 + ...: the first term's tail bound underflows to 0
     assert li(2, 1e-200) == 1e-200
+    assert li(2, 5e-324) == 5e-324  # a cut at 1e-16 * x would underflow to 0 here
+
+
+# x + x^2/4 + ...: a series cut at a tail of 1e-16 absolute kept only x below
+# x = 1e-8, 2.5e-9 relative too small at x = 0.99e-8
+@pytest.mark.parametrize("x", [1e-12, 0.99e-8, 1e-4, 0.01, 0.25, 0.5])
+@pytest.mark.parametrize("v", [2.0, 3.0, 1.5])
+def test_series_is_relatively_accurate_at_small_argument(v, x):
+    with mpmath.workdps(40):
+        reference = float(mpmath.polylog(v, x))
+    assert li(v, x) == pytest.approx(reference, rel=3e-16, abs=0)
 
 
 def test_li2_at_one_is_zeta2():

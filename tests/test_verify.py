@@ -39,6 +39,16 @@ class TestVerifyMember:
             if row.ratio is not None and math.isfinite(row.bound or math.inf):
                 assert 1 - 1e-8 <= row.ratio <= 1 + 1e-9
 
+    @pytest.mark.parametrize("B", [-9.9e-5, -1e-5, -0.01])
+    def test_extremal_plain_squares_ratio_is_one_at_small_b(self, B):
+        # near x = B^2 = 1e-8 a kernel accurate to 1e-16 absolute is 2.5e-9 too small
+        params = ClassParams(1, 1, 1, B)
+        member = member_from_seed(params, Identity(), suggested_order(params))
+        rows = {row.theorem: row for row in verify_member(member)}
+        assert all(row.passed for row in rows.values())
+        for theorem in ("ThmA", "Thm3(t=0)"):
+            assert rows[theorem].ratio == pytest.approx(1.0, rel=1e-15, abs=0)
+
     def test_damped_member_strictly_inside(self):
         params = ClassParams(1, 2, 1, -0.5)
         member = member_from_seed(params, ExpDamp(0.0, 2.0), suggested_order(params))
