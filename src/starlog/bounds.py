@@ -8,9 +8,11 @@ right-hand side is G (`ClassParams.G`) times a kernel of B^2 (and t):
   * n^2 weights:        G / (1 - B^2),  B != -1;
   * (n+1)^t weights:    G * sum_n (n+1)^t B^{2(n-1)} / n^2,  t <= 2.
 
+Summed from N + 1, the t = 0 kernel is the extremal series' dropped tail.
 Every kernel is continuous at B = 0, where only the n = 1 term survives.
-1 - B^2 is taken as (1 - B)(1 + B), not from the rounded square B*B, which
-would lose about 1e-16/(1 - B^2) relative as B -> -1.
+Neither 1 - B^2 nor log(B^2) comes from the rounded square B*B, which would
+lose about 1e-16/(1 - B^2) relative as B -> -1: they are (1 - B)(1 + B)
+and 2 log1p(-1 - B).
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ import sys
 
 from .errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from .members import ClassParams
-from .polylog import hurwitz_zeta, li
+from .polylog import lerch_tail
 
 #: entries kept by the memoised kernel; a sweep asks for a few distinct B and t
 _CACHE_SIZE = 1024
+#: relative allowance for rounding in the extremal tail, which must stay an upper bound:
+#: past its head each term is e^{-mu u} with mu = -log(B^2) rounded once, so it may be
+#: off by mu u 2^-53 <= 745 * 1.1e-16 = 8.3e-14 (at mu u > 745 it underflows to 0)
+TAIL_ROUNDING = 1e-13
 
 
 def _in_range(bound: float, params: ClassParams, theorem: str, t: float | None = None) -> float:
@@ -57,56 +63,28 @@ def thm2_bound(params: ClassParams) -> float:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _weighted_series(B: float, t: float) -> float:
-    """sum_{n>=1} (n+1)^t x^{n-1} / n^2 at x = B^2 <= 1 (t < 1 required at x = 1).
+def _weighted_series(B: float, t: float, start: int = 1) -> float:
+    """sum_{n>=start} (n+1)^t x^{n-1} / n^2 at x = B^2 <= 1, t <= 2 (t < 1 at x = 1).
 
-    Memoised on the floats (B, t).  t = 0 is Li_2(x)/x for 0 < x <= 1.  For
-    t in {-1, 1, 2} and 1/2 <= x < 1 a closed form S/x, where (n+1)^t/n^2
-    splits into 1/n^2, 1/n, 1 and 1/(n+1), and l = -log(1 - x) and 1 - x
-    come from (1 - B)(1 + B):
-
-      t = 1:  S = Li_2(x) + l          t = 2:  S = Li_2(x) + 2l + x/(1-x)
-      t = -1: S = Li_2(x) - l + (l - x)/x   (cancels at small x, hence x >= 1/2)
-
-    Else, absolute accuracy ~1e-13: geometric cutoff for x < 1 (x = 0 gives
-    2^t), about 50 terms below x = 1/2; for x = 1 a direct head plus a
-    binomial expansion of (1+1/n)^t into Hurwitz-zeta tails.
+    Memoised on (B, t, start).  A direct head over start <= n < start + 64,
+    whose powers |B|^{2(n-1)} are of the double B, not of the rounded B*B
+    (x = 0 gives 2^t at start = 1).  (n+1)^t/n^2 decreases for t <= 2, so the
+    rest is at most the head's last term times x/(1 - x); where that is above
+    2^-60 of its first term, the rest is added as
+    x^-1 sum_{j<14} C(t, j) lerch_tail(mu, 2 + j - t, start + 64) at e^-mu = x,
+    (n+1)^t = n^t (1 + 1/n)^t expanded binomially.
     """
+    b = start + 64
+    terms = [abs(B) ** (2 * n - 2) * (n + 1.0) ** t / n**2 for n in range(start, b)]
     x = B * B
-    if t == 0.0 and x > 0.0:
-        return li(2.0, x) / x
-    if 0.5 <= x < 1.0 and t in (-1.0, 1.0, 2.0):
-        ell = -(math.log1p(B) + math.log1p(-B))
-        extra = {
-            -1.0: (ell - x) / x - ell,
-            1.0: ell,
-            2.0: 2.0 * ell + x / ((1.0 - B) * (1.0 + B)),
-        }
-        return (li(2.0, x) + extra[t]) / x
-    if x < 1.0:
-        total = 0.0
-        xn = 1.0
-        n = 0
-        while True:
-            n += 1
-            term = (n + 1.0) ** t * xn / n**2
-            total += term
-            # (n+1)^t / n^2 decreases for t <= 2, so the tail is geometric
-            if n >= 2 and term * x / (1.0 - x) < 1e-15:
-                return total
-            xn *= x
-    # x = 1, t < 1: head sum, then (n+1)^t/n^2 = n^{t-2} (1 + 1/n)^t expanded
-    head_n = 2000
-    total = math.fsum((n + 1.0) ** t / n**2 for n in range(1, head_n + 1))
-    tail = 0.0
-    coeff = 1.0
-    for jj in range(0, 60):
-        inc = coeff * hurwitz_zeta(2.0 - t + jj, head_n + 1.0)
-        tail += inc
-        if abs(inc) < 1e-18:
-            break
-        coeff *= (t - jj) / (jj + 1.0)
-    return total + tail
+    if terms[-1] * x > 2**-60 * terms[0] * (1.0 - B) * (1.0 + B):
+        # -1 - B is exact for B in [-1, -1/2], so mu keeps every digit of B near -1
+        mu = -2.0 * math.log1p(-1.0 - B)
+        coeff = 1.0 / x
+        for j in range(14):
+            terms.append(coeff * lerch_tail(mu, 2.0 + j - t, b))
+            coeff *= (t - j) / (j + 1.0)
+    return math.fsum(terms)
 
 
 def thm3_bound(params: ClassParams, t: float) -> float:
@@ -114,7 +92,7 @@ def thm3_bound(params: ClassParams, t: float) -> float:
 
     B = -1 needs t < 1 for convergence.
     """
-    # NaN would never stop the series loop, -inf gives a NaN bound
+    # named as a bad weight: a NaN t gives a NaN kernel, -inf a zero one
     if not (math.isfinite(t) and t <= 2.0):
         raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
     if params.B == -1.0 and t >= 1.0:
@@ -125,10 +103,7 @@ def thm3_bound(params: ClassParams, t: float) -> float:
 def extremal_tail_bound(params: ClassParams, n_terms: int) -> float:
     """Upper bound on the dropped tail sum_{n > n_terms} |d_n(K)|^2.
 
-    Geometric bound G * B^{2N} / ((N+1)^2 (1 - B^2)) for |B| < 1; the exact
-    trigamma tail G * psi_1(N+1) at B = -1.
+    G times the t = 0 kernel summed from n_terms + 1, raised by the relative
+    `TAIL_ROUNDING` so that its rounding cannot take it below the true tail.
     """
-    B = params.B
-    if B == -1.0:
-        return params.G * hurwitz_zeta(2.0, n_terms + 1.0)
-    return params.G * (B * B) ** n_terms / ((n_terms + 1) ** 2 * ((1.0 - B) * (1.0 + B)))
+    return params.G * _weighted_series(params.B, 0.0, n_terms + 1) * (1.0 + TAIL_ROUNDING)

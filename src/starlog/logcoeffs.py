@@ -32,8 +32,7 @@ class LogCoeffVector:
     """The sequence d_1..d_{N_d}, where d_n sits at exponent n*m.
 
     `d` is a read-only complex128 copy of the input, or the input itself when
-    that is a read-only complex128 array owning its data; equality and the
-    hash go by value.
+    that is a read-only complex128 array owning its data.
     """
 
     d: np.ndarray
@@ -64,14 +63,6 @@ class LogCoeffVector:
 
     def __getitem__(self, i: int) -> complex:
         return self.d[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogCoeffVector):
-            return NotImplemented
-        return self.m == other.m and np.array_equal(self.d, other.d)
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.d.tolist()), self.m))
 
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:

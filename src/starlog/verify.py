@@ -83,8 +83,8 @@ def verify_member(
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
             passed = ratio <= 1.0 + tol
             return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, "")
-        s = sum_fn(d, *args)
-        return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, True, tail, note)
+        # a skipped or vacuous row has nothing to compare, so no sum is made for it
+        return CheckRow(theorem, seed, t, order, n_d, None, bound, ratio, True, tail, note)
 
     return [
         check("ThmA", None, sum_sq, thm_a_bound),
@@ -101,11 +101,11 @@ def check_sharpness(
 ) -> CheckRow:
     """Certify equality of the plain-squares bound at the extremal member.
 
-    Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then brackets the
-    bound by partial sum plus analytic tail; a term that differs gives a
-    failed row whose note names the first such n.  |B| > 0.9 decays too
-    slowly for the default budget and requires slow=True (B = -1 then uses
-    the exact trigamma tail with N_d >= 10^4).
+    Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then that the partial
+    sum plus the tail `extremal_tail_bound`, summed to rounding, is the bound
+    within `tol`; a term that differs gives a failed row whose note names the
+    first such n.  |B| > 0.9 needs long members (N_d up to `ORDER_CAP`, 10^4 m
+    at B = -1) and so slow=True.
     """
     if abs(params.B) > 0.9 and not slow:
         raise SlowModeRequired(

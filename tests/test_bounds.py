@@ -12,7 +12,7 @@ from starlog.bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bo
 from starlog.errors import BExcluded, DivergentSeries, InvalidParams, WeightOutOfRange
 from starlog.logcoeffs import LogCoeffVector, sum_weighted
 from starlog.members import ClassParams
-from starlog.polylog import li
+from starlog.polylog import lerch_tail, li
 
 ZETA2 = math.pi**2 / 6
 
@@ -168,7 +168,11 @@ class TestMemoisedKernels:
     def test_li2_ratio_equals_unmemoised(self, B):
         # Li_2(x)/x, the plain-squares kernel, is the t = 0 entry of the weighted series
         got = bounds._weighted_series(B, 0.0)
-        assert got == bounds._weighted_series.__wrapped__(B, 0.0) == li(2.0, B * B) / (B * B)
+        assert got == bounds._weighted_series.__wrapped__(B, 0.0)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(B) ** 2
+            reference = float(mpmath.polylog(2, x) / x)
+        assert got == pytest.approx(reference, rel=1e-15, abs=0)
 
     def test_weighted_series_equals_unmemoised_in_any_order(self):
         # the grid runs twice, in both orders: the second pass answers from the cache
@@ -181,7 +185,7 @@ class TestMemoisedKernels:
             params = ClassParams(1, 2, 0.8 + 0.3j, B)
             lead = (abs(params.A - B) / 4.0) ** 2
             assert thm3_bound(params, t) == lead * bounds._weighted_series.__wrapped__(B, t)
-            assert thm_a_bound(params) == lead * (li(2.0, B * B) / (B * B))
+            assert thm_a_bound(params) == lead * bounds._weighted_series.__wrapped__(B, 0.0)
 
     def test_repeated_rows_hit_the_cache(self):
         bounds._weighted_series.cache_clear()
@@ -215,8 +219,8 @@ class TestPlainSquaresKernel:
     def test_matches_mpmath_below_one_half(self, B):
         assert self.relative_error(B) <= 1e-15
 
-    # li(2, x) cuts its series at a tail of 1e-16 x; a cut at 1e-16 absolute was
-    # off by about 1e-16/x relative, 2.5e-9 just below x = 1e-8 (B = -9.9e-5)
+    # a series cut at a tail of 1e-16 absolute was off by about 1e-16/x relative,
+    # 2.5e-9 just below x = 1e-8 (B = -9.9e-5); the kernel's head has no such cut
     @pytest.mark.parametrize("B", [-0.05, -0.01, -9.9e-5, -1e-5, -1e-100])
     def test_matches_mpmath_at_small_b(self, B):
         assert self.relative_error(B) <= 1e-15
@@ -226,7 +230,7 @@ DEFAULT_T = (-1.0, 0.0, 1.0, 2.0)
 
 
 class TestClosedFormKernel:
-    """sum (n+1)^t x^{n-1}/n^2 for the default t at x = B^2 >= 1/2 (Li_2 and log1p)."""
+    """sum (n+1)^t x^{n-1}/n^2 for the default t against mpmath's partial fractions."""
 
     @staticmethod
     def reference(B, t):
@@ -260,13 +264,14 @@ class TestClosedFormKernel:
 
     @pytest.mark.parametrize("t", DEFAULT_T)
     def test_continuous_at_one_half(self, t):
-        # B runs over the two doubles whose squares straddle x = 1/2
+        # two neighbouring doubles B, whose squares straddle x = 1/2, give kernels
+        # within rounding of each other and of the mpmath oracle
         B = -math.sqrt(0.5)
         assert B * B >= 0.5 > math.nextafter(B, 0.0) ** 2
-        closed = bounds._weighted_series.__wrapped__(B, t)
-        loop = bounds._weighted_series.__wrapped__(math.nextafter(B, 0.0), t)
-        assert closed == pytest.approx(loop, rel=1e-14, abs=0)
-        assert closed == pytest.approx(self.reference(B, t), rel=5e-15, abs=0)
+        here = bounds._weighted_series.__wrapped__(B, t)
+        neighbour = bounds._weighted_series.__wrapped__(math.nextafter(B, 0.0), t)
+        assert here == pytest.approx(neighbour, rel=1e-14, abs=0)
+        assert here == pytest.approx(self.reference(B, t), rel=5e-15, abs=0)
 
 
 class TestTailBound:
@@ -274,8 +279,11 @@ class TestTailBound:
         assert extremal_tail_bound(ClassParams(1, 2, 1, 0), 10) == 0.0
 
     def test_b_zero_with_no_terms_is_the_whole_sum(self):
-        # N = 0 drops d_1 too, so the tail is |d_1|^2 = |A/(2m)|^2, not 0
-        assert extremal_tail_bound(ClassParams(1, 2, 0.6, 0), 0) == (0.6 / 4) ** 2
+        # N = 0 drops d_1 too, so the tail is |d_1|^2 = |A/(2m)|^2, not 0, raised by
+        # the rounding allowance that keeps it an upper bound
+        G = (0.6 / 4) ** 2
+        tail = extremal_tail_bound(ClassParams(1, 2, 0.6, 0), 0)
+        assert G < tail <= G * (1 + bounds.TAIL_ROUNDING)
 
     def test_dominates_true_tail(self):
         params = ClassParams(1, 1, 1, -0.5)
@@ -291,3 +299,63 @@ class TestTailBound:
         params = ClassParams(1, 1, 1, -1)
         partial = math.fsum(1.0 / n**2 for n in range(1, 1001))
         assert abs(partial + extremal_tail_bound(params, 1000) - ZETA2) <= 1e-12
+
+    @pytest.mark.parametrize("n_terms", [1000, 4096, 10_000, 40_000])
+    def test_b_minus_one_is_the_trigamma_tail(self, n_terms):
+        params = ClassParams(1, 1, 1, -1)
+        with mpmath.workdps(30):
+            trigamma = float(mpmath.psi(1, n_terms + 1))
+        tail = extremal_tail_bound(params, n_terms)
+        assert trigamma <= tail <= trigamma * (1 + bounds.TAIL_ROUNDING + 1e-15)
+
+    @pytest.mark.parametrize("n_terms", [64, 4096])
+    @pytest.mark.parametrize("B", [-0.9, -0.9995, -0.9999, -0.99999, -1 + 1e-9])
+    def test_bounds_the_exact_tail_near_b_minus_one(self, B, n_terms):
+        # the exact tail at the double B, x^N Phi(x, 2, N + 1) with x = B^2, to 40 digits
+        params = ClassParams(1, 1, 1, B)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(B) ** 2
+            exact = float(params.G * x**n_terms * mpmath.lerchphi(x, 2, n_terms + 1))
+        tail = extremal_tail_bound(params, n_terms)
+        assert exact <= tail <= exact * (1 + 2 * bounds.TAIL_ROUNDING)
+
+
+def kernel_reference(B, t):
+    """sum (n+1)^t x^{n-1}/n^2 at the exact square x of the double B, to 40 digits:
+    64 terms, then (n+1)^t = n^t (1 + 1/n)^t expanded into mpmath's Lerch sums."""
+    with mpmath.workdps(40):
+        x, t = mpmath.mpf(B) ** 2, mpmath.mpf(t)
+        head = mpmath.fsum((n + 1) ** t * x ** (n - 1) / n**2 for n in range(1, 65))
+        tail = mpmath.fsum(
+            mpmath.binomial(t, j) * x**64 * mpmath.lerchphi(x, 2 + j - t, 65) for j in range(30)
+        )
+        return float(head + tail)
+
+
+class TestKernelNearBMinusOne:
+    """The kernel at non-integer t, where no closed form exists, as B -> -1."""
+
+    @pytest.mark.parametrize("t", [-0.5, 0.5, 1.5])
+    @pytest.mark.parametrize("B", [-0.9999, -0.99999, -0.999999])
+    def test_matches_mpmath(self, B, t):
+        got = bounds._weighted_series.__wrapped__(B, t)
+        assert got == pytest.approx(kernel_reference(B, t), rel=1e-15, abs=0)
+
+    # an order just off an integer: the E_s series meets its pole at s0 = 1
+    @pytest.mark.parametrize("B", [-0.9, -0.99999, -1.0])
+    def test_order_just_off_an_integer(self, B):
+        got = bounds._weighted_series.__wrapped__(B, 1e-7)
+        assert got == pytest.approx(kernel_reference(B, 1e-7), rel=1e-14, abs=0)
+
+    def test_first_call_is_fast(self, monkeypatch):
+        # a geometric loop would run about 40/(1 - x) = 2e7 terms here; the kernel
+        # makes one 64-term head and 14 Euler-Maclaurin tails, each of bounded length
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return lerch_tail(*args)
+
+        monkeypatch.setattr(bounds, "lerch_tail", counted)
+        bounds._weighted_series.__wrapped__(-0.999999, 0.5)
+        assert len(calls) == 14

@@ -170,16 +170,6 @@ class TestLogCoeffVector:
         with pytest.raises(ValueError):
             d.d[0] = 1.0
 
-    def test_value_equality_and_hash(self):
-        a = LogCoeffVector((0.5, 0.25j), 1)
-        b = LogCoeffVector(np.array([0.5, 0.25j]), 1)
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != LogCoeffVector((0.5, 0.25j), 2)
-        assert a != LogCoeffVector((0.5, 0.26j), 1)
-        assert a != LogCoeffVector((0.5,), 1)
-        assert a != (0.5, 0.25j)
-
     def test_abs_sq_and_indices_are_cached_and_read_only(self):
         d = LogCoeffVector(np.array([0.5, 0.25j, 1 - 1j]), 1)
         assert d.abs_sq is d.abs_sq and d.n is d.n

@@ -87,6 +87,9 @@ class TestVerifyMember:
         assert all(r.tail_bound is None for r in damped)
 
 
+NEAR_KOEBE = [-0.9995, -0.9999, -0.99999, -1 + 1e-9, -1.0]
+
+
 class TestCheckSharpness:
     def test_half_b_instance(self):
         row = check_sharpness(ClassParams(1, 1, 1, -0.5), order=128)
@@ -123,6 +126,28 @@ class TestCheckSharpness:
         assert abs(row.bound - bound) <= 1e-12 * bound
         bracket = row.partial_sum + row.tail_bound
         assert abs(bracket - row.bound) <= 1e-8 * row.bound
+
+    # the tail is summed to rounding, so the default order certifies B near -1 too
+    @pytest.mark.parametrize("B", NEAR_KOEBE)
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_near_koebe_certified_at_the_default_order(self, B, k):
+        row = check_sharpness(ClassParams(1, k, 1, B), slow=True)
+        assert row.passed, row
+        assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-15 * row.bound
+
+    @pytest.mark.parametrize("B", NEAR_KOEBE)
+    def test_near_koebe_raised_bound_fails(self, B, monkeypatch):
+        import starlog.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "thm_a_bound", lambda p: thm_a_bound(p) * (1 + 1e-7))
+        assert not check_sharpness(ClassParams(1, 1, 1, B), slow=True).passed
+
+    @pytest.mark.parametrize("B", NEAR_KOEBE)
+    def test_near_koebe_injected_d1_fails(self, B):
+        params = ClassParams(1, 1, 1, B)
+        member = member_from_seed(params, Identity(), suggested_order(params))
+        rows = verify_member(member, d1_offset=0.5)
+        assert not next(r for r in rows if r.theorem == "ThmA").passed
 
     @pytest.mark.parametrize("A", [50, 1e3])
     def test_large_a_extremal_bracket(self, A):
@@ -289,7 +314,7 @@ def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
     fresh = log_coefficients(member)
     rows = verify_member(member, d1_offset=0.25)
     assert not all(r.passed for r in rows)
-    assert seen == [fresh] and seen[0].d.tobytes() == fresh.d.tobytes()
+    assert len(seen) == 1 and seen[0].d.tobytes() == fresh.d.tobytes() and seen[0].m == fresh.m
     assert all(r.passed for r in verify_member(member))
 
 
@@ -319,6 +344,17 @@ def test_divergent_thm3_row_stays_vacuous_pass():
         row = next(r for r in rows if r.theorem == f"Thm3(t={t:g})")
         assert row.passed and row.ratio == 0.0 and row.bound == math.inf
         assert row.note == "bound series diverges at B = -1; inequality vacuous"
+
+
+def test_skipped_and_vacuous_rows_carry_no_sum():
+    # at A = 1.3e154 the n^2- and (n+1)^t-weighted sums overflow (t >= 1); at B = -1
+    # their rows are skipped or vacuous, so no sum is made and numpy warns of nothing
+    member = member_from_seed(ClassParams(1, 1, 1.3e154, -1), Identity(), 64)
+    rows = {row.theorem: row for row in verify_member(member)}
+    for theorem in ("Thm2", "Thm3(t=1)", "Thm3(t=2)"):
+        assert rows[theorem].passed and rows[theorem].partial_sum is None
+    for theorem in ("ThmA", "Thm3(t=-1)", "Thm3(t=0)"):
+        assert rows[theorem].passed and rows[theorem].partial_sum > 0
 
 
 def test_out_of_range_bound_raises_before_its_sum_overflows():
