@@ -41,7 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-#: largest --terms accepted; above slow Koebe certification's 10^4 m terms
+#: largest --terms accepted; above the B = -1 certificate's 10^4 m terms
 MAX_TERMS = 10**6
 
 #: a CheckRow's fields, `passed` written as `pass`, with the parameters after the theorem
@@ -208,7 +208,7 @@ def _verify_summary(rows, failed, points):
 
 
 def _sharpness_rows(args):
-    return lambda params: [check_sharpness(params, args.terms or None, args.tol, args.slow)]
+    return lambda params: [check_sharpness(params, args.terms or None, args.tol)]
 
 
 def _sharpness_summary(rows, failed, points):
@@ -293,7 +293,7 @@ def _bounded(cast, minimum, maximum=math.inf):
 
 def _grid_command(sub, name: str, help_text: str, extra, **defaults) -> None:
     """Add the grid subcommand `name`, run by `_run`: the shared flags, then
-    `extra`, the flags only its row builder reads, as (flag, add_argument
+    `extra`, the flags only this subcommand takes, as (flag, add_argument
     keywords) pairs, then `defaults`.  A config file may set every
     value-taking flag but --config."""
     parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     _grid_command(sub, "verify", "run every bound check over a parameter sweep", verify_flags,
                   rows=_verify_rows, summary=_verify_summary, tol=DEFAULT_TOL)
 
-    slow = ("--slow", dict(action="store_true", help="allow long-tail certifications"))
-    _grid_command(sub, "sharpness", "certify equality at the extremal member", [slow],
+    no_op = ("--slow", dict(action="store_true", help="no effect; kept for existing command lines"))
+    _grid_command(sub, "sharpness", "certify equality at the extremal member", [no_op],
                   rows=_sharpness_rows, summary=_sharpness_summary, tol=SHARPNESS_TOL)
 
     search_flags = [

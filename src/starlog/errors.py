@@ -49,9 +49,5 @@ class HypothesisViolated(StarlogError):
     """Partial-sum dominance hypothesis fails in the weight-transfer check."""
 
 
-class SlowModeRequired(StarlogError):
-    """Requested certification needs the explicit slow mode (|B| near 1)."""
-
-
 class ConfigError(StarlogError):
     """Malformed configuration: a CLI flag or config file, or a search setting."""

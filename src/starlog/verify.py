@@ -2,7 +2,8 @@
 
 Partial sums of nonnegative terms can only understate the left-hand sides,
 so a pass verdict is sound at any truncation; sharpness certification adds
-an analytic tail bound to bracket the bound value from both sides.
+the extremal tail, summed to rounding, and compares partial + tail with the
+bound.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
-from .errors import (
-    BExcluded,
-    DivergentSeries,
-    HypothesisViolated,
-    SlowModeRequired,
-    WeightOutOfRange,
-)
+from .errors import BExcluded, DivergentSeries, HypothesisViolated, WeightOutOfRange
 from .logcoeffs import LogCoeffVector, log_coefficients, sum_n2, sum_sq, sum_weighted
 from .members import ClassMember, ClassParams, Identity, extremal_function, suggested_order
 from .series import TruncatedSeries
@@ -97,21 +92,15 @@ def check_sharpness(
     params: ClassParams,
     order: int | None = None,
     tol: float = SHARPNESS_TOL,
-    slow: bool = False,
 ) -> CheckRow:
     """Certify equality of the plain-squares bound at the extremal member.
 
     Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then that the partial
     sum plus the tail `extremal_tail_bound`, summed to rounding, is the bound
     within `tol`; a term that differs gives a failed row whose note names the
-    first such n.  |B| > 0.9 needs long members (N_d up to `ORDER_CAP`, 10^4 m
-    at B = -1) and so slow=True.
+    first such n.  The member has `suggested_order(params)` terms by default,
+    10^4 m at B = -1.
     """
-    if abs(params.B) > 0.9 and not slow:
-        raise SlowModeRequired(
-            f"|B| = {abs(params.B)} > 0.9: equality certification needs slow mode "
-            "(pass slow=True / --slow); the tail decays too slowly otherwise"
-        )
     if order is None:
         if params.B == -1.0:
             order = 10_000 * params.m

@@ -74,11 +74,11 @@ def test_criterion_3_thm_a_sharpness():
 
 
 def test_criterion_3_koebe_slow_mode():
-    result = sl.check_sharpness(sl.ClassParams(1, 1, 1, -1), slow=True)
+    result = sl.check_sharpness(sl.ClassParams(1, 1, 1, -1))
     assert result.N_d >= 10_000
     assert abs(result.partial_sum - ZETA2) <= 1e-4
     assert abs(result.partial_sum + result.tail_bound - ZETA2) <= 1e-9
-    _announce(3, "Koebe slow mode reproduces pi^2/6 (1e-4 by partial sum, 1e-9 with tail)")
+    _announce(3, "Koebe endpoint B = -1 reproduces pi^2/6 (1e-4 by partial sum, 1e-9 with tail)")
 
 
 def test_criterion_4_thm2_sharpness():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starlog.bounds import extremal_tail_bound, thm_a_bound
-from starlog.errors import HypothesisViolated, InvalidParams, SlowModeRequired, WeightOutOfRange
+from starlog.errors import HypothesisViolated, InvalidParams, WeightOutOfRange
 from starlog.logcoeffs import log_coefficients, sum_sq
 from starlog.members import (
     ClassParams,
@@ -106,12 +106,15 @@ class TestCheckSharpness:
         assert row.passed
         assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-8 * row.bound
 
-    def test_slow_mode_gate(self):
-        with pytest.raises(SlowModeRequired):
-            check_sharpness(ClassParams(1, 1, 1, -1))
+    def test_certified_without_a_flag(self):
+        # |B| > 0.9 takes the one path that every B does
+        for B in (-0.95, -1.0):
+            for k in (1, 4):
+                row = check_sharpness(ClassParams(1, k, 1, B))
+                assert row.passed, row
 
     def test_koebe_slow_mode(self):
-        row = check_sharpness(ClassParams(1, 1, 1, -1), slow=True)
+        row = check_sharpness(ClassParams(1, 1, 1, -1))
         assert row.N_d >= 10_000
         assert abs(row.partial_sum - math.pi**2 / 6) <= 1e-4
         assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-9
@@ -120,7 +123,7 @@ class TestCheckSharpness:
     def test_koebe_slow_mode_at_m_above_one(self, k):
         # j = 1, so m = k; the benchmark's koebe certificate gates at m = 4
         A = 0.8 + 0.3j
-        row = check_sharpness(ClassParams(1, k, A, -1), slow=True)
+        row = check_sharpness(ClassParams(1, k, A, -1))
         bound = (abs(A + 1) / (2 * k)) ** 2 * math.pi**2 / 6
         assert row.N_d == 10_000
         assert abs(row.bound - bound) <= 1e-12 * bound
@@ -131,7 +134,7 @@ class TestCheckSharpness:
     @pytest.mark.parametrize("B", NEAR_KOEBE)
     @pytest.mark.parametrize("k", [1, 4])
     def test_near_koebe_certified_at_the_default_order(self, B, k):
-        row = check_sharpness(ClassParams(1, k, 1, B), slow=True)
+        row = check_sharpness(ClassParams(1, k, 1, B))
         assert row.passed, row
         assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-15 * row.bound
 
@@ -140,7 +143,7 @@ class TestCheckSharpness:
         import starlog.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "thm_a_bound", lambda p: thm_a_bound(p) * (1 + 1e-7))
-        assert not check_sharpness(ClassParams(1, 1, 1, B), slow=True).passed
+        assert not check_sharpness(ClassParams(1, 1, 1, B)).passed
 
     @pytest.mark.parametrize("B", NEAR_KOEBE)
     def test_near_koebe_injected_d1_fails(self, B):
