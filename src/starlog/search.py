@@ -73,8 +73,8 @@ def adversarial_search(
     A max ratio above 1 + 1e-9 would be a counterexample; the report flags
     non-convergence when the budget runs out before refinement finishes.
     """
-    # imported here, not at module level: scipy.optimize loads scipy.special,
-    # which nothing else in `import starlog` needs
+    # imported here, not at module level: scipy.optimize loads scipy.special
+    # and the scipy.linalg package, which `import starlog` skips
     from scipy.optimize import minimize
 
     if family not in FAMILIES:

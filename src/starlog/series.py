@@ -8,17 +8,53 @@ blocks of rows: one convolution brings the solved history into a block
 and one BLAS banded triangular solve finishes it.  The history and the
 band reach back only over the index of the last nonzero Toeplitz entry,
 so a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds
-and a dense one O(N^2); the per-coefficient Python overhead goes.
+and a dense one O(N^2); the per-coefficient Python overhead goes.  The
+solve is scipy's f2py `ztbsv`, loaded from its compiled BLAS wrapper
+`scipy.linalg._fblas` without the `scipy.linalg` package, so importing
+this module loads numpy and that one scipy extension.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
 
 from .errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
+
+
+def _load_ztbsv():
+    """scipy's `ztbsv`, from `scipy/linalg/_fblas<suffix>` loaded on its own.
+
+    Importing the `scipy.linalg` package takes longer than numpy itself,
+    and nothing else of it is used.  The extension is single-phase f2py,
+    so loading it registers `scipy.linalg._fblas` in sys.modules and a
+    later `import scipy.linalg` reuses it: `scipy.linalg.blas.ztbsv` is
+    this same object.
+    Where no such file loads (say, an editable scipy build keeping its
+    extensions elsewhere), the public import gives the same function.
+    """
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else ()
+    names = ["_fblas" + suffix for suffix in EXTENSION_SUFFIXES]
+    paths = (os.path.join(root, "linalg", name) for root in roots for name in names)
+    path = next(filter(os.path.exists, paths), None)
+    if path:
+        loader = ExtensionFileLoader("scipy.linalg._fblas", path)
+        fblas = importlib.util.spec_from_loader(loader.name, loader)
+        try:
+            return importlib.util.module_from_spec(fblas).ztbsv
+        except (ImportError, OSError):
+            pass
+    from scipy.linalg.blas import ztbsv
+
+    return ztbsv
+
+
+ztbsv = _load_ztbsv()
 
 #: rows per block of a dense solve; every block's band storage holds _BLOCK**2 entries
 _BLOCK = 64

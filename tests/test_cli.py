@@ -394,10 +394,10 @@ def test_malformed_number_is_config_error(capsys, flag):
     assert f"bad {flag[2:]} value" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+def test_cli_import_leaves_scipy_linalg_special_and_optimize_unloaded():
     code = (
         "import sys, starlog.cli; "
-        "print(sorted({'scipy.special', 'scipy.optimize'} & sys.modules.keys()))"
+        "print(sorted({'scipy.linalg', 'scipy.special', 'scipy.optimize'} & sys.modules.keys()))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

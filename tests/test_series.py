@@ -1,7 +1,11 @@
 """Truncated-series arithmetic: worked examples and algebraic invariants."""
 
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from starlog.series import (
     integrate_over_t,
     log_series,
     scale,
+    ztbsv,
 )
 from zlevel import compose_power
 
@@ -431,3 +436,90 @@ def test_equal_coefficients_give_equal_series_and_hashes():
 def test_empty_series_rejected(empty):
     with pytest.raises(ValueError):
         TruncatedSeries(empty)
+
+
+# The solve's `ztbsv` is scipy's own, loaded from scipy/linalg/_fblas<suffix>
+# without the scipy.linalg package, or through the public import when that fails.
+
+
+# (divisor width, rows, band storage width of the solve): up to 64 rows the
+# divisor is taken as dense, so its storage spans every row
+@pytest.mark.parametrize("width, rows, stored", [(2, 22, 22), (5, 150, 5), (2, 2048, 2), (64, 64, 64)])
+def test_solve_is_bitwise_a_public_ztbsv_solve(width, rows, stored):
+    from scipy.linalg.blas import ztbsv as public_ztbsv
+
+    assert ztbsv is public_ztbsv
+    rng = np.random.default_rng(width * rows)
+    t = np.zeros(rows, dtype=np.complex128)
+    t[0] = 1.0
+    t[1:width] = rng.normal(size=(width - 1, 2)) @ [0.5, 0.5j] / width
+    rhs = rng.normal(size=(rows, 2)) @ [1, 1j]
+    ab = np.asfortranarray(np.broadcast_to(t[:stored, None], (stored, rows)))
+    want = public_ztbsv(stored - 1, ab, rhs, lower=1)
+    assert np.array_equal(_solve_toeplitz(t, rhs), want)
+
+
+# A fresh interpreter imports starlog, optionally with scipy's directory seen
+# as argv[1] instead (so the direct load finds no loadable _fblas), runs the
+# CLI on argv[3:] with the report at argv[2], and then imports scipy.linalg.
+_CHILD = """
+import importlib.util, json, sys
+scipy_dir, out, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+find_spec = importlib.util.find_spec
+def moved_scipy(name, package=None):
+    spec = find_spec(name, package)
+    if name == "scipy" and scipy_dir:
+        spec.submodule_search_locations = [scipy_dir]
+    return spec
+importlib.util.find_spec = moved_scipy
+import starlog.cli, starlog.series
+importlib.util.find_spec = find_spec
+linalg_at_import = "scipy.linalg" in sys.modules
+rc = starlog.cli.main([*argv, "--no-timestamp", "--out", out])
+import scipy.linalg.blas
+same = scipy.linalg.blas.ztbsv is starlog.series.ztbsv
+print(json.dumps({"rc": rc, "linalg_at_import": linalg_at_import, "same": same}))
+"""
+
+
+def _run_child(tmp_path, name, scipy_dir, *argv):
+    out = tmp_path / f"{name}.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(scipy_dir), str(out), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), out.read_bytes()
+
+
+def _scipy_without_fblas(tmp_path, kind):
+    """A stand-in scipy directory whose linalg/ has no _fblas, or one that does not load."""
+    linalg = tmp_path / kind / "linalg"
+    linalg.mkdir(parents=True)
+    if kind == "unloadable":
+        (linalg / f"_fblas{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a shared object")
+    return linalg.parent
+
+
+VERIFY_ARGV = ["verify", "--j", "1", "--k", "1,2", "--A", "1", "--B=-0.5"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "unloadable"])
+def test_fallback_is_the_public_ztbsv_with_the_same_report(tmp_path, kind):
+    state, direct = _run_child(tmp_path, "direct", "", *VERIFY_ARGV)
+    assert state == {"rc": 0, "linalg_at_import": False, "same": True}
+    state, fallback = _run_child(tmp_path, kind, _scipy_without_fblas(tmp_path, kind), *VERIFY_ARGV)
+    assert state == {"rc": 0, "linalg_at_import": True, "same": True}
+    assert fallback == direct
+
+
+@pytest.mark.parametrize("family", ["poly", "expdamp"])
+def test_search_loads_scipy_optimize_after_the_direct_load(tmp_path, family):
+    argv = ["search", "--j", "1", "--k", "2", "--A", "0.8+0.3i", "--B=-0.9"]
+    argv += ["--family", family, "--budget", "200"]
+    state, direct = _run_child(tmp_path, "direct", "", *argv)
+    assert state == {"rc": 0, "linalg_at_import": False, "same": True}
+    _, public = _run_child(tmp_path, "public", _scipy_without_fblas(tmp_path, "missing"), *argv)
+    assert direct == public
