@@ -41,7 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-#: largest --terms accepted; above the B = -1 certificate's 10^4 m terms
+#: largest --terms accepted; far above `suggested_order`'s defaults (512 m at B = -1)
 MAX_TERMS = 10**6
 
 #: a CheckRow's fields, `passed` written as `pass`, with the parameters after the theorem

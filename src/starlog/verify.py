@@ -98,14 +98,11 @@ def check_sharpness(
     Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, then that the partial
     sum plus the tail `extremal_tail_bound`, summed to rounding, is the bound
     within `tol`; a term that differs gives a failed row whose note names the
-    first such n.  The member has `suggested_order(params)` terms by default,
-    10^4 m at B = -1.
+    first such n.  The member has `suggested_order(params)` terms by default
+    (512 m at B = -1): the tail covers whatever the partial sum leaves.
     """
     if order is None:
-        if params.B == -1.0:
-            order = 10_000 * params.m
-        else:
-            order = suggested_order(params)
+        order = suggested_order(params)
     member = extremal_function(params, order)
     d = log_coefficients(member)
     ran_at = ("ThmA-sharpness", "identity", None, member.order, d.n_terms)

@@ -112,6 +112,25 @@ def test_sharpness_at_b_one_ignores_the_slow_flag():
     assert plain.stdout == flagged.stdout
 
 
+@pytest.mark.parametrize("k, terms", [("1", "512"), ("4", "2048")])
+def test_koebe_sharpness_takes_the_suggested_order(capsys, k, terms):
+    # B = -1 has no order rule of its own: the default is suggested_order, 512 m
+    argv = ["sharpness", "--j", "1", "--k", k, "--A", "1", "--B=-1", "--no-timestamp"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--terms", terms]) == 0
+    assert capsys.readouterr().out == default
+
+
+# COEFF_TOL = 1e-11 is absolute, so at large A it is below one ulp of |d_n|^2
+# (|d_3|^2 = 1822828.06... at B = -0.9); ROADMAP item 3's rounding certificate mends it
+@pytest.mark.xfail(strict=True, reason="absolute COEFF_TOL below one ulp (ROADMAP item 3)")
+@pytest.mark.parametrize("B", ["-0.9", "-1"])
+def test_large_a_extremal_member_certifies(capsys, B):
+    assert main(["sharpness", "--j", "1", "--k", "1", "--A", "1e4", f"--B={B}",
+                 "--no-timestamp"]) == 0
+
+
 def test_sharpness_small_grid(tmp_path):
     out = tmp_path / "sharp.json"
     proc = run_cli("sharpness", *SMALL_GRID, "--out", str(out), "--no-timestamp")

@@ -114,21 +114,35 @@ class TestCheckSharpness:
                 assert row.passed, row
 
     def test_koebe_slow_mode(self):
-        row = check_sharpness(ClassParams(1, 1, 1, -1))
-        assert row.N_d >= 10_000
-        assert abs(row.partial_sum - math.pi**2 / 6) <= 1e-4
+        # B = -1 takes the one order rule; the tail covers what 512 terms leave
+        params = ClassParams(1, 1, 1, -1)
+        row = check_sharpness(params)
+        assert row.N_d == suggested_order(params) // params.m == 512
+        assert abs(row.partial_sum + row.tail_bound - math.pi**2 / 6) <= 1e-9
         assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-9
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_koebe_slow_mode_at_m_above_one(self, k):
         # j = 1, so m = k; the benchmark's koebe certificate gates at m = 4
         A = 0.8 + 0.3j
-        row = check_sharpness(ClassParams(1, k, A, -1))
+        params = ClassParams(1, k, A, -1)
+        row = check_sharpness(params)
         bound = (abs(A + 1) / (2 * k)) ** 2 * math.pi**2 / 6
-        assert row.N_d == 10_000
+        assert row.N_d == suggested_order(params) // params.m == 512
         assert abs(row.bound - bound) <= 1e-12 * bound
         bracket = row.partial_sum + row.tail_bound
         assert abs(bracket - row.bound) <= 1e-8 * row.bound
+
+    # an explicit order still takes the long band-1 path: five 2048-row blocks of the solve
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_koebe_explicit_long_order(self, k):
+        params = ClassParams(1, k, 1, -1)
+        row = check_sharpness(params, order=10_000 * k)
+        assert row.passed, row
+        assert row.N_d == 10_000
+        assert abs(row.partial_sum - row.bound) <= 1e-4 * row.bound
+        assert abs(row.partial_sum + row.tail_bound - row.bound) <= 1e-8 * row.bound
+        assert abs(row.ratio - 1.0) <= 1e-15
 
     # the tail is summed to rounding, so the default order certifies B near -1 too
     @pytest.mark.parametrize("B", NEAR_KOEBE)
