@@ -72,7 +72,8 @@ def _weighted_series(B: float, t: float, start: int = 1) -> float:
     rest is at most the head's last term times x/(1 - x); where that is above
     2^-60 of its first term, the rest is added as
     x^-1 sum_{j<14} C(t, j) lerch_tail(mu, 2 + j - t, start + 64) at e^-mu = x,
-    (n+1)^t = n^t (1 + 1/n)^t expanded binomially.
+    (n+1)^t = n^t (1 + 1/n)^t expanded binomially; the sum ends at the first
+    C(t, j) = 0, so an integer t >= 0 takes t + 1 tails.
     """
     b = start + 64
     terms = [abs(B) ** (2 * n - 2) * (n + 1.0) ** t / n**2 for n in range(start, b)]
@@ -82,6 +83,8 @@ def _weighted_series(B: float, t: float, start: int = 1) -> float:
         mu = -2.0 * math.log1p(-1.0 - B)
         coeff = 1.0 / x
         for j in range(14):
+            if coeff == 0.0:  # C(t, j) = 0 from j = t + 1 on at an integer t >= 0
+                break
             terms.append(coeff * lerch_tail(mu, 2.0 + j - t, b))
             coeff *= (t - j) / (j + 1.0)
     return math.fsum(terms)

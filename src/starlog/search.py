@@ -25,10 +25,6 @@ _POLY_DEGREE = 4
 
 @dataclass(frozen=True)
 class SearchReport:
-    family: str
-    params: ClassParams
-    rng_seed: int
-    budget: int
     order: int
     evaluations: int
     max_ratio: float
@@ -142,10 +138,6 @@ def adversarial_search(
         refined = bool(res.success)
 
     return SearchReport(
-        family=family,
-        params=params,
-        rng_seed=rng_seed,
-        budget=budget,
         order=order,
         evaluations=used,
         max_ratio=max_ratio,

@@ -160,7 +160,7 @@ def test_criterion_7_lemma_suites():
             )
         omega = sl.seed_series(omega_seed, 20)
         f_series = _compose(g_series, omega)
-        ok, _ = sl.rogosinski_l2_check(f_series, g_series, 20)
+        ok, _ = sl.rogosinski_l2_check(f_series.array, g_series.array, 20)
         assert ok, (trial, omega_seed.label())
 
     # 500 hypothesis-satisfying weight transfers

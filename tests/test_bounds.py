@@ -349,7 +349,8 @@ class TestKernelNearBMinusOne:
 
     def test_first_call_is_fast(self, monkeypatch):
         # a geometric loop would run about 40/(1 - x) = 2e7 terms here; the kernel
-        # makes one 64-term head and 14 Euler-Maclaurin tails, each of bounded length
+        # makes one 64-term head and 14 Euler-Maclaurin tails, each of bounded length,
+        # and at an integer t >= 0 the binomial series ends after t + 1 of them
         calls = []
 
         def counted(*args):
@@ -357,5 +358,7 @@ class TestKernelNearBMinusOne:
             return lerch_tail(*args)
 
         monkeypatch.setattr(bounds, "lerch_tail", counted)
-        bounds._weighted_series.__wrapped__(-0.999999, 0.5)
-        assert len(calls) == 14
+        for t, tails in [(0.5, 14), (0.0, 1), (1.0, 2), (2.0, 3)]:
+            calls.clear()
+            bounds._weighted_series.__wrapped__(-0.999999, t)
+            assert len(calls) == tails, t

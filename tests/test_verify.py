@@ -208,16 +208,16 @@ def compose_truncated(outer: TruncatedSeries, inner: TruncatedSeries) -> Truncat
 class TestRogosinski:
     def test_identity_witness_equality(self):
         g = from_coeffs([0, 1, -2j, 0.5, 3])
-        ok, slack = rogosinski_l2_check(g, g, 4)
+        ok, slack = rogosinski_l2_check(g.array, g.array, 4)
         assert ok and abs(slack) <= 1e-15
 
     def test_square_substitution_slack(self):
         g = from_coeffs([0, 1, 0.5, 0.25, 0.125], order=8)
         f = compose_truncated(g, from_coeffs([0, 0, 1], order=8))
-        ok, slack = rogosinski_l2_check(f, g, 8)
+        ok, slack = rogosinski_l2_check(f.array, g.array, 8)
         assert ok
         assert abs(slack) <= 1e-12  # totals realign once every exponent doubles
-        ok7, slack7 = rogosinski_l2_check(f, g, 7)
+        ok7, slack7 = rogosinski_l2_check(f.array, g.array, 7)
         assert ok7
         assert abs(slack7 - abs(g[4]) ** 2) <= 1e-12  # strict before realignment
 
@@ -225,7 +225,7 @@ class TestRogosinski:
         g = from_coeffs([0, 1, 1j, -0.5])
         w = math.e ** (0.7j)
         f = TruncatedSeries(tuple(c * w**n for n, c in enumerate(g.coeffs)))
-        ok, slack = rogosinski_l2_check(f, g, 3)
+        ok, slack = rogosinski_l2_check(f.array, g.array, 3)
         assert ok and abs(slack) <= 1e-12
 
     def test_constructed_pairs(self):
@@ -237,7 +237,7 @@ class TestRogosinski:
             g = TruncatedSeries(tuple(g_coeffs.tolist()))
             omega = seed_series(seeds[trial % len(seeds)], 24)
             f = compose_truncated(g, omega)
-            ok, _ = rogosinski_l2_check(f, g, 24)
+            ok, _ = rogosinski_l2_check(f.array, g.array, 24)
             assert ok
 
 
@@ -335,9 +335,8 @@ def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
     assert all(r.passed for r in verify_member(member))
 
 
-# for B = 0, |d_1|^2 must be G and d_3 must vanish
-@pytest.mark.parametrize("n", [1, 3], ids=["d1", "d3"])
-def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
+def _extremal_with(monkeypatch, n, value):
+    """Make check_sharpness see the extremal member with L_n (so d_n) set by `value`."""
     import dataclasses
 
     import starlog.verify as verify_mod
@@ -345,13 +344,30 @@ def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
         coeffs = member.log_ratio.copy()
-        coeffs[n] += 1e-6
+        coeffs[n] = value(coeffs[n])
         return dataclasses.replace(member, log_ratio=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
-    row = check_sharpness(ClassParams(1, 2, 0.6, 0), order=40)
-    assert not row.passed and f"n={n}:" in row.note
-    assert (row.N, row.N_d) == (40, 20)
+
+
+# for B = 0, |d_1|^2 must be G and d_3 must vanish; at B = -0.5 the same rule
+# compares |d_3|^2 with the closed form
+@pytest.mark.parametrize("n", [1, 3], ids=["d1", "d3"])
+def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
+    _extremal_with(monkeypatch, n, lambda L: L + 1e-6)
+    for B in (0.0, -0.5):
+        row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
+        assert not row.passed and f"n={n}:" in row.note, B
+        assert (row.N, row.N_d) == (40, 20)
+
+
+# a NaN term fails closed: the note names it and the row carries no sum
+@pytest.mark.parametrize("B", [-0.5, 0.0])
+def test_sharpness_flags_a_nan_coefficient(monkeypatch, B):
+    _extremal_with(monkeypatch, 3, lambda L: math.nan)
+    row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
+    assert not row.passed and "n=3:" in row.note
+    assert row.partial_sum is None and row.ratio is None
 
 
 def test_divergent_thm3_row_stays_vacuous_pass():
