@@ -4,6 +4,11 @@ Maximizes ratio(seed) = sum |d_n|^2 / bound over a certified seed family
 (coarse grid, then Nelder-Mead refinement).  Deterministic for a fixed
 rng seed and budget; the expected outcome is a maximum ratio of 1 attained
 at (or converging to) the identity-equivalent corner.
+
+The refinement is an in-house Nelder-Mead that runs, step for step and bit
+for bit, the one path `scipy.optimize.minimize(method="Nelder-Mead")` runs
+here (default coefficients, `maxfev`, `xatol` and `fatol` set), so the search
+imports nothing of scipy beyond the BLAS extension `starlog.series` loads.
 """
 
 from __future__ import annotations
@@ -43,6 +48,70 @@ def _ratio_fn(params: ClassParams, order: int):
     return ratio
 
 
+class _Spent(Exception):
+    """The evaluation cap is reached; the run ends where it stands."""
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, int]:
+    """Minimize f from x0 by Nelder-Mead with rho, chi, psi, sigma = 1, 2, 1/2, 1/2.
+
+    Returns (converged, calls): converged is True when the simplex met both
+    tolerances before `maxfev` calls of f were spent.  The vertices are
+    re-sorted by argsort after the initial fill and after every step, as in
+    scipy, so ties between equal values break the same way (scipy sorts once
+    more after the fill, an argsort of sorted values that changes nothing).
+    """
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        if calls == maxfev:
+            raise _Spent
+        calls += 1
+        return f(x)
+
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = fun(sim[k])
+        while True:
+            order = np.argsort(fsim)
+            sim, fsim = sim[order], fsim[order]
+            spread = np.abs(sim[1:] - sim[0]).max()
+            if spread <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+                return True, calls
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:  # expand
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside or inside; shrink toward sim[0] if that fails
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+    except _Spent:
+        return False, calls
+
+
 def _expdamp_seed(x) -> ExpDamp:
     theta = float(x[0]) % (2.0 * math.pi)
     c = min(max(float(x[1]), 0.0), _EXPDAMP_C_MAX)
@@ -69,10 +138,6 @@ def adversarial_search(
     A max ratio above 1 + 1e-9 would be a counterexample; the report flags
     non-convergence when the budget runs out before refinement finishes.
     """
-    # imported here, not at module level: scipy.optimize loads scipy.special
-    # and the scipy.linalg package, which `import starlog` skips
-    from scipy.optimize import minimize
-
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if not budget >= 1:
@@ -80,7 +145,6 @@ def adversarial_search(
     if order is None:
         order = suggested_order(params)
     ratio = _ratio_fn(params, order)
-    rng = np.random.default_rng(rng_seed)
 
     if family == "expdamp":
         make_seed = _expdamp_seed
@@ -89,6 +153,7 @@ def adversarial_search(
         grid = [np.array([th, c]) for th in thetas for c in cs]
     else:
         make_seed = _poly_seed
+        rng = np.random.default_rng(rng_seed)
         corners = [
             np.array([math.cos(th), math.sin(th), 0, 0, 0, 0, 0, 0])
             for th in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -96,15 +161,14 @@ def adversarial_search(
         randoms = [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
         grid = corners + randoms
 
-    # evaluations so far and the best (ratio, seed); a tie on the ratio goes to the
-    # smaller seed key, so the report does not depend on evaluation order
-    used, max_ratio, best_seed = 0, -math.inf, None
+    # the best (ratio, seed) so far; a tie on the ratio goes to the smaller seed
+    # key, so the report does not depend on evaluation order
+    max_ratio, best_seed = -math.inf, None
 
     def score(x) -> float:
-        nonlocal used, max_ratio, best_seed
+        nonlocal max_ratio, best_seed
         seed = make_seed(x)
         r = ratio(seed)
-        used += 1
         if r > max_ratio or (
             r == max_ratio and best_seed is not None and seed.sort_key() < best_seed.sort_key()
         ):
@@ -113,34 +177,24 @@ def adversarial_search(
 
     grid_ratios = [score(x) for x in grid[:budget]]
     best_x = grid[grid_ratios.index(max(grid_ratios))]
+    used = len(grid_ratios)
 
-    refined = False
+    converged = False
     if used < budget:
 
         def objective(x):
-            if used >= budget:
-                return math.inf
             pen = 0.0
             if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_seed clips it
                 pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
             return -score(x) + 10.0 * pen
 
-        res = minimize(
-            objective,
-            np.asarray(best_x, dtype=float),
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget - used,
-                "xatol": 1e-10,
-                "fatol": 1e-13,
-            },
-        )
-        refined = bool(res.success)
+        converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)
+        used += calls
 
     return SearchReport(
         order=order,
         evaluations=used,
         max_ratio=max_ratio,
         best_seed=best_seed,
-        converged=refined and used < budget,
+        converged=converged,
     )

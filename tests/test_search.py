@@ -104,3 +104,125 @@ def test_report_records_truncation_order(order):
     params = ClassParams(1, 2, 1, -0.5)
     report = adversarial_search(params, "expdamp", budget=5, order=order)
     assert report.order == (order or suggested_order(params))
+
+
+# `_nelder_mead` retraces scipy's Nelder-Mead: the same points in the same
+# order, bit for bit, the same number of calls and the same success flag.
+
+
+def _rastrigin(x):
+    """Many local minima: a run that shrinks simplices whose vertices are far
+    apart, where how the shrink's midpoints are rounded shows."""
+    return 20.0 + float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+
+
+_PLATEAU_X0 = np.array([0.3, -0.7])
+
+
+def _plateau(x):
+    """Lowest only at the start point, so every step is a reflection, an
+    inside contraction and an n-point shrink: n + 2 calls."""
+    return 0.0 if np.array_equal(x, _PLATEAU_X0) else 1.0
+
+
+_POLY_PARAMS = ClassParams(1, 2, 0.8 + 0.3j, -0.9)
+_POLY_RATIO = search._ratio_fn(_POLY_PARAMS, suggested_order(_POLY_PARAMS))
+
+
+def _poly_objective(x):
+    return -_POLY_RATIO(search._poly_seed(x))
+
+
+def _recording(f):
+    points = []
+
+    def recorded(x):
+        points.append(np.array(x, dtype=float))
+        return f(x)
+
+    return points, recorded
+
+
+@pytest.mark.parametrize(
+    "f, x0, maxfev, converges",
+    [
+        (_rastrigin, np.array([5.0, 0.0]), 2000, True),
+        # fill 3, one 4-call step, then the cap lands after the reflection,
+        # the contraction and the first shrink point of the second step
+        (_plateau, _PLATEAU_X0, 3 + 4 + 3, False),
+        # the search's own objective from a corner seed, whose seven zero
+        # coordinates are each stepped to 0.00025
+        (_poly_objective, np.array([0.0, 1.0, 0, 0, 0, 0, 0, 0]), 300, False),
+    ],
+    ids=["converges", "cap-inside-shrink", "zero-coordinates"],
+)
+def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
+    from scipy.optimize import minimize
+
+    ours, f_ours = _recording(f)
+    converged, calls = search._nelder_mead(f_ours, x0, maxfev, xatol=1e-10, fatol=1e-13)
+    theirs, f_theirs = _recording(f)
+    options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-13}
+    res = minimize(f_theirs, x0, method="Nelder-Mead", options=options)
+
+    assert calls == len(ours) == res.nfev == len(theirs)
+    assert converged is res.success is converges
+    assert np.stack(ours).tobytes() == np.stack(theirs).tobytes()
+    assert converges or calls == maxfev
+    for k in np.flatnonzero(x0 == 0):
+        assert ours[k + 1][k] == 0.00025
+
+
+def _corner(p1):
+    return Polynomial(coeffs=(p1, 0j, 0j, 0j))
+
+
+# Reports as scipy's Nelder-Mead gave them, for a slice of (family, B, k,
+# rng seed, budget) at j = 1, A = 0.8+0.3i: a budget spent in the grid, in the
+# initial simplex, at a reflection, at a contraction and inside a shrink, and
+# runs that converge.
+_PINNED = [
+    (
+        ("expdamp", 0.0, 1, 0, 50),
+        (32, 50, "0x1.0000000000001p+0", ExpDamp(theta=2.356194490192345, c=0.0), False),
+    ),
+    (
+        ("expdamp", 0.0, 1, 0, 200),
+        (32, 200, "0x1.0000000000002p+0", ExpDamp(theta=2.3635577103263046, c=0.0), False),
+    ),
+    (
+        ("expdamp", -0.5, 1, 0, 2000),
+        (22, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), True),
+    ),
+    (
+        ("expdamp", -0.9, 1, 0, 200),
+        (150, 200, "0x1.0000000000003p+0", ExpDamp(theta=3.976078661554988, c=0.0), False),
+    ),
+    (
+        ("expdamp", -0.99, 4, 2, 200),
+        (6740, 190, "0x1.0000000000002p+0", ExpDamp(theta=1.1718854308128355e-05, c=0.0), True),
+    ),
+    (
+        ("poly", -0.5, 4, 1, 50),
+        (88, 50, "0x1.ffffffffffffep-1", _corner(6.123233995736766e-17 + 1j), False),
+    ),
+    (
+        ("poly", -0.9, 2, 3, 2000),
+        (300, 1097, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
+    (
+        ("poly", -1.0, 1, 0, 200),
+        (512, 200, "0x1.ff6485c57e371p-1", _corner(0.7071067811865474 - 0.7071067811865477j), False),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, pinned", _PINNED, ids=["-".join(map(str, c)) for c, _ in _PINNED])
+def test_report_is_pinned(config, pinned):
+    family, B, k, rng_seed, budget = config
+    report = adversarial_search(ClassParams(1, k, 0.8 + 0.3j, B), family, budget, rng_seed)
+    order, evaluations, max_ratio, best_seed, converged = pinned
+    assert (report.order, report.evaluations) == (order, evaluations)
+    assert report.max_ratio.hex() == max_ratio
+    assert report.best_seed == best_seed
+    assert report.converged is converged

@@ -461,7 +461,8 @@ def test_solve_is_bitwise_a_public_ztbsv_solve(width, rows, stored):
 
 # A fresh interpreter imports starlog, optionally with scipy's directory seen
 # as argv[1] instead (so the direct load finds no loadable _fblas), runs the
-# CLI on argv[3:] with the report at argv[2], and then imports scipy.linalg.
+# CLI on argv[3:] with the report at argv[2], lists which of scipy.linalg,
+# scipy.special and scipy.optimize it has loaded, and then imports scipy.linalg.
 _CHILD = """
 import importlib.util, json, sys
 scipy_dir, out, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -476,9 +477,10 @@ import starlog.cli, starlog.series
 importlib.util.find_spec = find_spec
 linalg_at_import = "scipy.linalg" in sys.modules
 rc = starlog.cli.main([*argv, "--no-timestamp", "--out", out])
+after_run = sorted({"scipy.linalg", "scipy.special", "scipy.optimize"} & sys.modules.keys())
 import scipy.linalg.blas
 same = scipy.linalg.blas.ztbsv is starlog.series.ztbsv
-print(json.dumps({"rc": rc, "linalg_at_import": linalg_at_import, "same": same}))
+print(json.dumps({"rc": rc, "linalg_at_import": linalg_at_import, "after_run": after_run, "same": same}))
 """
 
 
@@ -509,17 +511,18 @@ VERIFY_ARGV = ["verify", "--j", "1", "--k", "1,2", "--A", "1", "--B=-0.5"]
 @pytest.mark.parametrize("kind", ["missing", "unloadable"])
 def test_fallback_is_the_public_ztbsv_with_the_same_report(tmp_path, kind):
     state, direct = _run_child(tmp_path, "direct", "", *VERIFY_ARGV)
-    assert state == {"rc": 0, "linalg_at_import": False, "same": True}
+    assert state == {"rc": 0, "linalg_at_import": False, "after_run": [], "same": True}
     state, fallback = _run_child(tmp_path, kind, _scipy_without_fblas(tmp_path, kind), *VERIFY_ARGV)
-    assert state == {"rc": 0, "linalg_at_import": True, "same": True}
+    assert state == {"rc": 0, "linalg_at_import": True, "after_run": ["scipy.linalg"], "same": True}
     assert fallback == direct
 
 
 @pytest.mark.parametrize("family", ["poly", "expdamp"])
-def test_search_loads_scipy_optimize_after_the_direct_load(tmp_path, family):
+def test_search_loads_no_scipy_subpackage_and_matches_the_fallback(tmp_path, family):
     argv = ["search", "--j", "1", "--k", "2", "--A", "0.8+0.3i", "--B=-0.9"]
     argv += ["--family", family, "--budget", "200"]
     state, direct = _run_child(tmp_path, "direct", "", *argv)
-    assert state == {"rc": 0, "linalg_at_import": False, "same": True}
-    _, public = _run_child(tmp_path, "public", _scipy_without_fblas(tmp_path, "missing"), *argv)
+    assert state == {"rc": 0, "linalg_at_import": False, "after_run": [], "same": True}
+    state, public = _run_child(tmp_path, "public", _scipy_without_fblas(tmp_path, "missing"), *argv)
+    assert state == {"rc": 0, "linalg_at_import": True, "after_run": ["scipy.linalg"], "same": True}
     assert direct == public
