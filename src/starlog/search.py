@@ -78,7 +78,7 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
     try:
         for k in range(n + 1):
             fsim[k] = fun(sim[k])
-        while True:
+        while calls < maxfev:  # the cap goes before the tolerances: a step ending on it fails
             order = np.argsort(fsim)
             sim, fsim = sim[order], fsim[order]
             spread = np.abs(sim[1:] - sim[0]).max()
@@ -109,7 +109,8 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                         fsim[j] = fun(sim[j])
     except _Spent:
-        return False, calls
+        pass
+    return False, calls
 
 
 def _expdamp_seed(x) -> ExpDamp:

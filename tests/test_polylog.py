@@ -187,7 +187,15 @@ def test_hurwitz_zeta_domain(s, a):
 def lerch_oracle(mu, s, a):
     """T(mu, s, a) = e^{-mu a} lerchphi(e^-mu, s, a) to 40 digits.  mpmath's
     lerchphi stops at an absolute 10^-dps and sees mu only through e^-mu, so
-    the working digits grow with T's magnitude and with -log10(mu)."""
+    the working digits grow with T's magnitude and with -log10(mu).
+
+    Below s = 1e-20, lerchphi goes wrong (2e-8 relative at mu = 1/16, s = 4e-151,
+    a = 1), so T is taken at s = 0, e^{-mu a} / (1 - e^{-mu}): by Jensen the two
+    differ by at most s log(a + 1/mu) < 1e-18 relative for mu >= 1e-30."""
+    if s < 1e-20:
+        with mpmath.workdps(60):
+            mu = mpmath.mpf(mu)
+            return mpmath.exp(-mu * a) / -mpmath.expm1(-mu)
     digits = 40 + int(s * math.log10(a) + mu * a / math.log(10))
     digits += int(-math.log10(mu)) if mu else 0
     with mpmath.workdps(digits):

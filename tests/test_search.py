@@ -147,6 +147,9 @@ def _recording(f):
     "f, x0, maxfev, converges",
     [
         (_rastrigin, np.array([5.0, 0.0]), 2000, True),
+        # the same run capped at its own 117 calls: the cap is tested before
+        # the tolerances, so a step that ends on the cap does not converge
+        (_rastrigin, np.array([5.0, 0.0]), 117, False),
         # fill 3, one 4-call step, then the cap lands after the reflection,
         # the contraction and the first shrink point of the second step
         (_plateau, _PLATEAU_X0, 3 + 4 + 3, False),
@@ -154,7 +157,7 @@ def _recording(f):
         # coordinates are each stepped to 0.00025
         (_poly_objective, np.array([0.0, 1.0, 0, 0, 0, 0, 0, 0]), 300, False),
     ],
-    ids=["converges", "cap-inside-shrink", "zero-coordinates"],
+    ids=["converges", "cap-at-step-end", "cap-inside-shrink", "zero-coordinates"],
 )
 def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
     from scipy.optimize import minimize
@@ -179,8 +182,8 @@ def _corner(p1):
 
 # Reports as scipy's Nelder-Mead gave them, for a slice of (family, B, k,
 # rng seed, budget) at j = 1, A = 0.8+0.3i: a budget spent in the grid, in the
-# initial simplex, at a reflection, at a contraction and inside a shrink, and
-# runs that converge.
+# initial simplex, at a reflection, at a contraction, inside a shrink and at
+# the end of a step, and runs that converge.
 _PINNED = [
     (
         ("expdamp", 0.0, 1, 0, 50),
@@ -193,6 +196,11 @@ _PINNED = [
     (
         ("expdamp", -0.5, 1, 0, 2000),
         (22, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), True),
+    ),
+    (
+        # the run above, its budget ending on the step that met the tolerances
+        ("expdamp", -0.5, 1, 0, 199),
+        (22, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), False),
     ),
     (
         ("expdamp", -0.9, 1, 0, 200),
