@@ -2,8 +2,8 @@
 
 log(f/z) = 2 sum_{n>=1} d_n z^{n m} with m = j + k - 1; the index n is
 stored abstractly (d_n corresponds to exponent n*m) so the weights n^2 and
-(n+1)^t act on n, not on the raw exponent.  A member carries log(f/z) as a
-series in w = z^m, so the d_n are read off it directly.
+(n+1)^t act on n, not on the raw exponent.  A member carries the d_n
+themselves.
 """
 
 from __future__ import annotations
@@ -31,18 +31,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class LogCoeffVector:
     """The sequence d_1..d_{N_d}, where d_n sits at exponent n*m.
 
-    `d` is a read-only complex128 copy of the input, or the input itself when
-    that is a read-only complex128 array owning its data.
+    `d` is a read-only complex128 copy of the input.
     """
 
     d: np.ndarray
     m: int
 
     def __post_init__(self):
-        d = self.d
-        owned = isinstance(d, np.ndarray) and d.flags.owndata and not d.flags.writeable
-        if not (owned and d.dtype == np.complex128):
-            d = _read_only(np.array(d, dtype=np.complex128))
+        d = _read_only(np.array(self.d, dtype=np.complex128))
         if d.ndim != 1:
             raise ValueError("log coefficients form a one-dimensional sequence")
         object.__setattr__(self, "d", d)
@@ -67,7 +63,7 @@ class LogCoeffVector:
 
 def log_coefficients(member: ClassMember) -> LogCoeffVector:
     """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
-    return LogCoeffVector(d=_read_only(member.log_ratio[1:] / 2.0), m=member.params.m)
+    return LogCoeffVector(d=member.d, m=member.params.m)
 
 
 def extremal_log_coefficient(params: ClassParams, n: int) -> complex:

@@ -7,11 +7,11 @@ any analytic v with v(0) = 0 and |v(w)| <= |w| yields
 
     z f'/f - 1 = P(z^m),     P(w) = (A - B) v(w) / (1 + B v(w)),
 
-hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du.  A member
-stores the coefficients L_0..L_{N_d} of L, with N_d = floor(N/m), as one
-read-only complex128 array built by one Toeplitz solve on raw arrays; the
-log coefficients are read off it (2 d_n = L_n) with no exp or log.  The
-identity seed v(w) = w gives the closed-form extremal function.
+hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du = 2 sum d_n w^n.
+A member stores its log coefficients d_1..d_{N_d}, with N_d = floor(N/m),
+as one read-only complex128 array built by one Toeplitz solve on raw arrays,
+with no exp or log.  The identity seed v(w) = w gives the closed-form
+extremal function.
 """
 
 from __future__ import annotations
@@ -207,12 +207,12 @@ def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
 class ClassMember:
     """A generated class member f with its provenance.
 
-    `log_ratio` is the read-only complex128 array L_0..L_{N_d} of log(f/z)
-    as a series in w = z^m, N_d = floor(order/m); `order` is the truncation
-    order in z.  Members compare by identity.
+    `d` is the read-only complex128 array d_1..d_{N_d} of log(f/z) =
+    2 sum d_n z^{nm}, N_d = floor(order/m); `order` is the truncation order
+    in z.  Members compare by identity.
     """
 
-    log_ratio: np.ndarray
+    d: np.ndarray
     params: ClassParams
     seed: SchwarzSeed
     order: int
@@ -227,9 +227,10 @@ def extremal_function(params: ClassParams, order: int) -> ClassMember:
     return member_from_seed(params, Identity(), order)
 
 
-def _log_ratio(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray:
-    """L_0..L_{N_d} of log(f/z) = L(z^m) for the seed's member, N_d = order // m,
-    as a read-only complex128 array: the whole d_n path of `member_from_seed`."""
+def _log_coeffs(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray:
+    """d_1..d_{N_d} of log(f/z) = 2 sum d_n z^{nm} for the seed's member,
+    N_d = order // m, as a read-only complex128 array: the whole d_n path of
+    `member_from_seed`."""
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
@@ -238,16 +239,16 @@ def _log_ratio(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray
     num = v * ((params.A - params.B) / m)  # carries the 1/m of L below
     den = params.B * v
     den[0] = 1.0
-    # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then L_n = P_n/(m n)
-    L = _solve_toeplitz(den, num)
-    L[1:] /= np.arange(1, len(L))
-    L.flags.writeable = False
-    return L
+    # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then d_n = L_n/2 = P_n/(2 m n)
+    x = _solve_toeplitz(den, num)
+    d = x[1:] / np.arange(2.0, 2.0 * len(x), 2.0)
+    d.flags.writeable = False
+    return d
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
     """Generate the member induced by a Schwarz seed at level w = z^m."""
-    return ClassMember(_log_ratio(params, seed, order), params, seed, order)
+    return ClassMember(_log_coeffs(params, seed, order), params, seed, order)
 
 
 #: extremal geometric tail that `suggested_order` aims below

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import thm_a_bound
 from .errors import ConfigError
-from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, _log_ratio, suggested_order
+from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, _log_coeffs, suggested_order
 
 FAMILIES = ("expdamp", "poly")
 
@@ -42,7 +42,7 @@ def _ratio_fn(params: ClassParams, order: int):
 
     def ratio(seed: SchwarzSeed) -> float:
         # sum_sq(log_coefficients(member_from_seed(...))) / bound, op for op, off the array
-        d = _log_ratio(params, seed, order)[1:] / 2.0
+        d = _log_coeffs(params, seed, order)
         return float((np.abs(d) ** 2).sum()) / bound
 
     return ratio

@@ -19,7 +19,7 @@ from __future__ import annotations
 import importlib.util
 import os
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -27,26 +27,23 @@ from .errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
 
 
 def _load_ztbsv():
-    """scipy's `ztbsv`, from `scipy/linalg/_fblas<suffix>` loaded on its own.
+    """scipy's `ztbsv`, from the extension `scipy/linalg/_fblas` loaded on its own.
 
     Importing the `scipy.linalg` package takes longer than numpy itself,
     and nothing else of it is used.  The extension is single-phase f2py,
     so loading it registers `scipy.linalg._fblas` in sys.modules and a
     later `import scipy.linalg` reuses it: `scipy.linalg.blas.ztbsv` is
     this same object.
-    Where no such file loads (say, an editable scipy build keeping its
+    Where no such extension loads (say, an editable scipy build keeping its
     extensions elsewhere), the public import gives the same function.
     """
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec else ()
-    names = ["_fblas" + suffix for suffix in EXTENSION_SUFFIXES]
-    paths = (os.path.join(root, "linalg", name) for root in roots for name in names)
-    path = next(filter(os.path.exists, paths), None)
-    if path:
-        loader = ExtensionFileLoader("scipy.linalg._fblas", path)
-        fblas = importlib.util.spec_from_loader(loader.name, loader)
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else None
+    dirs = [os.path.join(root, "linalg") for root in roots or ()]
+    spec = PathFinder.find_spec("scipy.linalg._fblas", dirs)
+    if spec:
         try:
-            return importlib.util.module_from_spec(fblas).ztbsv
+            return importlib.util.module_from_spec(spec).ztbsv
         except (ImportError, OSError):
             pass
     from scipy.linalg.blas import ztbsv
@@ -64,8 +61,8 @@ _BLOCK = 64
 class TruncatedSeries:
     """Taylor coefficients c_0..c_N of an analytic function, truncated at order N.
 
-    `array` is a read-only complex128 copy of the input; equality and the
-    hash go by value.
+    `array` is a read-only complex128 copy of the input.  Series compare by
+    identity.
     """
 
     array: np.ndarray
@@ -90,14 +87,6 @@ class TruncatedSeries:
 
     def __len__(self) -> int:
         return len(self.array)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return add(self, other)

@@ -168,9 +168,9 @@ def test_failed_sharpness_row_reports_the_order_it_ran_at(tmp_path, monkeypatch,
 
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
-        coeffs = member.log_ratio.copy()
-        coeffs[1] += 1e-4  # breaks |d_1|^2 equality
-        return dataclasses.replace(member, log_ratio=coeffs)
+        coeffs = member.d.copy()
+        coeffs[0] += 5e-5  # breaks |d_1|^2 equality
+        return dataclasses.replace(member, d=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
     out = tmp_path / "sharp.json"

@@ -205,15 +205,15 @@ class TestMemberFromSeed:
         with pytest.raises(TruncationTooSmall):
             member_from_seed(ClassParams(1, 4, 1, -0.5), Identity(), 3)
 
-    def test_log_ratio_is_a_read_only_array_at_w_level(self):
-        # m = 3, N = 25: L_0..L_8 in w = z^3, read as the d_n with no copy of L kept
+    def test_d_is_a_read_only_array_at_w_level(self):
+        # m = 3, N = 25: d_1..d_8 in w = z^3, the log coefficients as they are
         member = member_from_seed(ClassParams(1, 3, 1, -0.5), ExpDamp(0.3, 1.0), 25)
-        L = member.log_ratio
-        assert type(L) is np.ndarray and L.dtype == np.complex128 and L.shape == (9,)
-        assert L[0] == 0
+        d = member.d
+        assert type(d) is np.ndarray and d.dtype == np.complex128 and d.shape == (8,)
         with pytest.raises(ValueError):
-            L[1] = 0.0
-        assert log_coefficients(member).d.tolist() == (L[1:] / 2.0).tolist()
+            d[0] = 0.0
+        copy = log_coefficients(member).d
+        assert copy.tolist() == d.tolist() and not np.shares_memory(copy, d)
 
     @pytest.mark.parametrize("seed", SCHWARZ_SEEDS, ids=lambda s: s.label())
     def test_subordination_consistency(self, seed):

@@ -423,15 +423,6 @@ def test_coeffs_is_a_tuple_of_complex():
     assert all(type(c) is complex for c in coeffs)
 
 
-def test_equal_coefficients_give_equal_series_and_hashes():
-    a = TruncatedSeries((1.0, 0.0, 2j))
-    b = TruncatedSeries(np.array([1, -0.0, 2j]))
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != TruncatedSeries((1.0, 0.0, 2j, 0.0))
-    assert a != TruncatedSeries((1.0, 0.0, 3j))
-
-
 @pytest.mark.parametrize("empty", [(), [], np.array([], dtype=complex)])
 def test_empty_series_rejected(empty):
     with pytest.raises(ValueError):

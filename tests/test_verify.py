@@ -79,6 +79,23 @@ class TestVerifyMember:
         thma = next(r for r in rows if r.theorem == "ThmA")
         assert not thma.passed
 
+    @pytest.mark.parametrize("B", [-0.5, -0.9])
+    @pytest.mark.parametrize("seed", [Rotation(1.3), ExpDamp(2.0, 0.5)], ids=lambda s: s.label())
+    def test_ratios_do_not_depend_on_a_or_m(self, seed, B):
+        # d_n = (A - B)/m u_n with u_n a function of B and the seed alone, and every
+        # bound scales with G = |A - B|^2/(2m)^2, so each ratio is one number per (B, seed)
+        pairs = [(0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+        columns = {}
+        for A in (1, 0.5, 0.8 + 0.3j, 1e4, 1e-3j):
+            for j, k in pairs:
+                params = ClassParams(j, k, A, B)
+                for row in verify_member(member_from_seed(params, seed, suggested_order(params))):
+                    columns.setdefault(row.theorem, []).append(row.ratio)
+        assert len(columns) == 6
+        for theorem, ratios in columns.items():
+            assert len(ratios) == 45
+            assert max(ratios) - min(ratios) <= 1e-13 * min(ratios), theorem
+
     def test_tail_bound_reported_for_identity_only(self):
         params = ClassParams(1, 2, 1, -0.5)
         identity = verify_member(member_from_seed(params, Identity(), 32))
@@ -181,9 +198,9 @@ class TestCheckSharpness:
 
         def perturbed_extremal(params, order):
             member = extremal_function(params, order)
-            coeffs = member.log_ratio.copy()
-            coeffs[1] += 1e-4  # breaks |d_1|^2 equality
-            return dataclasses.replace(member, log_ratio=coeffs)
+            coeffs = member.d.copy()
+            coeffs[0] += 5e-5  # breaks |d_1|^2 equality
+            return dataclasses.replace(member, d=coeffs)
 
         monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
         row = check_sharpness(ClassParams(1, 1, 1, -0.5), order=64)
@@ -336,16 +353,16 @@ def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
 
 
 def _extremal_with(monkeypatch, n, value):
-    """Make check_sharpness see the extremal member with L_n (so d_n) set by `value`."""
+    """Make check_sharpness see the extremal member with d_n set by `value`."""
     import dataclasses
 
     import starlog.verify as verify_mod
 
     def perturbed_extremal(params, order):
         member = extremal_function(params, order)
-        coeffs = member.log_ratio.copy()
-        coeffs[n] = value(coeffs[n])
-        return dataclasses.replace(member, log_ratio=coeffs)
+        coeffs = member.d.copy()
+        coeffs[n - 1] = value(coeffs[n - 1])
+        return dataclasses.replace(member, d=coeffs)
 
     monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
 
@@ -354,7 +371,7 @@ def _extremal_with(monkeypatch, n, value):
 # compares |d_3|^2 with the closed form
 @pytest.mark.parametrize("n", [1, 3], ids=["d1", "d3"])
 def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
-    _extremal_with(monkeypatch, n, lambda L: L + 1e-6)
+    _extremal_with(monkeypatch, n, lambda d: d + 5e-7)
     for B in (0.0, -0.5):
         row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
         assert not row.passed and f"n={n}:" in row.note, B
@@ -364,7 +381,7 @@ def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
 # a NaN term fails closed: the note names it and the row carries no sum
 @pytest.mark.parametrize("B", [-0.5, 0.0])
 def test_sharpness_flags_a_nan_coefficient(monkeypatch, B):
-    _extremal_with(monkeypatch, 3, lambda L: math.nan)
+    _extremal_with(monkeypatch, 3, lambda d: math.nan)
     row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
     assert not row.passed and "n=3:" in row.note
     assert row.partial_sum is None and row.ratio is None

@@ -133,7 +133,7 @@ def test_recursions_run_at_w_level_length(monkeypatch, order):
     member = member_from_seed(params, ExpDamp(0.4, 1.5), order)
     d = log_coefficients(member)
     assert solve_orders == [n_d]
-    assert d.n_terms == n_d and len(member.log_ratio) == n_d + 1
+    assert d.n_terms == n_d and len(member.d) == n_d
     assert member.order == order
     assert exp_orders == [] and log_orders == []
 

@@ -23,5 +23,5 @@ def compose_power(a, m, order):
 
 def ratio_series(member, sign=1.0):
     """f/z = exp(L(z^m)) through z^order (z/f for sign = -1)."""
-    L = TruncatedSeries(sign * member.log_ratio)
+    L = TruncatedSeries(sign * np.concatenate(([0], 2 * member.d)))
     return compose_power(exp_series(L), member.params.m, member.order)
