@@ -222,11 +222,6 @@ def _search_rows(args):
             params, args.family, args.budget, args.rng_seed, order=args.terms or None
         )
         seed, ratio = report.best_seed.label(), report.max_ratio
-        print(
-            f"search (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
-            f"B={params.B}) [{args.family}]: max ratio {ratio!r} at {seed} after "
-            f"{report.evaluations} evaluations{'' if report.converged else ' (did not converge)'}",
-        )
         note = (
             f"family={args.family} budget={args.budget} "
             f"evaluations={report.evaluations} converged={report.converged}"
@@ -238,6 +233,19 @@ def _search_rows(args):
     return rows
 
 
+def _search_echo(args, params, checks):
+    """Print a search point's stdout line, read off its one row, whose note
+    holds the evaluation count and the convergence flag."""
+    [row] = checks
+    note = dict(field.split("=") for field in row.note.split())
+    print(
+        f"search (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
+        f"B={params.B}) [{args.family}]: max ratio {row.ratio!r} at {row.seed} after "
+        f"{note['evaluations']} evaluations"
+        f"{'' if note['converged'] == 'True' else ' (did not converge)'}",
+    )
+
+
 def _row_key(row: dict) -> tuple:
     t = -math.inf if row["t"] is None else row["t"]
     return (row["j"], row["k"], row["A"], row["B"], row["seed"], row["theorem"], t)
@@ -245,18 +253,32 @@ def _row_key(row: dict) -> tuple:
 
 def _run(args) -> int:
     """Run one grid command: `args.rows(args)` maps a ClassParams to its
-    CheckRows, and this does the rest: timing, report rows, sorting, the
-    report, the stderr summary (`args.summary`) and the exit code."""
+    CheckRows, and this does the rest: timing, report rows, the per-point
+    stdout line (`args.echo`, search only), sorting, the report, the stderr
+    summary (`args.summary`) and the exit code.
+
+    j and k enter a point's checks only through m = j + k - 1, so the checks
+    of each distinct (m, A, B) are computed once and every grid point with
+    that key reuses them; the memo is local to this call, so no command sees
+    another's.  A point's `elapsed` is its time in this call: a lookup, for a
+    reused point."""
     grid = _parse_grid(args)
     point_rows = args.rows(args)
     timestamp = datetime.now(timezone.utc).isoformat()
     if not grid:
         print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
+    computed = {}
     rows = []
     for params in grid:
         start = time.perf_counter()
-        checks = list(point_rows(params))
+        # repr tells 0.0 from -0.0, which are one dict key
+        key = (params.m, repr(params.A), repr(params.B))
+        checks = computed.get(key)
+        if checks is None:
+            checks = computed[key] = tuple(point_rows(params))
         elapsed = time.perf_counter() - start
+        if args.echo:
+            args.echo(args, params, checks)
         stamp = () if args.no_timestamp else (elapsed, timestamp)
         point = (params.j, params.k, format_complex(params.A), params.B)
         rows.extend(dict(zip(REPORT_COLUMNS, (c[0], *point, *c[1:], *stamp))) for c in checks)
@@ -291,11 +313,12 @@ def _bounded(cast, minimum, maximum=math.inf):
     return parse
 
 
-def _grid_command(sub, name: str, help_text: str, extra, **defaults) -> None:
+def _grid_command(sub, name: str, help_text: str, extra, echo=None, **defaults) -> None:
     """Add the grid subcommand `name`, run by `_run`: the shared flags, then
     `extra`, the flags only this subcommand takes, as (flag, add_argument
-    keywords) pairs, then `defaults`.  A config file may set every
-    value-taking flag but --config."""
+    keywords) pairs, then `defaults`; `echo(args, params, checks)`, if given,
+    prints a point's stdout line.  A config file may set every value-taking
+    flag but --config."""
     parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
     add = parser.add_argument
     b_help = "comma list of real B values in [-1, 0]; write a list of negatives as --B=-0.5,-0.9"
@@ -315,7 +338,7 @@ def _grid_command(sub, name: str, help_text: str, extra, **defaults) -> None:
     add("--config", help="flat key=value config file; flags override it")
     flags += [add(flag, **kw) for flag, kw in extra]
     keys = {f.dest: f for f in flags if f.nargs != 0}  # a switch (nargs 0) is no key
-    parser.set_defaults(func=_run, config_flags=keys, **defaults)
+    parser.set_defaults(func=_run, config_flags=keys, echo=echo, **defaults)
 
 
 @functools.cache
@@ -348,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--rng-seed", dict(type=_bounded(int, 0), default=0, help="deterministic RNG seed")),
     ]
     _grid_command(sub, "search", "adversarial search for bound violations", search_flags,
-                  rows=_search_rows, summary=None, tol=DEFAULT_TOL)
+                  rows=_search_rows, echo=_search_echo, summary=None, tol=DEFAULT_TOL)
 
     p_li = sub.add_parser("polylog", help="evaluate Li_v(x) at full precision", allow_abbrev=False)
     p_li.add_argument("v", type=float)

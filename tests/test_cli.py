@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -586,3 +587,92 @@ def readme_command_lines():
 def test_readme_command_lines_exit_zero(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+THREE_SEEDS = ["--seeds", "identity,rotation:1.3,rotation:4.1"]
+
+
+def failed_count(stderr):
+    return sum(int(n) for n in re.findall(r"^FAILED: (\d+) of", stderr, flags=re.M))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", *THREE_SEEDS],
+        ["verify", *THREE_SEEDS, "--inject-d1", "0.5"],
+        ["verify", *THREE_SEEDS, "--terms", "64"],
+        ["verify", *THREE_SEEDS, "--B=0,-0.0"],
+        ["sharpness"],
+        # (0, 2) and (1, 1) share m = 1
+        ["search", "--j", "0,1", "--k", "1,2", "--A", "1,0.8+0.3i", "--B=-0.5,-0.9", "--budget", "200"],
+    ],
+    ids=["verify", "inject-d1", "terms", "signed-zero-B", "sharpness", "search"],
+)
+def test_grid_report_is_its_one_pair_reports_merged(tmp_path, capsys, argv, fmt):
+    # a grid command computes each distinct (m, A, B) once and reuses it for every
+    # (j, k) with that m; its report must still be the one-pair runs' rows, sorted
+    parsed = build_parser().parse_args(argv)
+    rows, codes, stdout, failed = [], [], "", 0
+    for j in parsed.j.split(","):
+        for k in parsed.k.split(","):
+            out = tmp_path / f"{j}-{k}.json"
+            codes.append(main([*argv, "--j", j, "--k", k, "--out", str(out), "--no-timestamp"]))
+            rows += json.loads(out.read_text())
+            captured = capsys.readouterr()
+            stdout, failed = stdout + captured.out, failed + failed_count(captured.err)
+    expected, report = tmp_path / f"expected.{fmt}", tmp_path / f"grid.{fmt}"
+    write_report(sorted(rows, key=cli._row_key), str(expected), fmt)
+    code = main([*argv, "--format", fmt, "--out", str(report), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert report.read_bytes() == expected.read_bytes()
+    assert code == max(codes)
+    assert failed_count(captured.err) == failed
+    assert captured.out == stdout  # the search's one line per point, in grid order
+
+
+def count_calls(monkeypatch, name):
+    """Record the m of every call `cli` makes to its function `name`."""
+    ms, real = [], getattr(cli, name)
+
+    def counted(params, *args, **kwargs):
+        ms.append(params.m)
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return ms
+
+
+def test_default_sweep_builds_each_distinct_point_once(tmp_path, monkeypatch):
+    ms = count_calls(monkeypatch, "member_from_seed")
+    out = tmp_path / "sweep.json"
+    assert main(["verify", *THREE_SEEDS, "--out", str(out), "--no-timestamp"]) == 0
+    # 135 grid points but 75 distinct (m, A, B), times 3 seeds: 225 members, not 405
+    assert len(json.loads(out.read_text())) == 135 * 3 * 6
+    assert len(ms) == 225
+
+
+def test_search_runs_once_per_distinct_m(monkeypatch):
+    ms = count_calls(monkeypatch, "adversarial_search")
+    assert main(["search", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.9", "--budget", "100"]) == 0
+    assert ms == [1, 2]  # (0, 2) and (1, 1) share m = 1
+
+
+def test_computed_points_do_not_outlive_their_command(tmp_path, monkeypatch):
+    ms = count_calls(monkeypatch, "member_from_seed")
+    argv = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.5", "--no-timestamp"]
+    for run in (1, 2):
+        assert main([*argv, "--out", str(tmp_path / f"{run}.json")]) == 0
+        assert ms == [1, 2] * run
+
+
+def test_search_prints_one_line_per_point_in_grid_order(capsys):
+    argv = ["search", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.9", "--budget", "100"]
+    assert main([*argv, "--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(", A=")[0] for line in lines] == [
+        "search (j=0, k=2", "search (j=1, k=1", "search (j=1, k=2",
+    ]
+    # (1, 1) reuses the search of (0, 2) and prints it under its own (j, k)
+    assert lines[0].split(", A=")[1] == lines[1].split(", A=")[1]
