@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
 import time
 from datetime import datetime, timezone
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .errors import ConfigError, InvalidParams, StarlogError
 from .members import (
@@ -153,21 +154,78 @@ def _parse_grid(args) -> list[ClassParams]:
     return grid
 
 
-def write_report(rows, out: str, fmt: str):
+def _point_key(params: ClassParams) -> tuple:
+    """A point's place in the report: j, k, A as written, then B."""
+    return (params.j, params.k, format_complex(params.A), params.B)
+
+
+def _check_key(check: CheckRow) -> tuple:
+    """A check's place among its point's rows: seed, theorem, then t, None first."""
+    return (check.seed, check.theorem, -math.inf if check.t is None else check.t)
+
+
+def _json_parts(check: CheckRow, a: str, b: float) -> tuple[str, str]:
+    """The JSON row of `check` at A = `a`, B = `b` but its j, k and stamp:
+    the text before j's value, and the text after k's value, up to the stamp."""
+    # j = k = 0 hold their places; the theorem before them is encoded with
+    # every '"' escaped, so the first '0, "k": 0' is theirs
+    row = json.dumps(dict(zip(REPORT_COLUMNS, (check.theorem, 0, 0, a, b, *check[1:]))))
+    head, _, rest = row.partition('0, "k": 0')
+    return head, rest[:-1]
+
+
+def write_report(points, out: str, fmt: str, timestamp: str | None = None):
+    """Write a grid command's report: `points` are its (params, checks,
+    elapsed) triples in grid order, and each check is one row.  `timestamp`
+    is None for --no-timestamp, which drops the elapsed and timestamp columns.
+
+    Rows are sorted by `_point_key`, then `_check_key`, stably: tied rows keep
+    grid order, then check order.  Points that share their `checks` tuple
+    share its (m, A, B), so each check is encoded once, with its theorem and
+    the columns from A to note, and each row adds its point's j, k and stamp.
+    A JSON row is the text of `json.dumps` of its dict, and a CSV row that of
+    `csv.DictWriter` with `lineterminator="\n"`."""
+    # a row is head, j, sep, k, rest, then pre, elapsed, post, or end without a stamp
     if fmt == "json":
-        # one compact row per line: `indent` would force the pure-Python encoder
-        body = ",\n".join(json.dumps(row) for row in rows)
-        text = f"[\n{body}\n]\n" if rows else "[]\n"
+        encode, sep, end = _json_parts, ', "k": ', "}"
+        pre, post = ', "elapsed": ', f', "timestamp": {json.dumps(timestamp)}}}'
     elif fmt == "csv":
-        columns = [c for c in REPORT_COLUMNS if any(c in row for row in rows)] or REPORT_COLUMNS
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: ("" if row.get(c) is None else row.get(c)) for c in columns})
-        text = buf.getvalue()
+        # writerow returns what the file's write returns: here the line itself
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+        def field(value) -> str:
+            # written as the first of two fields: a line of one empty field is '""'
+            return line((value, None))[:-2]
+
+        def encode(check, a, b):
+            return f"{field(check.theorem)},", "," + line((a, b, *check[1:]))[:-1]
+
+        sep, end = ",", "\n"
+        pre, post = ",", f",{field(timestamp)}\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
+    encoded = {}
+    rows = []
+    for params, checks, elapsed in points:
+        j, k, a, b = key = _point_key(params)
+        parts = encoded.get(id(checks))
+        if parts is None:
+            parts = encoded[id(checks)] = []
+            for check in checks:
+                parts.append((_check_key(check), *encode(check, a, b)))
+        close = end if timestamp is None else f"{pre}{elapsed!r}{post}"
+        for order, head, rest in parts:
+            rows.append((key + order, f"{head}{j}{sep}{k}{rest}{close}"))
+    if len(rows) > 1:  # the sort's set-up is a measurable share of a one-row report
+        rows.sort(key=itemgetter(0))
+    lines = map(itemgetter(1), rows)
+    if fmt == "csv":
+        columns = REPORT_COLUMNS if timestamp is not None or not rows else REPORT_COLUMNS[:-2]
+        text = line(columns) + "".join(lines)
+    elif rows:
+        text = "[\n" + ",\n".join(lines) + "\n]\n"
+    else:
+        text = "[]\n"
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -194,15 +252,15 @@ def _verify_rows(args):
     return rows
 
 
-def _verify_summary(rows, failed, points):
+def _verify_summary(n_rows, failed, points):
     if not failed:
-        print(f"ok: {len(rows)} checks passed on {points} parameter points", file=sys.stderr)
+        print(f"ok: {n_rows} checks passed on {points} parameter points", file=sys.stderr)
         return
-    print(f"FAILED: {len(failed)} of {len(rows)} checks violated their bound", file=sys.stderr)
-    for row in failed[:20]:
+    print(f"FAILED: {len(failed)} of {n_rows} checks violated their bound", file=sys.stderr)
+    for params, check in failed[:20]:
         print(
-            f"  {row['theorem']} (j={row['j']}, k={row['k']}, A={row['A']}, "
-            f"B={row['B']}, seed={row['seed']}): ratio={row['ratio']}",
+            f"  {check.theorem} (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
+            f"B={params.B}, seed={check.seed}): ratio={check.ratio}",
             file=sys.stderr,
         )
 
@@ -211,9 +269,9 @@ def _sharpness_rows(args):
     return lambda params: [check_sharpness(params, args.terms or None, args.tol)]
 
 
-def _sharpness_summary(rows, failed, points):
+def _sharpness_summary(n_rows, failed, points):
     status = f"FAILED: {len(failed)} of" if failed else "ok:"
-    print(f"{status} {len(rows)} sharpness certificates", file=sys.stderr)
+    print(f"{status} {n_rows} sharpness certificates", file=sys.stderr)
 
 
 def _search_rows(args):
@@ -246,16 +304,12 @@ def _search_echo(args, params, checks):
     )
 
 
-def _row_key(row: dict) -> tuple:
-    t = -math.inf if row["t"] is None else row["t"]
-    return (row["j"], row["k"], row["A"], row["B"], row["seed"], row["theorem"], t)
-
-
 def _run(args) -> int:
     """Run one grid command: `args.rows(args)` maps a ClassParams to its
-    CheckRows, and this does the rest: timing, report rows, the per-point
-    stdout line (`args.echo`, search only), sorting, the report, the stderr
-    summary (`args.summary`) and the exit code.
+    CheckRows, and this does the rest: timing, the per-point stdout line
+    (`args.echo`, search only), the report, the stderr summary
+    (`args.summary`, given the row count, the failed (params, check) pairs in
+    report order and the point count) and the exit code.
 
     j and k enter a point's checks only through m = j + k - 1, so the checks
     of each distinct (m, A, B) are computed once and every grid point with
@@ -268,7 +322,7 @@ def _run(args) -> int:
     if not grid:
         print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
     computed = {}
-    rows = []
+    points, n_rows = [], 0
     for params in grid:
         start = time.perf_counter()
         # repr tells 0.0 from -0.0, which are one dict key
@@ -279,16 +333,15 @@ def _run(args) -> int:
         elapsed = time.perf_counter() - start
         if args.echo:
             args.echo(args, params, checks)
-        stamp = () if args.no_timestamp else (elapsed, timestamp)
-        point = (params.j, params.k, format_complex(params.A), params.B)
-        rows.extend(dict(zip(REPORT_COLUMNS, (c[0], *point, *c[1:], *stamp))) for c in checks)
-    rows.sort(key=_row_key)
-    failed = [r for r in rows if not r["pass"]]
+        points.append((params, checks, elapsed))
+        n_rows += len(checks)
+    failed = [(params, c) for params, checks, _ in points for c in checks if not c.passed]
+    failed.sort(key=lambda row: _point_key(row[0]) + _check_key(row[1]))  # the report's order
     # without a summary (search) stdout carries one line per point, so "-" writes no report
     if args.summary or args.out != "-":
-        write_report(rows, args.out, args.format)
+        write_report(points, args.out, args.format, None if args.no_timestamp else timestamp)
     if args.summary and grid:
-        args.summary(rows, failed, len(grid))
+        args.summary(n_rows, failed, len(grid))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -1,13 +1,17 @@
 """CLI surface: report files, exit codes, determinism, config handling."""
 
 import csv
+import io
+import itertools
 import json
 import math
 import re
 import shlex
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -466,17 +470,24 @@ def test_terms_above_max_is_config_error(tmp_path, capsys, terms, source):
     assert "--terms" in capsys.readouterr().err
 
 
-NAN_ROWS = [
-    {"theorem": "ThmA", "A": "1.0", "t": None, "ratio": math.nan, "pass": False, "note": ""},
-    {"theorem": "Thm3(t=2)", "A": "0.8+0.3i", "t": 2.0, "bound": math.inf, "pass": True},
-]
+NAN_INF_CHECKS = (  # in report order
+    CheckRow("Thm3(t=2)", "identity", 2.0, 20, 20, None, math.inf, 0.0, True, None, "vacuous"),
+    CheckRow("ThmA", "identity", None, 20, 20, 1.5, 1.0, math.nan, False, None, ""),
+)
 
 
-@pytest.mark.parametrize("rows", [[], NAN_ROWS], ids=["empty", "nan-inf"])
-def test_json_report_parses_back_to_rows(tmp_path, rows):
+@pytest.mark.parametrize("checks", [(), NAN_INF_CHECKS], ids=["empty", "nan-inf"])
+def test_json_report_parses_back_to_rows(tmp_path, checks):
     out = tmp_path / "rows.json"
-    write_report(rows, str(out), "json")
+    params, stamp = ClassParams(1, 2, 0.8 + 0.3j, -0.5), "2024-02-29T12:00:00+00:00"
+    write_report([(params, checks, 0.25)] if checks else [], str(out), "json", stamp)
     text = out.read_text()
+    rows = [
+        {"theorem": check.theorem, "j": 1, "k": 2, "A": "0.8+0.3i", "B": -0.5,
+         **{"pass" if f == "passed" else f: getattr(check, f) for f in CheckRow._fields[1:]},
+         "elapsed": 0.25, "timestamp": stamp}
+        for check in checks
+    ]
     # repr compares NaN by spelling; == would call two NaNs unequal
     assert repr(json.loads(text)) == repr(rows)
     assert len(text.splitlines()) == (len(rows) + 2 if rows else 1)  # one line per row
@@ -592,6 +603,36 @@ def test_readme_command_lines_exit_zero(tmp_path, monkeypatch, argv):
 THREE_SEEDS = ["--seeds", "identity,rotation:1.3,rotation:4.1"]
 
 
+def report_order(row: dict) -> tuple:
+    """The report's row order: j, k, A as written, B, seed, theorem, then t, None first."""
+    t = -math.inf if row["t"] is None else row["t"]
+    return (row["j"], row["k"], row["A"], row["B"], row["seed"], row["theorem"], t)
+
+
+def json_oracle(rows: list[dict]) -> str:
+    """A JSON report of `rows`: one `json.dumps` line per row."""
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n" if rows else "[]\n"
+
+
+def first_difference(got: str, want: str):
+    """None where the texts are equal, else the number of their first differing
+    line and its two versions: a short failure, where pytest would diff the
+    long texts for minutes."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    return next((n, a, b) for n, (a, b) in enumerate(pairs) if a != b)
+
+
+def csv_oracle(rows: list[dict], columns: list[str]) -> str:
+    """A CSV report of `rows`, written by `csv.DictWriter`."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({c: "" if row[c] is None else row[c] for c in columns} for row in rows)
+    return buf.getvalue()
+
+
 def failed_count(stderr):
     return sum(int(n) for n in re.findall(r"^FAILED: (\d+) of", stderr, flags=re.M))
 
@@ -604,11 +645,15 @@ def failed_count(stderr):
         ["verify", *THREE_SEEDS, "--inject-d1", "0.5"],
         ["verify", *THREE_SEEDS, "--terms", "64"],
         ["verify", *THREE_SEEDS, "--B=0,-0.0"],
+        # three spellings of A = 1, and one (j, k) pair twice: rows that tie in the order
+        ["verify", "--A", "1,1-0i,1.0", "--seeds", "identity,rotation:2"],
+        ["verify", "--j", "1,1", "--k", "2,2"],
         ["sharpness"],
         # (0, 2) and (1, 1) share m = 1
         ["search", "--j", "0,1", "--k", "1,2", "--A", "1,0.8+0.3i", "--B=-0.5,-0.9", "--budget", "200"],
     ],
-    ids=["verify", "inject-d1", "terms", "signed-zero-B", "sharpness", "search"],
+    ids=["verify", "inject-d1", "terms", "signed-zero-B", "tied-A", "tied-jk", "sharpness",
+         "search"],
 )
 def test_grid_report_is_its_one_pair_reports_merged(tmp_path, capsys, argv, fmt):
     # a grid command computes each distinct (m, A, B) once and reuses it for every
@@ -622,14 +667,39 @@ def test_grid_report_is_its_one_pair_reports_merged(tmp_path, capsys, argv, fmt)
             rows += json.loads(out.read_text())
             captured = capsys.readouterr()
             stdout, failed = stdout + captured.out, failed + failed_count(captured.err)
-    expected, report = tmp_path / f"expected.{fmt}", tmp_path / f"grid.{fmt}"
-    write_report(sorted(rows, key=cli._row_key), str(expected), fmt)
+    rows.sort(key=report_order)  # stable: tied rows keep the order they ran in
+    expected = json_oracle(rows) if fmt == "json" else csv_oracle(rows, list(rows[0]))
+    report = tmp_path / f"grid.{fmt}"
     code = main([*argv, "--format", fmt, "--out", str(report), "--no-timestamp"])
     captured = capsys.readouterr()
-    assert report.read_bytes() == expected.read_bytes()
+    assert first_difference(report.read_text(), expected) is None
     assert code == max(codes)
     assert failed_count(captured.err) == failed
     assert captured.out == stdout  # the search's one line per point, in grid order
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_tied_rows_keep_grid_order(tmp_path, fmt):
+    # B = 0 and -0.0 tie in the row order; each tie keeps grid order, 0, -0.0, 0
+    out = tmp_path / f"tied.{fmt}"
+    argv = ["verify", "--j", "1", "--k", "2", "--A", "1", "--B=0,-0.0,0", "--no-timestamp"]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = json.load(fh) if fmt == "json" else list(csv.DictReader(fh))
+    assert [str(row["B"]) for row in rows] == ["0.0", "-0.0", "0.0"] * 6
+
+
+def test_failed_summary_lists_the_reports_first_failed_rows(tmp_path, capsys):
+    out = tmp_path / "failed.json"
+    argv = ["verify", *THREE_SEEDS, "--inject-d1", "0.5", "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 1
+    failed = [row for row in json.loads(out.read_text()) if not row["pass"]]
+    listed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  ")]
+    assert listed == [
+        f"  {r['theorem']} (j={r['j']}, k={r['k']}, A={r['A']}, B={r['B']}, "
+        f"seed={r['seed']}): ratio={r['ratio']}"
+        for r in failed[:20]
+    ]
 
 
 def count_calls(monkeypatch, name):
@@ -676,3 +746,93 @@ def test_search_prints_one_line_per_point_in_grid_order(capsys):
     ]
     # (1, 1) reuses the search of (0, 2) and prints it under its own (j, k)
     assert lines[0].split(", A=")[1] == lines[1].split(", A=")[1]
+
+
+# (0, 2) and (1, 1) share m = 1, so (1, 1) reuses the checks of (0, 2); (0, 1) is
+# skipped; at B = -1 Thm2 is skipped (null bound and ratio) and Thm3(t >= 1) vacuous
+# (an Infinity bound)
+BYTE_FORM_GRID = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1,0.8+0.3i", "--B=-0.5,-1",
+                  "--seeds", "identity,rotation:1.3"]
+INJECTED = {"clean": [], "failing": ["--inject-d1", "0.5"], "nan": ["--inject-d1", "nan"]}
+
+
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    """Make every command's elapsed values and timestamp the same: each command
+    starts `cli`'s perf_counter over, at 0 in steps of 0.1, and now() is fixed."""
+
+    class Instant(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2024, 2, 29, 12, 0, 0, 123456, tzinfo=tz)
+
+    def restart():
+        ticks = itertools.count()
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+
+    monkeypatch.setattr(cli, "datetime", Instant)
+    return restart
+
+
+def byte_form_rows(rows, injected):
+    """Check that the byte-form grid holds the rows it is meant to hold."""
+    def at(j, k):
+        return [{**r, "j": 0, "k": 0, "elapsed": 0} for r in rows if (r["j"], r["k"]) == (j, k)]
+
+    assert at(0, 2) and at(0, 2) == at(1, 1)  # a reused point: the same rows, its own j and k
+    assert len({(r["j"], r["k"]) for r in rows}) == 3
+    skipped = [r for r in rows if r["theorem"] == "Thm2" and r["B"] == -1]
+    vacuous = [r for r in rows if r["theorem"] == "Thm3(t=1)" and r["B"] == -1]
+    assert skipped and all(r["bound"] is None and r["ratio"] is None for r in skipped)
+    assert vacuous and all(r["bound"] == math.inf for r in vacuous)
+    failed = [r for r in rows if not r["pass"]]
+    assert bool(failed) == (injected != "clean")
+    if injected == "nan":
+        assert all(math.isnan(r["ratio"]) for r in failed)
+
+
+@pytest.mark.parametrize("stamp", [True, False], ids=["timestamp", "no-timestamp"])
+@pytest.mark.parametrize("injected", sorted(INJECTED))
+def test_json_report_rows_are_json_dumps_of_the_rows(tmp_path, capsys, injected, stamp):
+    out, flags = tmp_path / "report.json", [] if stamp else ["--no-timestamp"]
+    assert main([*BYTE_FORM_GRID, *INJECTED[injected], *flags, "--out", str(out)]) == (
+        injected != "clean"
+    )
+    text = out.read_text()
+    rows = json.loads(text)
+    byte_form_rows(rows, injected)
+    assert all(("timestamp" in row) == stamp for row in rows)
+    assert first_difference(text, json_oracle(rows)) is None  # each row line is json.dumps(row)
+    if injected == "nan":
+        assert '"ratio": NaN' in text
+    empty = tmp_path / "empty.json"
+    assert main(["verify", "--j", "0", "--k", "1", *flags, "--out", str(empty)]) == 0
+    assert empty.read_text() == "[]\n"
+
+
+@pytest.mark.parametrize("stamp", [True, False], ids=["timestamp", "no-timestamp"])
+@pytest.mark.parametrize("injected", sorted(INJECTED))
+def test_csv_report_is_dict_writer_of_the_json_rows(tmp_path, capsys, fixed_clock, injected, stamp):
+    reports, flags = {}, [] if stamp else ["--no-timestamp"]
+    for fmt in ("json", "csv"):
+        reports[fmt] = tmp_path / f"report.{fmt}"
+        argv = [*BYTE_FORM_GRID, *INJECTED[injected], *flags, "--format", fmt]
+        fixed_clock()
+        assert main([*argv, "--out", str(reports[fmt])]) == (injected != "clean")
+    rows = json.loads(reports["json"].read_text())
+    byte_form_rows(rows, injected)
+    timestamp = "2024-02-29T12:00:00.123456+00:00" if stamp else None
+    assert all(row.get("timestamp") == timestamp for row in rows)
+    assert all(isinstance(row.get("elapsed"), float) == stamp for row in rows)
+    if stamp:  # each point's own elapsed, to the bit: the clock read 2i/10, then (2i + 1)/10
+        grid = [(j, k, A, B) for j, k in [(0, 2), (1, 1), (1, 2)]
+                for A in ["1.0", "0.8+0.3i"] for B in [-0.5, -1.0]]
+        place = {point: i for i, point in enumerate(grid)}
+        at = [place[row["j"], row["k"], row["A"], row["B"]] for row in rows]
+        assert [row["elapsed"] for row in rows] == [(2 * i + 1) / 10 - 2 * i / 10 for i in at]
+    assert first_difference(reports["csv"].read_text(), csv_oracle(rows, list(rows[0]))) is None
+    # an empty grid's header names every column, the stamp's too
+    empty = tmp_path / "empty.csv"
+    argv = ["verify", "--j", "0", "--k", "1", *flags, "--format", "csv"]
+    assert main([*argv, "--out", str(empty)]) == 0
+    assert empty.read_text() == csv_oracle([], REPORT_COLUMNS)
