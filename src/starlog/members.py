@@ -17,6 +17,7 @@ extremal function.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -75,6 +76,25 @@ class ClassParams:
         return self.j + self.k - 1
 
 
+def _check_angle(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise InvalidSeed(f"angle theta = {theta} must be finite")
+
+
+def _check_expdamp(theta: float, c: float) -> None:
+    """ExpDamp's certificate: a finite theta and 0 <= c < inf."""
+    _check_angle(theta)
+    if not 0 <= c < math.inf:
+        raise InvalidSeed(f"damping c = {c} must be finite and nonnegative")
+
+
+def _check_poly(coeffs) -> None:
+    """Polynomial's certificate: sum |p_i| <= 1 (to 1e-12)."""
+    # written so that a NaN coefficient fails the certificate too
+    if not sum(map(abs, coeffs)) <= 1.0 + 1e-12:
+        raise InvalidSeed("polynomial seed violates sum |p_i| <= 1")
+
+
 class SchwarzSeed:
     """Parametric analytic self-map v of the disk with v(0) = 0, |v(w)| <= |w|."""
 
@@ -100,8 +120,7 @@ class Rotation(SchwarzSeed):
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise InvalidSeed(f"angle theta = {self.theta} must be finite")
+        _check_angle(self.theta)
 
     def label(self) -> str:
         return f"rotation(theta={self.theta:.6g})"
@@ -121,10 +140,7 @@ class ExpDamp(SchwarzSeed):
     c: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise InvalidSeed(f"angle theta = {self.theta} must be finite")
-        if not 0 <= self.c < math.inf:
-            raise InvalidSeed(f"damping c = {self.c} must be finite and nonnegative")
+        _check_expdamp(self.theta, self.c)
 
     def label(self) -> str:
         return f"expdamp(theta={self.theta:.6g},c={self.c:.6g})"
@@ -141,9 +157,7 @@ class Polynomial(SchwarzSeed):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(map(complex, self.coeffs)))
-        # written so that a NaN coefficient fails the certificate too
-        if not sum(map(abs, self.coeffs)) <= 1.0 + 1e-12:
-            raise InvalidSeed("polynomial seed violates sum |p_i| <= 1")
+        _check_poly(self.coeffs)
 
     def label(self) -> str:
         body = ",".join(f"{c.real:.6g}{c.imag:+.6g}i" for c in self.coeffs)
@@ -173,34 +187,45 @@ def _poisson_weights(c: float, count: int) -> np.ndarray:
     return peak * np.concatenate((down, [1.0], np.cumprod(c / np.arange(p + 1, count))))
 
 
-def _seed_coeffs(seed: SchwarzSeed, order: int) -> np.ndarray:
-    """The coefficients of `seed_series` as a fresh complex128 array."""
-    cs = np.zeros(order + 1, dtype=np.complex128)
+def _write_expdamp(cs: np.ndarray, theta: float, c: float) -> None:
+    """cs[1:] = the coefficients of v(w) = e^{i theta} w e^{c(w-1)}."""
+    order = len(cs) - 1
+    # w e^{c(w-1)} = e^{-c} sum_i c^i w^{i+1} / i!, each term the previous times c/i
+    # from a first term e^{-c}, while that is a normal double (c <= 708.39)
+    if math.exp(-c) >= sys.float_info.min:
+        cs[1:2] = cmath.exp(1j * theta) * math.exp(-c)
+        cs[2:] = c / np.arange(1, order)
+        np.multiply.accumulate(cs[1:], out=cs[1:])
+    else:
+        cs[1:] = cmath.exp(1j * theta) * _poisson_weights(c, order)
+
+
+def _write_poly(cs: np.ndarray, coeffs) -> None:
+    """cs[1:] = the coefficients of v(w) = sum_i p_i w^i, the p_i past len(cs) - 1
+    dropped; the rest of cs is left as it is."""
+    p = coeffs[: len(cs) - 1]
+    cs[1 : len(p) + 1] = p
+
+
+def _write_seed(cs: np.ndarray, seed: SchwarzSeed) -> None:
+    """Write the coefficients of `seed_series` into the zero array cs."""
     if isinstance(seed, Identity):
         cs[1:2] = 1.0
     elif isinstance(seed, Rotation):
         cs[1:2] = cmath.exp(1j * seed.theta)
     elif isinstance(seed, ExpDamp):
-        # w e^{c(w-1)} = e^{-c} sum_i c^i w^{i+1} / i!, each term the previous times c/i
-        # from a first term e^{-c}, while that is a normal double (c <= 708.39)
-        if math.exp(-seed.c) >= sys.float_info.min:
-            steps = np.empty(order, dtype=np.complex128)
-            steps[:1] = cmath.exp(1j * seed.theta) * math.exp(-seed.c)
-            steps[1:] = seed.c / np.arange(1, order)
-            np.cumprod(steps, out=cs[1:])
-        else:
-            cs[1:] = cmath.exp(1j * seed.theta) * _poisson_weights(seed.c, order)
+        _write_expdamp(cs, seed.theta, seed.c)
     elif isinstance(seed, Polynomial):
-        p = seed.coeffs[:order]
-        cs[1 : len(p) + 1] = p
+        _write_poly(cs, seed.coeffs)
     else:
         raise InvalidSeed(f"unknown seed type {type(seed).__name__}")
-    return cs
 
 
 def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
     """Taylor coefficients of v(w) at 0, truncated at `order`; v(0) = 0 exactly."""
-    return TruncatedSeries(_seed_coeffs(seed, order))
+    cs = np.zeros(order + 1, dtype=np.complex128)
+    _write_seed(cs, seed)
+    return TruncatedSeries(cs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,28 +252,42 @@ def extremal_function(params: ClassParams, order: int) -> ClassMember:
     return member_from_seed(params, Identity(), order)
 
 
-def _log_coeffs(params: ClassParams, seed: SchwarzSeed, order: int) -> np.ndarray:
-    """d_1..d_{N_d} of log(f/z) = 2 sum d_n z^{nm} for the seed's member,
-    N_d = order // m, as a read-only complex128 array: the whole d_n path of
-    `member_from_seed`."""
+@functools.lru_cache(maxsize=32)  # a command asks for a few N_d
+def _evens(n_d: int) -> np.ndarray:
+    """The divisors 2n, n = 1..n_d, of d_n = P_n/(2 m n) (read-only), memoised on n_d."""
+    evens = np.arange(2.0, 2.0 * n_d + 2.0, 2.0)
+    evens.flags.writeable = False
+    return evens
+
+
+def _d_setup(params: ClassParams, order: int) -> tuple[np.ndarray, complex, np.ndarray]:
+    """A zero buffer for the seed coefficients v_0..v_{N_d}, N_d = order // m,
+    and the scale (A - B)/m and divisors 2n that `_solve_d` takes with it."""
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
-    v = _seed_coeffs(seed, order // m)
+    n_d = order // m
+    return np.zeros(n_d + 1, dtype=np.complex128), (params.A - params.B) / m, _evens(n_d)
+
+
+def _solve_d(v: np.ndarray, scale: complex, B: float, evens: np.ndarray) -> np.ndarray:
+    """A fresh d_1..d_{N_d} of log(f/z) = 2 sum d_n z^{nm} for the seed
+    coefficients v (v_0 = 0): the whole d_n path of `member_from_seed`."""
     # z f'/f - 1 = P(z^m) with P = (A - B) v / (1 + B v); constant terms stay exactly zero
-    num = v * ((params.A - params.B) / m)  # carries the 1/m of L below
-    den = params.B * v
+    num = v * scale  # scale carries the 1/m of L below
+    den = B * v
     den[0] = 1.0
     # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then d_n = L_n/2 = P_n/(2 m n)
-    x = _solve_toeplitz(den, num)
-    d = x[1:] / np.arange(2.0, 2.0 * len(x), 2.0)
-    d.flags.writeable = False
-    return d
+    return _solve_toeplitz(den, num)[1:] / evens
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
     """Generate the member induced by a Schwarz seed at level w = z^m."""
-    return ClassMember(_log_coeffs(params, seed, order), params, seed, order)
+    v, scale, evens = _d_setup(params, order)
+    _write_seed(v, seed)
+    d = _solve_d(v, scale, params.B, evens)
+    d.flags.writeable = False
+    return ClassMember(d, params, seed, order)
 
 
 #: extremal geometric tail that `suggested_order` aims below

@@ -5,24 +5,23 @@ Maximizes ratio(seed) = sum |d_n|^2 / bound over a certified seed family
 rng seed and budget; the expected outcome is a maximum ratio of 1 attained
 at (or converging to) the identity-equivalent corner.
 
-The refinement is an in-house Nelder-Mead that runs, step for step and bit
-for bit, the one path `scipy.optimize.minimize(method="Nelder-Mead")` runs
-here (default coefficients, `maxfev`, `xatol` and `fatol` set), so the search
-imports nothing of scipy beyond the BLAS extension `starlog.series` loads.
+The refinement is an in-house Nelder-Mead, step for step and bit for bit
+scipy's (`method="Nelder-Mead"` with `maxfev`, `xatol` and `fatol` set), so
+the search loads nothing of scipy beyond the BLAS extension of `starlog.series`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import thm_a_bound
 from .errors import ConfigError
-from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, _log_coeffs, suggested_order
-
-FAMILIES = ("expdamp", "poly")
+from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, suggested_order
+from .members import _check_expdamp, _check_poly, _d_setup, _solve_d, _write_expdamp, _write_poly
 
 _EXPDAMP_C_MAX = 5.0
 _POLY_DEGREE = 4
@@ -37,15 +36,44 @@ class SearchReport:
     converged: bool
 
 
-def _ratio_fn(params: ClassParams, order: int):
-    bound = thm_a_bound(params)
+def _expdamp_point(v: np.ndarray, x) -> tuple:
+    """Write the certified ExpDamp seed of point x into v; returns its (theta, c)."""
+    theta = float(x[0]) % (2.0 * math.pi)
+    c = min(max(float(x[1]), 0.0), _EXPDAMP_C_MAX)
+    _check_expdamp(theta, c)
+    _write_expdamp(v, theta, c)
+    return theta, c
 
-    def ratio(seed: SchwarzSeed) -> float:
-        # sum_sq(log_coefficients(member_from_seed(...))) / bound, op for op, off the array
-        d = _log_coeffs(params, seed, order)
-        return float((np.abs(d) ** 2).sum()) / bound
 
-    return ratio
+def _poly_point(v: np.ndarray, x) -> tuple:
+    """Write the certified Polynomial seed of point x into v; returns its (coeffs,)."""
+    p = x[0::2] + 1j * x[1::2]
+    total = float(np.abs(p).sum())
+    if total > 1.0:
+        p = p * ((1.0 - 1e-12) / total)  # project back onto the certified simplex
+    coeffs = p.tolist()
+    _check_poly(coeffs)
+    _write_poly(v, coeffs)
+    return (coeffs,)
+
+
+# each family's seed type and the writer of its seed at a search point
+_FAMILY = {"expdamp": (ExpDamp, _expdamp_point), "poly": (Polynomial, _poly_point)}
+FAMILIES = tuple(_FAMILY)
+
+
+def _scorer(params: ClassParams, family: str, order: int):
+    """x -> (ratio, seed args) of the family's seed at x, written into one reused buffer
+    and scored op for op as `sum_sq(log_coefficients(member_from_seed(...))) / bound`."""
+    write = _FAMILY[family][1]
+    v, scale, evens = _d_setup(params, order)
+    B, bound = params.B, thm_a_bound(params)
+
+    def score(x) -> tuple[float, tuple]:
+        args = write(v, x)
+        return float((np.abs(_solve_d(v, scale, B, evens)) ** 2).sum()) / bound, args
+
+    return score
 
 
 class _Spent(Exception):
@@ -55,11 +83,10 @@ class _Spent(Exception):
 def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, int]:
     """Minimize f from x0 by Nelder-Mead with rho, chi, psi, sigma = 1, 2, 1/2, 1/2.
 
-    Returns (converged, calls): converged is True when the simplex met both
-    tolerances before `maxfev` calls of f were spent.  The vertices are
-    re-sorted by argsort after the initial fill and after every step, as in
-    scipy, so ties between equal values break the same way (scipy sorts once
-    more after the fill, an argsort of sorted values that changes nothing).
+    Returns (converged, calls): converged when the simplex met both tolerances
+    before `maxfev` calls of f were spent.  The vertices are argsorted after
+    the fill and after every step, as in scipy, so ties break the same way
+    (scipy sorts once more after the fill, which changes nothing).
     """
     calls = 0
 
@@ -113,20 +140,6 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
     return False, calls
 
 
-def _expdamp_seed(x) -> ExpDamp:
-    theta = float(x[0]) % (2.0 * math.pi)
-    c = min(max(float(x[1]), 0.0), _EXPDAMP_C_MAX)
-    return ExpDamp(theta=theta, c=c)
-
-
-def _poly_seed(x) -> Polynomial:
-    p = x[0::2] + 1j * x[1::2]
-    total = float(np.abs(p).sum())
-    if total > 1.0:
-        p = p * ((1.0 - 1e-12) / total)  # project back onto the certified simplex
-    return Polynomial(coeffs=tuple(p.tolist()))
-
-
 def adversarial_search(
     params: ClassParams,
     family: str = "expdamp",
@@ -141,61 +154,48 @@ def adversarial_search(
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not budget >= 1:
-        raise ConfigError(f"budget {budget!r} must be at least 1")
-    if order is None:
-        order = suggested_order(params)
-    ratio = _ratio_fn(params, order)
+    order = suggested_order(params) if order is None else order
+    for name, value in (("budget", budget), ("rng_seed", rng_seed), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} must be an integer")
+    if budget < 1 or rng_seed < 0:
+        raise ConfigError(f"need budget >= 1 and rng_seed >= 0, got {budget} and {rng_seed}")
+    ratio = _scorer(params, family, order)
+    make_seed = _FAMILY[family][0]
 
+    thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     if family == "expdamp":
-        make_seed = _expdamp_seed
-        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
         cs = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 3.5, _EXPDAMP_C_MAX])
         grid = [np.array([th, c]) for th in thetas for c in cs]
     else:
-        make_seed = _poly_seed
         rng = np.random.default_rng(rng_seed)
-        corners = [
-            np.array([math.cos(th), math.sin(th), 0, 0, 0, 0, 0, 0])
-            for th in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-        ]
-        randoms = [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
-        grid = corners + randoms
+        grid = [np.array([math.cos(th), math.sin(th), 0, 0, 0, 0, 0, 0]) for th in thetas]
+        grid += [rng.uniform(-0.5, 0.5, 2 * _POLY_DEGREE) for _ in range(40)]
 
-    # the best (ratio, seed) so far; a tie on the ratio goes to the smaller seed
-    # key, so the report does not depend on evaluation order
+    # the best (ratio, seed) so far; a tie goes to the smaller seed key, whatever the order
     max_ratio, best_seed = -math.inf, None
 
     def score(x) -> float:
         nonlocal max_ratio, best_seed
-        seed = make_seed(x)
-        r = ratio(seed)
-        if r > max_ratio or (
-            r == max_ratio and best_seed is not None and seed.sort_key() < best_seed.sort_key()
-        ):
-            max_ratio, best_seed = r, seed
+        r, args = ratio(x)
+        if r >= max_ratio:  # a seed is built only for a new best or a tie
+            seed = make_seed(*args)
+            if r > max_ratio or seed.sort_key() < best_seed.sort_key():
+                max_ratio, best_seed = r, seed
         return r
 
     grid_ratios = [score(x) for x in grid[:budget]]
     best_x = grid[grid_ratios.index(max(grid_ratios))]
     used = len(grid_ratios)
 
-    converged = False
-    if used < budget:
+    def objective(x):
+        pen = 0.0
+        if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_point clips it
+            pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
+        return -score(x) + 10.0 * pen
 
-        def objective(x):
-            pen = 0.0
-            if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_seed clips it
-                pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
-            return -score(x) + 10.0 * pen
+    # a budget spent in the grid leaves no call: the refinement stops at once, unconverged
+    converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)
+    used += calls
 
-        converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)
-        used += calls
-
-    return SearchReport(
-        order=order,
-        evaluations=used,
-        max_ratio=max_ratio,
-        best_seed=best_seed,
-        converged=converged,
-    )
+    return SearchReport(order, used, max_ratio, best_seed, converged)

@@ -7,7 +7,7 @@ import pytest
 
 from starlog import search
 from starlog.bounds import thm_a_bound
-from starlog.errors import ConfigError, InvalidSeed
+from starlog.errors import ConfigError, InvalidSeed, TruncationTooSmall
 from starlog.logcoeffs import log_coefficients, sum_sq
 from starlog.members import ClassParams, ExpDamp, Polynomial, member_from_seed, suggested_order
 from starlog.search import FAMILIES, adversarial_search
@@ -58,45 +58,93 @@ def test_budget_below_one_rejected():
         adversarial_search(ClassParams(1, 1, 1, -0.5), "expdamp", budget=0)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("B", [-0.5, -0.9])
-def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, B):
-    """Each ratio the search scores straight off the Toeplitz solve is the
-    plain-squares ratio of the seed's member, to the last bit."""
-    params = ClassParams(1, 2, 0.8 + 0.3j, B)
-    order = suggested_order(params)
-    recorded = []
-    ratio_fn = search._ratio_fn
+def _record_scores(monkeypatch) -> list:
+    """Make the search record each (ratio, seed args) it scores, in order."""
+    scored = []
+    scorer = search._scorer
 
     def spy(*args):
-        ratio = ratio_fn(*args)
+        score = scorer(*args)
 
-        def recording(seed):
-            r = ratio(seed)
-            recorded.append((seed, r))
-            return r
+        def recording(x):
+            scored.append(score(x))
+            return scored[-1]
 
         return recording
 
-    monkeypatch.setattr(search, "_ratio_fn", spy)
+    monkeypatch.setattr(search, "_scorer", spy)
+    return scored
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("B", [-0.5, -0.9])
+def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, B):
+    """Each ratio the search scores off its reused coefficient buffer is the
+    plain-squares ratio of the seed's member, to the last bit."""
+    params = ClassParams(1, 2, 0.8 + 0.3j, B)
+    order = suggested_order(params)
+    seed_of = {"expdamp": ExpDamp, "poly": Polynomial}[family]
+    scored = _record_scores(monkeypatch)
     report = adversarial_search(params, family, budget=300, rng_seed=5)
-    assert len(recorded) == report.evaluations > 64
+    assert len(scored) == report.evaluations > 64
     bound = thm_a_bound(params)
-    for seed, ratio in recorded:
-        assert ratio == sum_sq(log_coefficients(member_from_seed(params, seed, order))) / bound
+    for ratio, seed_args in scored:
+        member = member_from_seed(params, seed_of(*seed_args), order)
+        assert ratio == sum_sq(log_coefficients(member)) / bound
 
 
 @pytest.mark.parametrize(
-    "make_seed, x",
+    "family, x",
     [
-        (search._poly_seed, [0.1, math.nan, 0, 0, 0, 0, 0, 0]),
-        (search._expdamp_seed, [math.nan, 1.0]),
-        (search._expdamp_seed, [0.5, math.nan]),
+        ("poly", [0.1, math.nan, 0, 0, 0, 0, 0, 0]),
+        ("expdamp", [math.nan, 1.0]),
+        ("expdamp", [0.5, math.nan]),
     ],
 )
-def test_nan_coordinate_raises_invalid_seed(make_seed, x):
+def test_nan_coordinate_raises_invalid_seed(monkeypatch, family, x):
+    """The family writer checks the seed's certificate on every evaluation:
+    a NaN point that the refinement steps to fails it mid-search."""
+
+    def refine(f, x0, maxfev, xatol, fatol):
+        f(x0)
+        f(np.array(x))
+
+    monkeypatch.setattr(search, "_nelder_mead", refine)
     with pytest.raises(InvalidSeed):
-        make_seed(np.array(x))
+        adversarial_search(ClassParams(1, 2, 1, -0.5), family, budget=100)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"budget": 10.0},
+        {"budget": math.inf},
+        {"budget": True},
+        {"rng_seed": -1},
+        {"rng_seed": 1.0},
+        {"order": 3.5},
+        {"order": True},
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_non_integer_or_negative_arguments_rejected(family, kwargs):
+    with pytest.raises(ConfigError):
+        adversarial_search(ClassParams(1, 2, 1, -0.5), family, **kwargs)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_order_below_m_raises_truncation_too_small(family, order):
+    # m = 2: order 1 would leave N_d = 0 coefficients
+    with pytest.raises(TruncationTooSmall):
+        adversarial_search(ClassParams(1, 2, 1, -0.5), family, budget=100, order=order)
+
+
+def test_numpy_integer_arguments_accepted():
+    args = (ClassParams(1, 2, 1, -0.5), "poly")
+    report = adversarial_search(*args, np.int64(60), np.int64(3), order=np.int64(14))
+    assert report == adversarial_search(*args, 60, 3, order=14)
 
 
 @pytest.mark.parametrize("order", [None, 14])
@@ -126,11 +174,11 @@ def _plateau(x):
 
 
 _POLY_PARAMS = ClassParams(1, 2, 0.8 + 0.3j, -0.9)
-_POLY_RATIO = search._ratio_fn(_POLY_PARAMS, suggested_order(_POLY_PARAMS))
+_POLY_SCORE = search._scorer(_POLY_PARAMS, "poly", suggested_order(_POLY_PARAMS))
 
 
 def _poly_objective(x):
-    return -_POLY_RATIO(search._poly_seed(x))
+    return -_POLY_SCORE(x)[0]
 
 
 def _recording(f):
@@ -234,3 +282,22 @@ def test_report_is_pinned(config, pinned):
     assert report.max_ratio.hex() == max_ratio
     assert report.best_seed == best_seed
     assert report.converged is converged
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seed_built_only_for_a_new_best_or_a_tie(monkeypatch, family):
+    seed_type, write = search._FAMILY[family]
+    built = []
+
+    def counting(*args):
+        built.append(seed_type(*args))
+        return built[-1]
+
+    monkeypatch.setitem(search._FAMILY, family, (counting, write))
+    scored = _record_scores(monkeypatch)
+    report = adversarial_search(ClassParams(1, 2, 0.8 + 0.3j, -0.9), family, budget=300, rng_seed=5)
+    # the first evaluation, then each that reaches the best ratio before it
+    ratios = np.array([ratio for ratio, _ in scored])
+    new_best_or_tie = ratios[1:] >= np.maximum.accumulate(ratios)[:-1]
+    assert len(built) == 1 + np.count_nonzero(new_best_or_tie) < report.evaluations / 8
+    assert any(seed is report.best_seed for seed in built)
