@@ -18,7 +18,8 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 from types import SimpleNamespace
 
 from .errors import ConfigError, InvalidParams, StarlogError
@@ -54,10 +55,16 @@ REPORT_COLUMNS = [
 
 SEED_KINDS = ("identity", "rotation", "expdamp", "poly")
 
+#: each report column's JSON key as a row writes it, `"key": `, after ', ' but the first
+_JSON_KEYS = tuple(f"{', ' if i else ''}{json.dumps(c)}: " for i, c in enumerate(REPORT_COLUMNS))
+
 
 def parse_complex(token: str) -> complex:
-    """Parse `re+imi` syntax, e.g. 0.8+0.3i or -0.5 or 1-0.2i."""
-    text = token.strip().replace("i", "j")
+    """Parse `re+imi` syntax, e.g. 0.8+0.3i or -0.5 or 1-0.2i.  Only a trailing
+    `i` is the imaginary unit: the `i` of `inf` and `Infinity` is not."""
+    text = token.strip()
+    if text.endswith("i"):
+        text = text[:-1] + "j"
     try:
         return complex(text)
     except ValueError as exc:
@@ -164,14 +171,42 @@ def _check_key(check: CheckRow) -> tuple:
     return (check.seed, check.theorem, -math.inf if check.t is None else check.t)
 
 
-def _json_parts(check: CheckRow, a: str, b: float) -> tuple[str, str]:
-    """The JSON row of `check` at A = `a`, B = `b` but its j, k and stamp:
-    the text before j's value, and the text after k's value, up to the stamp."""
-    # j = k = 0 hold their places; the theorem before them is encoded with
-    # every '"' escaped, so the first '0, "k": 0' is theirs
-    row = json.dumps(dict(zip(REPORT_COLUMNS, (check.theorem, 0, 0, a, b, *check[1:]))))
-    head, _, rest = row.partition('0, "k": 0')
-    return head, rest[:-1]
+def _json_encoder():
+    """A function that gives one report value's text as `json.dumps` writes
+    it, or raises the `TypeError` it raises: exact floats, ints, strs, bools
+    and None by json's own rules, any other type by `json.dumps` itself.
+
+    Most floats of a report repeat, so their texts are memoised in a dict
+    that lives as long as the function.  A zero is never kept: 0.0 and -0.0
+    are one key.  A NaN is kept under itself, so only the same object finds
+    it."""
+    floats = {}
+
+    def encode(value) -> str:
+        cls = type(value)
+        if cls is float:
+            text = floats.get(value)
+            if text is None:
+                if value - value == 0.0:  # finite
+                    text = float.__repr__(value)
+                else:
+                    text = "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+                if value:
+                    floats[value] = text
+            return text
+        if cls is str:
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if cls is int:
+            return int.__repr__(value)
+        return json.dumps(value)  # its text, or its TypeError
+
+    return encode
 
 
 def write_report(points, out: str, fmt: str, timestamp: str | None = None):
@@ -183,12 +218,20 @@ def write_report(points, out: str, fmt: str, timestamp: str | None = None):
     grid order, then check order.  Points that share their `checks` tuple
     share its (m, A, B), so each check is encoded once, with its theorem and
     the columns from A to note, and each row adds its point's j, k and stamp.
-    A JSON row is the text of `json.dumps` of its dict, and a CSV row that of
+    A JSON row is the text `json.dumps` gives its dict, built from the keys
+    (`_JSON_KEYS`) and each value's text (`_json_encoder`, one per call, so
+    no float text outlives the report), and a CSV row that of
     `csv.DictWriter` with `lineterminator="\n"`."""
     # a row is head, j, sep, k, rest, then pre, elapsed, post, or end without a stamp
     if fmt == "json":
-        encode, sep, end = _json_parts, ', "k": ', "}"
-        pre, post = ', "elapsed": ', f', "timestamp": {json.dumps(timestamp)}}}'
+        value = _json_encoder()
+        theorem_key, j_key, sep, *keys, pre, stamp_key = _JSON_KEYS
+
+        def encode(check, a, b):
+            values = map(value, (a, b, *check[1:]))
+            return f"{{{theorem_key}{value(check.theorem)}{j_key}", "".join(map(add, keys, values))
+
+        end, post = "}", f"{stamp_key}{value(timestamp)}}}"
     elif fmt == "csv":
         # writerow returns what the file's write returns: here the line itself
         line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow

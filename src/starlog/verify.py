@@ -58,6 +58,11 @@ def verify_member(
         shifted = d.d.copy()
         shifted[0] += complex(d1_offset)
         d = LogCoeffVector(d=shifted, m=d.m)
+        # an offset past about 1.3e154 squares to inf, silently: every sum is
+        # then inf, so every check fails closed.  abs_sq is cached, so the
+        # sums below take this array and square nothing again
+        with np.errstate(over="ignore"):
+            d.abs_sq
     seed, order, n_d = member.seed.label(), member.order, d.n_terms
     tail = extremal_tail_bound(params, n_d) if isinstance(member.seed, Identity) else None
 

@@ -13,7 +13,10 @@ from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from starlog import cli
 from starlog.cli import MAX_TERMS, REPORT_COLUMNS, build_parser, main, write_report
@@ -72,6 +75,17 @@ def test_fault_injection_flips_exit_status(tmp_path):
     failed = [r for r in rows if not r["pass"]]
     assert failed and any(r["theorem"] == "ThmA" for r in failed)
     assert "FAILED" in proc.stderr
+
+
+def test_overflowing_fault_injection_fails_every_row_without_a_warning(tmp_path):
+    # |d_1|^2 overflows to inf: every sum is inf, so every ratio is inf and fails
+    out = tmp_path / "overflow.json"
+    argv = ["--j", "1", "--k", "1", "--A", "1", "--B=-0.5", "--inject-d1", "1e200"]
+    proc = run_cli("verify", *argv, "--out", str(out), "--no-timestamp")
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr and proc.stderr.startswith("FAILED: 6 of 6")
+    rows = json.loads(out.read_text())
+    assert len(rows) == 6 and all(not r["pass"] and r["ratio"] == math.inf for r in rows)
 
 
 def test_report_determinism(tmp_path):
@@ -233,6 +247,31 @@ def test_invalid_input_is_config_error(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "a(0) = 0" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--A", "inf"], "|A - B|^2 is not a finite double"),
+        (["--A=-inf"], "|A - B|^2 is not a finite double"),
+        (["--A", "Infinity"], "|A - B|^2 is not a finite double"),
+        (["--A", "1", "--seeds", "poly:inf"], "polynomial seed violates sum |p_i| <= 1"),
+    ],
+)
+def test_infinite_value_is_rejected_for_what_it_is(capsys, argv, reason):
+    # the i of inf is not the imaginary unit: the value parses, and then fails its check
+    assert main(["verify", "--j", "1", "--k", "1", *argv, "--B=-0.5"]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "cannot parse" not in err
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("0.8+0.3i", 0.8 + 0.3j), ("1-0.2i", 1 - 0.2j), ("i", 1j), ("-0.5", -0.5), (" 2i ", 2j),
+     ("inf", complex(math.inf)), ("-infi", complex(0, -math.inf))],
+)
+def test_parse_complex_reads_a_trailing_i_as_the_imaginary_unit(token, value):
+    assert repr(cli.parse_complex(token)) == repr(complex(value))  # repr tells -0.0 from 0.0
 
 
 SEED_LIST = "identity,expdamp:0.3,1.0,poly:0.5,0.25i"
@@ -473,6 +512,13 @@ def test_terms_above_max_is_config_error(tmp_path, capsys, terms, source):
 NAN_INF_CHECKS = (  # in report order
     CheckRow("Thm3(t=2)", "identity", 2.0, 20, 20, None, math.inf, 0.0, True, None, "vacuous"),
     CheckRow("ThmA", "identity", None, 20, 20, 1.5, 1.0, math.nan, False, None, ""),
+    # one column holds 0.0, -0.0, NaN, inf and -inf, and 0.1 repeats across rows and
+    # columns: a float text may be reused only for a float that json.dumps writes alike
+    CheckRow("Thm2", "rotation(1.3)", None, 20, 20, 0.0, 0.1, 0.0, True, 0.1, ""),
+    CheckRow("Thm3(t=0)", "rotation(1.3)", 0.0, 20, 20, -0.0, 0.1, -0.0, True, None, ""),
+    CheckRow("Thm3(t=1)", "rotation(1.3)", 1.0, 20, 20, math.nan, 0.1, math.nan, False, 0.1, ""),
+    CheckRow("Thm3(t=2)", "rotation(1.3)", 2.0, 20, 20, math.inf, 0.1, math.inf, False, -0.0, ""),
+    CheckRow("ThmA", "rotation(1.3)", None, 20, 20, -math.inf, 0.1, 0.0, True, 0.0, ""),
 )
 
 
@@ -490,7 +536,51 @@ def test_json_report_parses_back_to_rows(tmp_path, checks):
     ]
     # repr compares NaN by spelling; == would call two NaNs unequal
     assert repr(json.loads(text)) == repr(rows)
+    assert text == json_oracle(rows)
     assert len(text.splitlines()) == (len(rows) + 2 if rows else 1)  # one line per row
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+               sys.float_info.max, -sys.float_info.max, 0.1]
+EDGE_TEXTS = ['"', "\\", '0, "k": 0', "\x00\x1f\x7f\n\t", "é∑😀", "\ud800", "a\udfffb"]
+FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS)
+#: every value type a CheckRow field holds, beyond what the pipeline makes: json.dumps
+#: is the oracle, np.float64 included
+REPORT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200) | st.sampled_from([2**63, -(2**64)]),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.text(st.characters(exclude_categories=())) | st.sampled_from(EDGE_TEXTS),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=st.lists(REPORT_VALUES, min_size=len(CheckRow._fields), max_size=len(CheckRow._fields)),
+    B=st.sampled_from([0.0, -0.0, -0.5, -1.0]),
+    stamp=st.sampled_from([None, "2024-02-29T12:00:00+00:00"]),
+)
+def test_json_row_is_json_dumps_of_any_row(tmp_path, values, B, stamp):
+    out, check = tmp_path / "row.json", CheckRow(*values)
+    write_report([(ClassParams(1, 2, 0.8 + 0.3j, B), (check,), 0.25)], str(out), "json", stamp)
+    row = dict(zip(REPORT_COLUMNS, (check.theorem, 1, 2, "0.8+0.3i", B, *check[1:])))
+    if stamp is not None:
+        row.update(elapsed=0.25, timestamp=stamp)
+    assert out.read_text() == json_oracle([row])
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)], ids=["int64", "bool_"])
+@pytest.mark.parametrize("field", ["N", "passed"])
+def test_value_json_cannot_write_is_a_type_error(tmp_path, value, field):
+    with pytest.raises(TypeError):
+        json.dumps(value)  # the oracle
+    check = NAN_INF_CHECKS[1]._replace(**{field: value})
+    out = tmp_path / "row.json"
+    with pytest.raises(TypeError):
+        write_report([(ClassParams(1, 2, 1, -0.5), (check,), 0.25)], str(out), "json", None)
+    assert not out.exists()
 
 
 def test_large_a_extremal_member_passes(tmp_path):
