@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import TruncatedSeries, _solve_toeplitz
+from .series import TruncatedSeries, _band_storage, _solve_blocks, _solve_toeplitz
 
 
 def check_pair(j: int, k: int) -> None:
@@ -279,6 +279,42 @@ def _solve_d(v: np.ndarray, scale: complex, B: float, evens: np.ndarray) -> np.n
     den[0] = 1.0
     # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then d_n = L_n/2 = P_n/(2 m n)
     return _solve_toeplitz(den, num)[1:] / evens
+
+
+def _held_solver(params: ClassParams, order: int, degree: int):
+    """(v, abs_sq) for seeds of degree <= `degree`, on solve buffers held by abs_sq.
+
+    v is the zero buffer v_0..v_h, h = min(degree, N_d), for the seed's
+    coefficients.  abs_sq() writes only what v sets: B v_i into the divisor
+    and rows 1..h of its band storage, v_i (A - B)/m into the rhs head, then
+    runs the block loop once and returns |d_1|^2..|d_{N_d}|^2 in a reused
+    array, the bits of `np.abs(_solve_d(...)) ** 2` on the zero-padded v.
+    The storage is `_band_storage`'s for a degree-h divisor: dense up to
+    _BLOCK rows, else band h, which holds every shorter band too.
+    """
+    cs, scale, evens = _d_setup(params, order)
+    n, B = len(cs), params.B
+    h = min(degree, n - 1)
+    v = cs[: h + 1]
+    den = np.zeros(n, dtype=np.complex128)
+    den[: h + 1] = 1.0
+    band, ab = _band_storage(den, n)
+    x = np.empty(n, dtype=np.complex128)
+    d = np.empty(n - 1, dtype=np.complex128)
+    sq = np.empty(n - 1)
+    # made once: the views an evaluation writes through
+    v_tail, den_head, ab_head = v[1:], den[1 : h + 1], ab[1 : h + 1]
+    x_head, x_tail, den_col = x[: h + 1], x[h + 1 :], den[1 : h + 1, None]
+
+    def abs_sq() -> np.ndarray:
+        np.multiply(B, v_tail, den_head)
+        ab_head[...] = den_col
+        np.multiply(v, scale, x_head)
+        x_tail.fill(0.0)
+        np.divide(_solve_blocks(den, x, band, ab)[1:], evens, d)
+        return np.square(np.abs(d, sq), sq)
+
+    return v, abs_sq
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:

@@ -21,7 +21,8 @@ import numpy as np
 from .bounds import thm_a_bound
 from .errors import ConfigError
 from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, suggested_order
-from .members import _check_expdamp, _check_poly, _d_setup, _solve_d, _write_expdamp, _write_poly
+from .members import _check_expdamp, _check_poly, _d_setup, _held_solver, _solve_d
+from .members import _write_expdamp, _write_poly
 
 _EXPDAMP_C_MAX = 5.0
 _POLY_DEGREE = 4
@@ -48,12 +49,12 @@ def _expdamp_point(v: np.ndarray, x) -> tuple:
 def _poly_point(v: np.ndarray, x) -> tuple:
     """Write the certified Polynomial seed of point x into v; returns its (coeffs,)."""
     p = x[0::2] + 1j * x[1::2]
-    total = float(np.abs(p).sum())
+    total = float(np.add.reduce(np.abs(p)))
     if total > 1.0:
-        p = p * ((1.0 - 1e-12) / total)  # project back onto the certified simplex
+        p *= (1.0 - 1e-12) / total  # project back onto the certified simplex
     coeffs = p.tolist()
     _check_poly(coeffs)
-    _write_poly(v, coeffs)
+    _write_poly(v, p)
     return (coeffs,)
 
 
@@ -63,15 +64,23 @@ FAMILIES = tuple(_FAMILY)
 
 
 def _scorer(params: ClassParams, family: str, order: int):
-    """x -> (ratio, seed args) of the family's seed at x, written into one reused buffer
-    and scored op for op as `sum_sq(log_coefficients(member_from_seed(...))) / bound`."""
+    """x -> (ratio, seed args) of the family's seed at x, scored op for op as
+    `sum_sq(log_coefficients(member_from_seed(...))) / bound`.  A poly seed is
+    solved on buffers held for the whole search; an ExpDamp seed, dense, is
+    written into one reused buffer and solved by `_solve_d`, its band scanned."""
     write = _FAMILY[family][1]
-    v, scale, evens = _d_setup(params, order)
-    B, bound = params.B, thm_a_bound(params)
+    bound = thm_a_bound(params)
+    if family == "poly":
+        v, abs_sq = _held_solver(params, order, _POLY_DEGREE)
+    else:
+        v, scale, evens = _d_setup(params, order)
+
+        def abs_sq() -> np.ndarray:
+            return np.abs(_solve_d(v, scale, params.B, evens)) ** 2
 
     def score(x) -> tuple[float, tuple]:
         args = write(v, x)
-        return float((np.abs(_solve_d(v, scale, B, evens)) ** 2).sum()) / bound, args
+        return float(np.add.reduce(abs_sq())) / bound, args
 
     return score
 

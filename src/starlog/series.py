@@ -9,9 +9,13 @@ and one BLAS banded triangular solve finishes it.  The history and the
 band reach back only over the index of the last nonzero Toeplitz entry,
 so a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds
 and a dense one O(N^2); the per-coefficient Python overhead goes.  The
-solve is scipy's f2py `ztbsv`, loaded from its compiled BLAS wrapper
-`scipy.linalg._fblas` without the `scipy.linalg` package, so importing
-this module loads numpy and that one scipy extension.
+solve has two parts: `_band_storage` finds the band and fills one block's
+band storage, and `_solve_blocks`, the one block loop, runs on storage
+its caller holds.  `_solve_toeplitz` makes both per call; a caller that
+solves many divisors of one band can keep them and rewrite only the rows
+that change.  Each block's solve is scipy's f2py `ztbsv`, loaded from its
+compiled BLAS wrapper `scipy.linalg._fblas` without the `scipy.linalg`
+package, so importing this module loads numpy and that one scipy extension.
 """
 
 from __future__ import annotations
@@ -92,28 +96,36 @@ class TruncatedSeries:
         return add(self, other)
 
 
-def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
-    """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
+def _band_storage(t: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """The band b of the first n entries of t and one block's band storage for it.
 
-    d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
-    Row n reaches back over the band b only (t_k = 0 for k > b).  b is
-    scanned for only past _BLOCK rows and when t's last entry is zero, else
-    it is len(rhs) - 1 (dense); NaN and inf count as nonzero.  Each block is
-    band storage of w = min(b, _BLOCK - 1) + 1 rows (row i holds t_i) over
-    _BLOCK**2 // w columns: 64 rows of x when dense, 2048 when b = 1.
+    Row n of the solve reaches back over b only (t_k = 0 for k > b).  b is
+    scanned for only past _BLOCK rows and when t[n - 1] is zero, else it is
+    n - 1 (dense); NaN and inf count as nonzero.  The storage is w =
+    min(b, _BLOCK - 1) + 1 rows (row i holds t_i) over _BLOCK**2 // w
+    columns (at most n): 64 rows of x when dense, 2048 when b = 1.
     """
-    n = len(rhs)
     band = n - 1
     if n > _BLOCK and t[n - 1] == 0:
         (nonzero,) = t[:n].nonzero()
         band = int(nonzero[-1]) if nonzero.size else 0
-    x = np.array(rhs, dtype=np.complex128)
-    if not n:
-        return x
     width = min(band, _BLOCK - 1) + 1
-    rows = min(_BLOCK * _BLOCK // width, n)
-    ab = np.empty((width, rows), dtype=np.complex128, order="F")
+    ab = np.empty((width, min(_BLOCK * _BLOCK // width, n)), dtype=np.complex128, order="F")
     ab[:] = t[:width, None]
+    return band, ab
+
+
+def _solve_blocks(t: np.ndarray, x: np.ndarray, band: int, ab: np.ndarray, diag=None):
+    """Solve in place: x holds the rhs of `_solve_toeplitz` and becomes its solution.
+
+    `band` and the storage `ab` are `_band_storage`'s for t, or any band and
+    storage that hold t's nonzero entries; a caller may keep them from one
+    solve to the next and rewrite only the rows that change.  Each block of
+    rows takes its solved history by one convolution over the band, then one
+    `ztbsv`; `diag` overwrites row 0 of the storage per block.
+    """
+    width, rows = ab.shape
+    n = len(x)
     for s in range(0, n, rows):
         e = min(s + rows, n)
         if s and band:
@@ -121,8 +133,23 @@ def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = No
             x[s:e] -= np.convolve(t[1 : e - lo], x[lo:s], "valid")
         if diag is not None:
             ab[0, : e - s] = diag[s:e]
-        x = ztbsv(width - 1, ab[:, : e - s], x, offx=s, lower=1, overwrite_x=1)
+        # incx 1, offx s, lower, no transpose, non-unit diagonal, overwrite x; passed
+        # by position, since f2py's keyword parsing costs more than a short solve
+        x = ztbsv(width - 1, ab[:, : e - s], x, 1, s, 1, 0, 0, 1)
     return x
+
+
+def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
+
+    d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
+    Allocates the solution and one block's band storage per call
+    (`_band_storage`), then runs the block loop (`_solve_blocks`).
+    """
+    x = np.array(rhs, dtype=np.complex128)
+    if not len(x):
+        return x
+    return _solve_blocks(t, x, *_band_storage(t, len(x)), diag)
 
 
 def from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:

@@ -22,6 +22,8 @@ DEFAULT_TOL = 1e-9
 SHARPNESS_TOL = 1e-8
 #: term-by-term equality tolerance for extremal coefficients
 COEFF_TOL = 1e-11
+#: slack floor of a partial-sum dominance B_K <= C_K: absolute, and relative to C_K
+SLACK_ABS, SLACK_REL = 1e-10, 1e-12
 
 
 class CheckRow(NamedTuple):
@@ -139,15 +141,18 @@ def rogosinski_l2_check(subordinate, superordinate, upto: int) -> tuple[bool, fl
     """Partial-sum l^2 dominance of a subordinate pair of coefficient arrays.
 
     Entry n of each array is the coefficient of z^n.  For every K <= upto
-    checks sum_{n<=K} |b_n|^2 <= sum_{n<=K} |c_n|^2 + 1e-10 (coefficients
-    counted from exponent 1) and returns (ok, minimum slack).
+    checks B_K <= C_K + max(SLACK_ABS, SLACK_REL * C_K), where B_K and C_K
+    are the partial sums of |b_n|^2 and |c_n|^2 (coefficients counted from
+    exponent 1), and returns (ok, minimum slack C_K - B_K).  Equal sums
+    computed apart differ by a few ulps of C_K, so the floor scales with C_K;
+    it stays absolute for tiny sums.  A NaN fails.
     """
     upto = min(upto, len(subordinate) - 1, len(superordinate) - 1)
     b = np.abs(np.asarray(subordinate)[1 : upto + 1]) ** 2
-    c = np.abs(np.asarray(superordinate)[1 : upto + 1]) ** 2
-    slack = np.cumsum(c) - np.cumsum(b)
+    c = np.cumsum(np.abs(np.asarray(superordinate)[1 : upto + 1]) ** 2)
+    slack = c - np.cumsum(b)
     min_slack = float(slack.min()) if slack.size else 0.0
-    return min_slack >= -1e-10, min_slack
+    return bool(np.all(slack >= -np.maximum(SLACK_ABS, SLACK_REL * c))), min_slack
 
 
 def telescoping_weight(k, t: float):

@@ -76,21 +76,40 @@ def _record_scores(monkeypatch) -> list:
     return scored
 
 
+# (k, B, order) at j = 1 over the edges of the solve: N_d = 22 and 150 (m = 2),
+# one block; N_d = 22 at m = 4, where n <= 64 rows solve at full width; B = 0,
+# the divisor 1; N_d = 1, 2, 3, below the poly seed's degree; B = -0.99, N_d =
+# 1685, three blocks of a band-4 solve.  Every poly grid starts at 8 corner
+# seeds, p_2 = p_3 = p_4 = 0, whose member's band scan (past 64 rows) finds 1.
+_SOLVE_EDGES = [
+    pytest.param(2, -0.5, None, id="-0.5"),
+    pytest.param(2, -0.9, None, id="-0.9"),
+    pytest.param(4, -0.5, None, id="m4-full-width"),
+    pytest.param(2, 0.0, None, id="B0"),
+    pytest.param(2, -0.5, 2, id="Nd1"),
+    pytest.param(2, -0.5, 4, id="Nd2"),
+    pytest.param(2, -0.5, 6, id="Nd3"),
+    pytest.param(2, -0.99, None, id="three-blocks"),
+]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("B", [-0.5, -0.9])
-def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, B):
-    """Each ratio the search scores off its reused coefficient buffer is the
+@pytest.mark.parametrize("k, B, order", _SOLVE_EDGES)
+def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, k, B, order):
+    """Each ratio the search scores off its reused buffers is the
     plain-squares ratio of the seed's member, to the last bit."""
-    params = ClassParams(1, 2, 0.8 + 0.3j, B)
-    order = suggested_order(params)
+    params = ClassParams(1, k, 0.8 + 0.3j, B)
+    order = order or suggested_order(params)
     seed_of = {"expdamp": ExpDamp, "poly": Polynomial}[family]
     scored = _record_scores(monkeypatch)
-    report = adversarial_search(params, family, budget=300, rng_seed=5)
+    report = adversarial_search(params, family, budget=300, rng_seed=5, order=order)
     assert len(scored) == report.evaluations > 64
     bound = thm_a_bound(params)
     for ratio, seed_args in scored:
         member = member_from_seed(params, seed_of(*seed_args), order)
         assert ratio == sum_sq(log_coefficients(member)) / bound
+    if family == "poly":
+        assert sum(not any(args[0][1:]) for _, args in scored) >= 8
 
 
 @pytest.mark.parametrize(
@@ -112,6 +131,9 @@ def test_nan_coordinate_raises_invalid_seed(monkeypatch, family, x):
     monkeypatch.setattr(search, "_nelder_mead", refine)
     with pytest.raises(InvalidSeed):
         adversarial_search(ClassParams(1, 2, 1, -0.5), family, budget=100)
+    # the aborted search's buffers die with it: the next search reports as pinned
+    monkeypatch.undo()
+    test_report_is_pinned(*next(p for p in _PINNED if p[0][0] == family))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -301,3 +323,14 @@ def test_seed_built_only_for_a_new_best_or_a_tie(monkeypatch, family):
     new_best_or_tie = ratios[1:] >= np.maximum.accumulate(ratios)[:-1]
     assert len(built) == 1 + np.count_nonzero(new_best_or_tie) < report.evaluations / 8
     assert any(seed is report.best_seed for seed in built)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_searches_share_no_buffers(family):
+    """A search's solve buffers live and die with it: a search at another m,
+    B and order in between leaves the report of a repeated search unchanged."""
+    x = (ClassParams(1, 2, 0.8 + 0.3j, -0.9), family, 300, 5)
+    first = adversarial_search(*x)
+    adversarial_search(ClassParams(1, 4, 1, -0.99), family, 300, 2, order=4 * 900)
+    again = adversarial_search(*x)
+    assert again == first and again.max_ratio.hex() == first.max_ratio.hex()

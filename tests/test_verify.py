@@ -245,6 +245,43 @@ class TestRogosinski:
         ok, slack = rogosinski_l2_check(f.array, g.array, 3)
         assert ok and abs(slack) <= 1e-12
 
+    @staticmethod
+    def _rotation_and_identity(A):
+        params = ClassParams(1, 1, A, -0.5)
+        order = suggested_order(params)
+        rotated, identity = (
+            np.r_[0, member_from_seed(params, seed, order).d] for seed in (Rotation(1.3), Identity())
+        )
+        return rotated, identity, order
+
+    def test_equal_partial_sums_pass_at_large_a(self):
+        # |d_n| of a rotation equals the identity's: the partial sums (about 2.7e7
+        # at A = 1e4) agree to a few ulps, above the old absolute floor 1e-10
+        rotated, identity, order = self._rotation_and_identity(1e4)
+        total = float(np.sum(np.abs(identity) ** 2))
+        for sub, sup in ((rotated, identity), (identity, rotated)):
+            ok, slack = rogosinski_l2_check(sub, sup, order)
+            assert ok and abs(slack) <= 1e-14 * total
+        ok, _ = rogosinski_l2_check(rotated / 1e4, identity / 1e4, order)
+        assert ok
+
+    @pytest.mark.parametrize("A", [1, 1e4])
+    @pytest.mark.parametrize("K", [1, 5, 22])
+    def test_relative_excess_fails(self, A, K):
+        # raise |b_K|^2 so that B_K exceeds C_K by 1e-9 of C_K
+        _, identity, order = self._rotation_and_identity(A)
+        partial = np.cumsum(np.abs(identity) ** 2)
+        sub = identity.copy()
+        sub[K] *= math.sqrt(1 + 1e-9 * partial[K] / abs(identity[K]) ** 2)
+        ok, slack = rogosinski_l2_check(sub, identity, order)
+        assert not ok
+        assert slack == pytest.approx(-1e-9 * partial[K], rel=1e-3)
+
+    @pytest.mark.parametrize("sub, sup", [([0, math.nan], [0, 1]), ([0, 1], [0, math.nan])])
+    def test_nan_fails(self, sub, sup):
+        ok, _ = rogosinski_l2_check(np.array(sub), np.array(sup), 1)
+        assert not ok
+
     def test_constructed_pairs(self):
         rng = np.random.default_rng(99)
         seeds = [Identity(), Rotation(1.0), ExpDamp(0.4, 1.5), Polynomial((0.5, 0.25, 0.25))]
