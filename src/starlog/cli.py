@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
@@ -36,7 +37,8 @@ from .members import (
 )
 from .polylog import li
 from .search import FAMILIES, adversarial_search
-from .verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness, verify_member
+from .verify import DEFAULT_TOL, SHARPNESS_TOL, SKIPPED, VACUOUS, CheckRow, check_sharpness
+from .verify import bound_plan, verify_planned
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,20 +288,27 @@ def _verify_rows(args):
 
     def rows(params):
         order = args.terms or suggested_order(params)
+        plan = None
         for seed in seeds:
             member = member_from_seed(params, seed, order)
-            yield from verify_member(
-                member, t_values=t_values, tol=args.tol, d1_offset=args.inject_d1
-            )
+            # one plan for the point's seeds, made after its first member, whose errors come first
+            plan = plan or bound_plan(params, t_values)
+            yield from verify_planned(member, plan, args.tol, args.inject_d1)
 
     return rows
 
 
-def _verify_summary(n_rows, failed, points):
+def _verify_summary(points, failed):
+    """The ok or FAILED line, counting rows by kind where any was not compared."""
+    notes = Counter(check.note for _, checks, _ in points for check in checks)
+    n_rows, skipped, vacuous = notes.total(), notes[SKIPPED], notes[VACUOUS]
+    counts = f" compared={n_rows - skipped - vacuous} skipped={skipped} vacuous={vacuous}"
+    counts = counts if skipped or vacuous else ""
     if not failed:
-        print(f"ok: {n_rows} checks passed on {points} parameter points", file=sys.stderr)
+        ok = f"ok: {n_rows} checks passed on {len(points)} parameter points"
+        print(ok + counts, file=sys.stderr)
         return
-    print(f"FAILED: {len(failed)} of {n_rows} checks violated their bound", file=sys.stderr)
+    print(f"FAILED: {len(failed)} of {n_rows} checks violated their bound{counts}", file=sys.stderr)
     for params, check in failed[:20]:
         print(
             f"  {check.theorem} (j={params.j}, k={params.k}, A={format_complex(params.A)}, "
@@ -312,9 +321,9 @@ def _sharpness_rows(args):
     return lambda params: [check_sharpness(params, args.terms or None, args.tol)]
 
 
-def _sharpness_summary(n_rows, failed, points):
+def _sharpness_summary(points, failed):
     status = f"FAILED: {len(failed)} of" if failed else "ok:"
-    print(f"{status} {n_rows} sharpness certificates", file=sys.stderr)
+    print(f"{status} {len(points)} sharpness certificates", file=sys.stderr)
 
 
 def _search_rows(args):
@@ -351,8 +360,8 @@ def _run(args) -> int:
     """Run one grid command: `args.rows(args)` maps a ClassParams to its
     CheckRows, and this does the rest: timing, the per-point stdout line
     (`args.echo`, search only), the report, the stderr summary
-    (`args.summary`, given the row count, the failed (params, check) pairs in
-    report order and the point count) and the exit code.
+    (`args.summary`, given the (params, checks, elapsed) triples and the
+    failed (params, check) pairs in report order) and the exit code.
 
     j and k enter a point's checks only through m = j + k - 1, so the checks
     of each distinct (m, A, B) are computed once and every grid point with
@@ -365,7 +374,7 @@ def _run(args) -> int:
     if not grid:
         print("warning: empty parameter grid; nothing to verify", file=sys.stderr)
     computed = {}
-    points, n_rows = [], 0
+    points = []
     for params in grid:
         start = time.perf_counter()
         # repr tells 0.0 from -0.0, which are one dict key
@@ -377,14 +386,13 @@ def _run(args) -> int:
         if args.echo:
             args.echo(args, params, checks)
         points.append((params, checks, elapsed))
-        n_rows += len(checks)
     failed = [(params, c) for params, checks, _ in points for c in checks if not c.passed]
     failed.sort(key=lambda row: _point_key(row[0]) + _check_key(row[1]))  # the report's order
     # without a summary (search) stdout carries one line per point, so "-" writes no report
     if args.summary or args.out != "-":
         write_report(points, args.out, args.format, None if args.no_timestamp else timestamp)
     if args.summary and grid:
-        args.summary(n_rows, failed, len(grid))
+        args.summary(points, failed)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

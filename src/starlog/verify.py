@@ -3,11 +3,13 @@
 Partial sums of nonnegative terms can only understate the left-hand sides,
 so a pass verdict is sound at any truncation; sharpness certification adds
 the extremal tail, summed to rounding, and compares partial + tail with the
-bound.
+bound.  A member's bounds come from its point's plan, and its sums from one
+weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from .errors import BExcluded, DivergentSeries, HypothesisViolated, WeightOutOfRange
-from .logcoeffs import LogCoeffVector, log_coefficients, sum_n2, sum_sq, sum_weighted
+from .logcoeffs import _weights
 from .members import ClassMember, ClassParams, Identity, extremal_function, suggested_order
 
 DEFAULT_TOL = 1e-9
@@ -24,6 +26,9 @@ SHARPNESS_TOL = 1e-8
 COEFF_TOL = 1e-11
 #: slack floor of a partial-sum dominance B_K <= C_K: absolute, and relative to C_K
 SLACK_ABS, SLACK_REL = 1e-10, 1e-12
+#: the notes of a row with nothing to compare: its bound is excluded, or infinite
+SKIPPED = "skipped: B = -1 excluded by the theorem hypothesis"
+VACUOUS = "bound series diverges at B = -1; inequality vacuous"
 
 
 class CheckRow(NamedTuple):
@@ -43,6 +48,66 @@ class CheckRow(NamedTuple):
     note: str
 
 
+def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """A point's checks, each (theorem, t, bound, ratio, note, weight key), and
+    the keys of the compared ones, in order.  Every bound is asked for here,
+    before any sum, so one out of range raises before a sum can overflow.  A
+    skipped or vacuous check has its ratio and note, and no key; a key is
+    "sq" (weight 1), "n2" (n^2) or t ((n+1)^t)."""
+
+    def plan(theorem: str, t: float | None, key, bound_fn, *args) -> tuple:
+        try:
+            return theorem, t, bound_fn(params, *args), None, "", key
+        except BExcluded:
+            return theorem, t, None, None, SKIPPED, None
+        except DivergentSeries:
+            return theorem, t, math.inf, 0.0, VACUOUS, None
+
+    checks = (
+        plan("ThmA", None, "sq", thm_a_bound),
+        plan("Thm2", None, "n2", thm2_bound),
+        *(plan(f"Thm3(t={t:g})", t, t, thm3_bound, t) for t in t_values),
+    )
+    return checks, tuple(c[5] for c in checks if c[5] is not None)
+
+
+@functools.lru_cache(maxsize=32)  # a command asks for a few N_d
+def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
+    """The weight rows of `keys` for n = 1..n_terms, one row each (read-only)."""
+    named = {"sq": np.ones(n_terms), "n2": np.arange(1, n_terms + 1, dtype=np.float64) ** 2}
+    rows = [named[key] if isinstance(key, str) else _weights(n_terms, key) for key in keys]
+    stack = np.array(rows).reshape(len(keys), n_terms)  # no keys: no rows
+    stack.flags.writeable = False
+    return stack
+
+
+def verify_planned(member: ClassMember, plan, tol: float, d1_offset: complex) -> list[CheckRow]:
+    """`verify_member` on `bound_plan`'s plan for the member's point.  The
+    compared sums are one reduction of |d_n|^2 against their weight rows,
+    each bit-equal to its `logcoeffs` sum."""
+    checks, keys = plan
+    if d1_offset == 0:
+        sq = np.abs(member.d) ** 2
+    else:
+        d = np.array(member.d, dtype=np.complex128)  # the member's own d stays as it is
+        d[0] += complex(d1_offset)
+        # past about 1.3e154 it squares to inf, silently: every sum is inf, and fails closed
+        with np.errstate(over="ignore"):
+            sq = np.abs(d) ** 2
+    n_d = len(sq)
+    sums = iter((_weight_stack(n_d, keys) * sq).sum(axis=1).tolist())
+    seed, order = member.seed.label(), member.order
+    tail = extremal_tail_bound(member.params, n_d) if isinstance(member.seed, Identity) else None
+    rows = []
+    for theorem, t, bound, ratio, note, key in checks:
+        s = None if key is None else next(sums)  # a skipped or vacuous row makes no sum
+        if s is not None:  # fail closed: a NaN, zero or negative bound gives a NaN ratio
+            ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
+        passed = s is None or ratio <= 1.0 + tol
+        rows.append(CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, note))
+    return rows
+
+
 def verify_member(
     member: ClassMember,
     t_values: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0),
@@ -51,47 +116,10 @@ def verify_member(
 ) -> list[CheckRow]:
     """Check every bound on one member; pass means ratio <= 1 + tol.
 
-    `d1_offset` is a fault-injection hook: it perturbs d_1 before checking,
-    so a sound pipeline with a nonzero offset must fail.
+    `d1_offset` is a fault-injection hook: it perturbs a copy of d_1 before
+    checking, so a sound pipeline with a nonzero offset must fail.
     """
-    params = member.params
-    d = log_coefficients(member)
-    if d1_offset != 0:
-        shifted = d.d.copy()
-        shifted[0] += complex(d1_offset)
-        d = LogCoeffVector(d=shifted, m=d.m)
-        # an offset past about 1.3e154 squares to inf, silently: every sum is
-        # then inf, so every check fails closed.  abs_sq is cached, so the
-        # sums below take this array and square nothing again
-        with np.errstate(over="ignore"):
-            d.abs_sq
-    seed, order, n_d = member.seed.label(), member.order, d.n_terms
-    tail = extremal_tail_bound(params, n_d) if isinstance(member.seed, Identity) else None
-
-    def check(theorem: str, t: float | None, sum_fn, bound_fn, *args) -> CheckRow:
-        try:
-            bound = bound_fn(params, *args)
-        except BExcluded:
-            bound, ratio = None, None
-            note = "skipped: B = -1 excluded by the theorem hypothesis"
-        except DivergentSeries:
-            bound, ratio = math.inf, 0.0
-            note = "bound series diverges at B = -1; inequality vacuous"
-        else:
-            # the bound first: one out of range raises before its sum can overflow
-            s = sum_fn(d, *args)
-            # fail closed: a NaN, zero or negative bound gives a NaN ratio, which never passes
-            ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
-            passed = ratio <= 1.0 + tol
-            return CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, "")
-        # a skipped or vacuous row has nothing to compare, so no sum is made for it
-        return CheckRow(theorem, seed, t, order, n_d, None, bound, ratio, True, tail, note)
-
-    return [
-        check("ThmA", None, sum_sq, thm_a_bound),
-        check("Thm2", None, sum_n2, thm2_bound),
-        *(check(f"Thm3(t={t:g})", t, sum_weighted, thm3_bound, t) for t in t_values),
-    ]
+    return verify_planned(member, bound_plan(member.params, t_values), tol, d1_offset)
 
 
 def check_sharpness(
@@ -113,22 +141,22 @@ def check_sharpness(
     if order is None:
         order = suggested_order(params)
     member = extremal_function(params, order)
-    d = log_coefficients(member)
-    ran_at = ("ThmA-sharpness", "identity", None, member.order, d.n_terms)
+    d, n_d = member.d, len(member.d)
+    ran_at = ("ThmA-sharpness", "identity", None, member.order, n_d)
 
     # one rule for every B: |d_n|^2 against G B^{2(n-1)}/n^2; where that vanishes (each
     # n > 1 at B = 0, or an underflow) |d_n| itself must; a NaN fails either comparison
-    sq = d.abs_sq
-    expected = params.G * (params.B * params.B) ** np.arange(d.n_terms) / d.n**2
-    close = np.where(expected == 0.0, np.abs(d.d), np.abs(sq - expected)) <= COEFF_TOL
+    sq = np.abs(d) ** 2
+    expected = params.G * (params.B * params.B) ** np.arange(n_d) / np.arange(1.0, n_d + 1.0) ** 2
+    close = np.where(expected == 0.0, np.abs(d), np.abs(sq - expected)) <= COEFF_TOL
     n = int(np.argmin(close)) + 1
     if not close[n - 1]:
         s, e = sq[n - 1], expected[n - 1]
         note = f"term-by-term equality failed at n={n}: |d_{n}|^2 = {s} != {e} (d_{n} = {d[n - 1]})"
         return CheckRow(*ran_at, None, None, None, False, None, note)
 
-    partial = sum_sq(d)
-    tail = extremal_tail_bound(params, d.n_terms)
+    partial = float(sq.sum())
+    tail = extremal_tail_bound(params, n_d)
     bound = thm_a_bound(params)
     # fail closed, as verify_member does: only a positive finite bound can pass
     ok = math.isfinite(bound) and bound > 0

@@ -827,6 +827,40 @@ def test_computed_points_do_not_outlive_their_command(tmp_path, monkeypatch):
         assert ms == [1, 2] * run
 
 
+def test_default_sweep_plans_each_distinct_point_once(tmp_path, monkeypatch):
+    # the bounds of a point depend on it alone: one plan serves its three seeds
+    import starlog.verify as verify_mod
+
+    calls, real = [], verify_mod.thm2_bound
+
+    def counted(params):
+        calls.append(params.m)
+        return real(params)
+
+    monkeypatch.setattr(verify_mod, "thm2_bound", counted)
+    out = tmp_path / "sweep.json"
+    assert main(["verify", *THREE_SEEDS, "--out", str(out), "--no-timestamp"]) == 0
+    assert len(calls) == 75
+
+
+# at B = -1 Thm2 is skipped and Thm3(t >= 1) vacuous: the summary counts them apart
+@pytest.mark.parametrize("argv, counts", [
+    (["--t", "1,2"], "ok: 4 checks passed on 1 parameter points compared=1 skipped=1 vacuous=2"),
+    ([], "ok: 6 checks passed on 1 parameter points compared=3 skipped=1 vacuous=2"),
+    (["--inject-d1", "0.5"],
+     "FAILED: 3 of 6 checks violated their bound compared=3 skipped=1 vacuous=2"),
+])
+def test_summary_counts_skipped_and_vacuous_rows(capsys, argv, counts):
+    grid = ["verify", "--j", "1", "--k", "1", "--A", "1", "--B=-1", "--no-timestamp"]
+    main([*grid, *argv])
+    assert capsys.readouterr().err.splitlines()[0] == counts
+
+
+def test_summary_without_skipped_or_vacuous_rows_has_no_counts(capsys):
+    assert main(["verify", *SMALL_GRID, "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == "ok: 12 checks passed on 2 parameter points\n"
+
+
 def test_search_prints_one_line_per_point_in_grid_order(capsys):
     argv = ["search", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.9", "--budget", "100"]
     assert main([*argv, "--no-timestamp"]) == 0

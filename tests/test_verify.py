@@ -1,13 +1,15 @@
 """Member verification, sharpness certification, and the two lemma checkers."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from starlog.bounds import extremal_tail_bound, thm_a_bound
+from starlog.bounds import extremal_tail_bound, thm2_bound, thm_a_bound
 from starlog.errors import HypothesisViolated, InvalidParams, WeightOutOfRange
-from starlog.logcoeffs import log_coefficients, sum_sq
+from starlog.logcoeffs import LogCoeffVector, log_coefficients, sum_n2, sum_sq, sum_weighted
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -192,8 +194,6 @@ class TestCheckSharpness:
         assert abs(ratio - 1) <= 1e-12
 
     def test_detects_broken_pipeline(self, monkeypatch):
-        import dataclasses
-
         import starlog.verify as verify_mod
 
         def perturbed_extremal(params, order):
@@ -370,29 +370,74 @@ def test_check_sharpness_fails_closed_on_bad_bound(monkeypatch, bad_bound):
     assert not row.passed and math.isnan(row.ratio)
 
 
-def test_inject_hook_leaves_original_vector_untouched(monkeypatch):
-    import starlog.verify as verify_mod
-
-    seen = []
-
-    def recording_log_coefficients(member):
-        seen.append(log_coefficients(member))
-        return seen[-1]
-
-    monkeypatch.setattr(verify_mod, "log_coefficients", recording_log_coefficients)
+def test_inject_hook_leaves_original_vector_untouched():
     params = ClassParams(1, 2, 1, -0.5)
     member = member_from_seed(params, Rotation(0.7), 40)
-    fresh = log_coefficients(member)
+    before = member.d.tobytes()
     rows = verify_member(member, d1_offset=0.25)
     assert not all(r.passed for r in rows)
-    assert len(seen) == 1 and seen[0].d.tobytes() == fresh.d.tobytes() and seen[0].m == fresh.m
+    assert member.d.tobytes() == before
     assert all(r.passed for r in verify_member(member))
+
+
+REDUCTION_T = (-300.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("n_d", [1, 2, 7, 8, 9, 63, 64, 65, 128, 129, 150, 4096, 4100])
+def test_reduction_is_bit_equal_to_each_sum(n_d):
+    # one reduction over the stacked weight rows gives every compared sum; each must be
+    # the bits of its own logcoeffs sum, whatever the pairwise blocking of numpy's .sum()
+    rng = np.random.default_rng(n_d)
+    d = (rng.standard_normal(n_d) + 1j * rng.standard_normal(n_d)) * np.exp(rng.uniform(-9, 9, n_d))
+    params = ClassParams(1, 1, 1, -0.5)
+    member = dataclasses.replace(member_from_seed(params, Identity(), n_d), d=d)
+    rows = {r.theorem: r for r in verify_member(member, t_values=REDUCTION_T)}
+    vector = LogCoeffVector(d=d, m=1)
+    assert rows["ThmA"].partial_sum == sum_sq(vector)
+    assert rows["Thm2"].partial_sum == sum_n2(vector)
+    for t in REDUCTION_T:
+        assert rows[f"Thm3(t={t:g})"].partial_sum == sum_weighted(vector, t), t
+    assert all(r.N_d == n_d for r in rows.values())
+
+
+def test_weight_stack_is_read_only_and_its_cache_bounded():
+    import starlog.verify as verify_mod
+
+    stack = verify_mod._weight_stack(5, ("sq", "n2", 2.0))
+    assert stack.shape == (3, 5) and not stack.flags.writeable
+    assert stack.tolist()[:2] == [[1.0] * 5, [1.0, 4.0, 9.0, 16.0, 25.0]]
+    assert 0 < verify_mod._weight_stack.cache_info().maxsize <= 64
+
+
+@pytest.mark.parametrize("B", [-0.5, -1.0])
+def test_huge_a_makes_no_sum_before_its_bounds(B):
+    # |d_1|^2 is finite at A = 1.3e154, but (n+1)^2 |d_n|^2 overflows: at B = -0.5 the
+    # Thm3(t=2) bound overflows too and raises before any sum; at B = -1 every row that
+    # would overflow is skipped or vacuous, so no sum of it is made and numpy warns of nothing
+    params = ClassParams(1, 1, 1.3e154, B)
+    member = member_from_seed(params, Identity(), suggested_order(params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if B == -0.5:
+            with pytest.raises(InvalidParams, match=r"Thm3\(t=2\) bound"):
+                verify_member(member)
+        else:
+            assert all(r.passed for r in verify_member(member))
+
+
+def test_plan_bounds_are_read_at_each_call(monkeypatch):
+    # no plan outlives its call: a bound patched after one verify is the next one's bound
+    import starlog.verify as verify_mod
+
+    params = ClassParams(1, 2, 1, -0.5)
+    member = member_from_seed(params, Identity(), suggested_order(params))
+    assert all(r.passed for r in verify_member(member))
+    monkeypatch.setattr(verify_mod, "thm2_bound", lambda params: 0.5 * thm2_bound(params))
+    assert not next(r for r in verify_member(member) if r.theorem == "Thm2").passed
 
 
 def _extremal_with(monkeypatch, n, value):
     """Make check_sharpness see the extremal member with d_n set by `value`."""
-    import dataclasses
-
     import starlog.verify as verify_mod
 
     def perturbed_extremal(params, order):
