@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .errors import ConfigError, InvalidParams, StarlogError
@@ -216,22 +216,36 @@ def write_report(points, out: str, fmt: str, timestamp: str | None = None):
     elapsed) triples in grid order, and each check is one row.  `timestamp`
     is None for --no-timestamp, which drops the elapsed and timestamp columns.
 
-    Rows are sorted by `_point_key`, then `_check_key`, stably: tied rows keep
-    grid order, then check order.  Points that share their `checks` tuple
-    share its (m, A, B), so each check is encoded once, with its theorem and
-    the columns from A to note, and each row adds its point's j, k and stamp.
-    A JSON row is the text `json.dumps` gives its dict, built from the keys
-    (`_JSON_KEYS`) and each value's text (`_json_encoder`, one per call, so
-    no float text outlives the report), and a CSV row that of
-    `csv.DictWriter` with `lineterminator="\n"`."""
+    Rows are in the order of `_point_key`, then `_check_key`, stably: tied
+    rows keep grid order, then check order.  Points that share their `checks`
+    tuple share its (m, A, B), so each tuple is encoded once, each check with
+    its theorem and the columns from A to note, and its rows are sorted by
+    check key once.  The points are then sorted by point key, and each writes
+    its tuple's rows with its own j, k and stamp; the rows of points that tie
+    on the point key are merged by check key, stably.  A JSON row is the text
+    `json.dumps` gives its dict, built from one template over the keys
+    (`_JSON_KEYS`) and each value's text (`_json_encoder`, one per call, so no
+    float text outlives the report), with A and B encoded once per tuple; a
+    CSV row is the text of `csv.DictWriter` with `lineterminator="\n"`."""
     # a row is head, j, sep, k, rest, then pre, elapsed, post, or end without a stamp
     if fmt == "json":
         value = _json_encoder()
-        theorem_key, j_key, sep, *keys, pre, stamp_key = _JSON_KEYS
+        (theorem_key, j_key, sep, a_key, b_key, seed_key, t_key, n_key, n_d_key, sum_key,
+         bound_key, ratio_key, pass_key, tail_key, note_key, pre, stamp_key) = _JSON_KEYS
 
-        def encode(check, a, b):
-            values = map(value, (a, b, *check[1:]))
-            return f"{{{theorem_key}{value(check.theorem)}{j_key}", "".join(map(add, keys, values))
+        def encode(checks, a, b) -> list:
+            ab = f"{a_key}{value(a)}{b_key}{value(b)}"
+            return [
+                (
+                    f"{{{theorem_key}{value(theorem)}{j_key}",
+                    f"{ab}{seed_key}{value(seed)}{t_key}{value(t)}{n_key}{value(N)}"
+                    f"{n_d_key}{value(N_d)}{sum_key}{value(partial_sum)}{bound_key}{value(bound)}"
+                    f"{ratio_key}{value(ratio)}{pass_key}{value(passed)}"
+                    f"{tail_key}{value(tail_bound)}{note_key}{value(note)}",
+                )
+                for theorem, seed, t, N, N_d, partial_sum, bound, ratio, passed, tail_bound, note
+                in checks
+            ]
 
         end, post = "}", f"{stamp_key}{value(timestamp)}}}"
     elif fmt == "csv":
@@ -242,32 +256,46 @@ def write_report(points, out: str, fmt: str, timestamp: str | None = None):
             # written as the first of two fields: a line of one empty field is '""'
             return line((value, None))[:-2]
 
-        def encode(check, a, b):
-            return f"{field(check.theorem)},", "," + line((a, b, *check[1:]))[:-1]
+        def encode(checks, a, b) -> list:
+            return [(f"{field(c.theorem)},", "," + line((a, b, *c[1:]))[:-1]) for c in checks]
 
         sep, end = ",", "\n"
         pre, post = ",", f",{field(timestamp)}\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
     encoded = {}
-    rows = []
+    placed = []  # each point's (key, its tuple's (check key, (head, rest)) in row order, close)
     for params, checks, elapsed in points:
-        j, k, a, b = key = _point_key(params)
+        key = _point_key(params)
         parts = encoded.get(id(checks))
         if parts is None:
-            parts = encoded[id(checks)] = []
-            for check in checks:
-                parts.append((_check_key(check), *encode(check, a, b)))
-        close = end if timestamp is None else f"{pre}{elapsed!r}{post}"
-        for order, head, rest in parts:
-            rows.append((key + order, f"{head}{j}{sep}{k}{rest}{close}"))
-    if len(rows) > 1:  # the sort's set-up is a measurable share of a one-row report
-        rows.sort(key=itemgetter(0))
-    lines = map(itemgetter(1), rows)
+            parts = list(zip(map(_check_key, checks), encode(checks, *key[2:])))
+            encoded[id(checks)] = parts
+            if len(parts) > 1:
+                parts.sort(key=itemgetter(0))
+        placed.append((key, parts, end if timestamp is None else f"{pre}{elapsed!r}{post}"))
+    if len(placed) > 1:  # the sort's set-up is a measurable share of a one-point report
+        placed.sort(key=itemgetter(0))
+    lines, n, i = [], len(placed), 0
+    while i < n:
+        key, tied = placed[i][0], i + 1
+        while tied < n and placed[tied][0] == key:  # e.g. B = 0 and -0.0, or a (j, k) twice
+            tied += 1
+        jk = f"{key[0]}{sep}{key[1]}"
+        # each row keeps its own point's A, B and close; tied points merge by check key, stably
+        rows = [
+            (order, f"{head}{jk}{rest}{close}")
+            for _, parts, close in placed[i:tied]
+            for order, (head, rest) in parts
+        ]
+        if tied - i > 1:
+            rows.sort(key=itemgetter(0))
+        lines += map(itemgetter(1), rows)
+        i = tied
     if fmt == "csv":
-        columns = REPORT_COLUMNS if timestamp is not None or not rows else REPORT_COLUMNS[:-2]
+        columns = REPORT_COLUMNS if timestamp is not None or not lines else REPORT_COLUMNS[:-2]
         text = line(columns) + "".join(lines)
-    elif rows:
+    elif lines:
         text = "[\n" + ",\n".join(lines) + "\n]\n"
     else:
         text = "[]\n"

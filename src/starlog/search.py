@@ -22,7 +22,7 @@ from .bounds import thm_a_bound
 from .errors import ConfigError
 from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, suggested_order
 from .members import _check_expdamp, _check_poly, _d_setup, _held_solver, _solve_d
-from .members import _write_expdamp, _write_poly
+from .members import _poly_total, _write_expdamp, _write_poly
 
 _EXPDAMP_C_MAX = 5.0
 _POLY_DEGREE = 4
@@ -47,15 +47,16 @@ def _expdamp_point(v: np.ndarray, x) -> tuple:
 
 
 def _poly_point(v: np.ndarray, x) -> tuple:
-    """Write the certified Polynomial seed of point x into v; returns its (coeffs,)."""
+    """Write the certified Polynomial seed of point x into v; returns its
+    (coeffs,), the array of coefficients written."""
     p = x[0::2] + 1j * x[1::2]
-    total = float(np.add.reduce(np.abs(p)))
+    total = _poly_total(p)
     if total > 1.0:
         p *= (1.0 - 1e-12) / total  # project back onto the certified simplex
-    coeffs = p.tolist()
-    _check_poly(coeffs)
+        total = _poly_total(p)
+    _check_poly(total)  # the total of the coefficients written, as `Polynomial` reads it
     _write_poly(v, p)
-    return (coeffs,)
+    return (p,)
 
 
 # each family's seed type and the writer of its seed at a search point

@@ -883,16 +883,17 @@ INJECTED = {"clean": [], "failing": ["--inject-d1", "0.5"], "nan": ["--inject-d1
 @pytest.fixture
 def fixed_clock(monkeypatch):
     """Make every command's elapsed values and timestamp the same: each command
-    starts `cli`'s perf_counter over, at 0 in steps of 0.1, and now() is fixed."""
+    starts `cli`'s perf_counter over, its n-th reading `reading(n)` (n/10 by
+    default), and now() is fixed."""
 
     class Instant(datetime):
         @classmethod
         def now(cls, tz=None):
             return datetime(2024, 2, 29, 12, 0, 0, 123456, tzinfo=tz)
 
-    def restart():
-        ticks = itertools.count()
-        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 10))
+    def restart(reading=lambda n: n / 10):
+        ticks = map(reading, itertools.count())
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=ticks.__next__))
 
     monkeypatch.setattr(cli, "datetime", Instant)
     return restart
@@ -960,3 +961,29 @@ def test_csv_report_is_dict_writer_of_the_json_rows(tmp_path, capsys, fixed_cloc
     argv = ["verify", "--j", "0", "--k", "1", *flags, "--format", "csv"]
     assert main([*argv, "--out", str(empty)]) == 0
     assert empty.read_text() == csv_oracle([], REPORT_COLUMNS)
+
+
+# at every (j, k) four points tie in the row order: A = 1 and 1-0i, both written 1.0,
+# times B = 0 and -0.0; each has its own checks, and (0, 2) and (1, 1) share m
+TIED_GRID = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1,1-0i", "--B=0,-0.0",
+             "--seeds", "identity,rotation:1.3"]
+
+
+def test_tied_points_keep_their_own_rows_and_stamps(tmp_path, capsys, fixed_clock):
+    reports = {}
+    for fmt in ("json", "csv"):
+        reports[fmt] = tmp_path / f"tied.{fmt}"
+        fixed_clock(lambda n: float(n * n))  # point i reads (2i)^2, then (2i + 1)^2: elapsed 4i + 1
+        assert main([*TIED_GRID, "--format", fmt, "--out", str(reports[fmt])]) == 0
+    rows = json.loads(reports["json"].read_text())
+    grid = [(j, k, B) for j, k in [(0, 2), (1, 1), (1, 2)] for A in ("1", "1-0i") for B in (0.0, -0.0)]
+    place = [(row["elapsed"] - 1) / 4 for row in rows]
+    assert sorted(place) == [i for i in range(len(grid)) for _ in range(12)]
+    for row, i in zip(rows, place):
+        j, k, B = grid[int(i)]
+        assert (row["j"], row["k"], row["A"], repr(row["B"])) == (j, k, "1.0", repr(B))
+        assert row["timestamp"] == "2024-02-29T12:00:00.123456+00:00"
+    # point key, check key, then grid order: no two rows of a point share a check key
+    assert place == [i for _, i in sorted(zip(map(report_order, rows), place))]
+    assert first_difference(reports["json"].read_text(), json_oracle(rows)) is None
+    assert first_difference(reports["csv"].read_text(), csv_oracle(rows, list(rows[0]))) is None

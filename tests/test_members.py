@@ -115,6 +115,20 @@ class TestSeedSeries:
         s = seed_series(Polynomial((0.5, 0.25j)), 4)
         assert s.coeffs == (0, 0.5, 0.25j, 0, 0)
 
+    def test_polynomial_certificate_reads_numpys_total(self):
+        # numpy's |p_i| sum to 1 + 1e-12 exactly, Python's abs to a total above it: the
+        # search certifies with numpy, so the type reads the same total
+        coeffs = (-0.28385510697504834 - 0.077843014226565j, -0.32863718551946774 - 0.6244680123000766j)
+        assert float(np.add.reduce(np.abs(coeffs))) == 1.0 + 1e-12 < sum(map(abs, coeffs))
+        assert Polynomial(coeffs).coeffs == coeffs
+
+    @pytest.mark.parametrize("coeffs", [(1.5e308 + 1.5e308j,), (1e308, 1e308)], ids=["abs", "sum"])
+    def test_polynomial_with_an_overflowing_total_is_an_invalid_seed(self, coeffs):
+        # Python's abs raised OverflowError on the first; numpy's total is inf, with
+        # no warning, and fails the certificate
+        with pytest.raises(InvalidSeed):
+            Polynomial(coeffs)
+
     def test_negative_damping_rejected(self):
         with pytest.raises(InvalidSeed):
             ExpDamp(0.0, -0.1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from starlog import search
+from starlog import members, search
 from starlog.bounds import thm_a_bound
 from starlog.errors import ConfigError, InvalidSeed, TruncationTooSmall
 from starlog.logcoeffs import log_coefficients, sum_sq
@@ -334,3 +334,76 @@ def test_searches_share_no_buffers(family):
     adversarial_search(ClassParams(1, 4, 1, -0.99), family, 300, 2, order=4 * 900)
     again = adversarial_search(*x)
     assert again == first and again.max_ratio.hex() == first.max_ratio.hex()
+
+
+# numpy sums |p_i| here to 1.7004611693668328, Python's abs and sum to 1.7004611693668332
+_TWO_SUMS_POINT = [0.24686038564983792, 0.2522234183692774, 0.06697787445291226,
+                   0.42107967728292994, 0.0, 0.35090112459165146, -0.3310126886729138,
+                   0.4643577208942796]
+
+
+@pytest.mark.parametrize("scale, totals", [(1.0, 2), (0.5, 1)], ids=["projected", "inside"])
+def test_poly_certificate_reads_the_total_of_the_coefficients_written(monkeypatch, scale, totals):
+    """One numpy total per set of coefficients: the projection reads the
+    point's, and the certificate reads the total of what is written, the
+    projected coefficients or the point's own, as `Polynomial` reads it."""
+    read, certified = [], []
+
+    def total(p):
+        read.append(members._poly_total(p))
+        return read[-1]
+
+    monkeypatch.setattr(search, "_poly_total", total)
+    monkeypatch.setattr(search, "_check_poly", lambda t: certified.append(t) or members._check_poly(t))
+    v, x = np.zeros(5, dtype=np.complex128), np.array(_TWO_SUMS_POINT) * scale
+    (coeffs,) = search._poly_point(v, x)
+    p = x[0::2] + 1j * x[1::2]
+    assert read[0] == members._poly_total(p.tolist()) != sum(map(abs, p.tolist()))
+    assert len(read) == totals and certified == read[-1:]
+    assert tuple(v[1:].tolist()) == Polynomial(coeffs).coeffs == tuple(coeffs.tolist())
+    assert certified[0] == members._poly_total(Polynomial(coeffs).coeffs) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, accepted",
+    [
+        ([0.5, 0.25j, -0.25, 0], True),  # a total of exactly 1: written as it is
+        ([0.5 + 2e-12, 0.25j, -0.25, 0], False),  # past the 1e-12 slack: projected
+        ([0.5, math.nan, 0, 0], False),
+        ([0.5, math.inf, 0, 0], False),
+    ],
+    ids=["1", "1+2e-12", "nan", "inf"],
+)
+def test_polynomial_and_poly_point_certify_alike(coeffs, accepted):
+    """`Polynomial` accepts coefficients whose total is at most 1 + 1e-12.
+    The search point of them writes them as they are where `Polynomial`
+    accepts them, projects a finite total above 1 and writes what
+    `Polynomial` accepts, and rejects a total that is not finite."""
+    v = np.zeros(5, dtype=np.complex128)
+    x = np.array([part for c in map(complex, coeffs) for part in (c.real, c.imag)])  # re p_1, im p_1, ...
+    if accepted:
+        Polynomial(coeffs)
+    else:
+        with pytest.raises(InvalidSeed):
+            Polynomial(coeffs)
+    if math.isfinite(abs(sum(coeffs))):
+        (written,) = search._poly_point(v, x)
+        assert Polynomial(written).coeffs == tuple(v[1:].tolist())
+        assert (written.tolist() == [complex(c) for c in coeffs]) == accepted
+    else:
+        # a NaN total fails the certificate; an infinite one projects by inf * 0 to NaN
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
+            search._poly_point(v, x)
+        assert not v.any()  # nothing written
+
+
+def test_poly_point_and_polynomial_read_one_total_bitwise(monkeypatch):
+    """Over random points, about 40% of them projected, the total the search
+    certifies is the total `Polynomial` reads for the same coefficients."""
+    certified = []
+    monkeypatch.setattr(search, "_check_poly", lambda t: certified.append(t) or members._check_poly(t))
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-0.5, 0.5, (400, 8)) * rng.uniform(0.2, 1.0, (400, 1)):
+        (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x)
+        assert certified[-1] == members._poly_total(Polynomial(coeffs).coeffs)
+    assert 100 < sum(abs(t - (1.0 - 1e-12)) <= 1e-15 for t in certified) < 300  # projected
