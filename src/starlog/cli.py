@@ -111,7 +111,10 @@ def parse_seed(token: str) -> SchwarzSeed:
         if name == "rotation":
             return Rotation(theta=float(rest))
         if name == "expdamp":
-            theta, c = _split(rest)
+            values = _split(rest)
+            if len(values) != 2:
+                raise ValueError(f"expected expdamp:theta,c, got {len(values)} value(s)")
+            theta, c = values
             return ExpDamp(theta=float(theta), c=float(c))
         if name == "poly":
             return Polynomial(coeffs=tuple(parse_complex(p) for p in _split(rest)))

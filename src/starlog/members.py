@@ -299,7 +299,10 @@ def _held_solver(params: ClassParams, order: int, degree: int):
     _BLOCK rows, else band h, which holds every shorter band too.
     """
     cs, scale, evens = _d_setup(params, order)
-    n, B = len(cs), params.B
+    n = len(cs)
+    # B and (A - B)/m as 0-d complex arrays: the same products as the Python
+    # numbers give, without numpy converting a Python scalar on every call
+    B, scale = np.array(complex(params.B)), np.array(scale)
     h = min(degree, n - 1)
     v = cs[: h + 1]
     den = np.zeros(n, dtype=np.complex128)

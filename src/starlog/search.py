@@ -46,10 +46,16 @@ def _expdamp_point(v: np.ndarray, x) -> tuple:
     return theta, c
 
 
-def _poly_point(v: np.ndarray, x) -> tuple:
+def _poly_point(v: np.ndarray, x: np.ndarray) -> tuple:
     """Write the certified Polynomial seed of point x into v; returns its
-    (coeffs,), the array of coefficients written."""
-    p = x[0::2] + 1j * x[1::2]
+    (coeffs,), the array of coefficients written.
+
+    x is a contiguous float64 array (re p_1, im p_1, re p_2, ...), read as
+    complex128 in place and copied, so a projection scales the copy, not x.
+    For a point with no -0.0 and no non-finite coordinate, which is every
+    point of a search, these are the bits of x[0::2] + 1j * x[1::2].
+    """
+    p = x.view(np.complex128).copy()
     total = _poly_total(p)
     if total > 1.0:
         p *= (1.0 - 1e-12) / total  # project back onto the certified simplex
@@ -97,6 +103,16 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
     before `maxfev` calls of f were spent.  The vertices are argsorted after
     the fill and after every step, as in scipy, so ties break the same way
     (scipy sorts once more after the fill, which changes nothing).
+
+    Each step runs scipy's arithmetic on the same arrays, on fewer calls:
+    `fsim.argsort()` (numpy's quicksort; Python's sort may break ties
+    otherwise) and `take` reorder the simplex; `np.maximum.reduce(..., None)`
+    takes the two spreads and `np.add.reduce` the centroid, the reductions
+    that `ndarray.max` and `ndarray.sum` run, without their wrappers; n and
+    the step coefficients are Python floats, the same doubles as scipy's ints,
+    which numpy converts for less; and a shrink moves every vertex but the
+    best in one expression, to the bits of scipy's row by row update, then
+    calls f on them in order.
     """
     calls = 0
 
@@ -108,6 +124,7 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         return f(x)
 
     n = len(x0)
+    nf = float(n)
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
@@ -116,16 +133,16 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         for k in range(n + 1):
             fsim[k] = fun(sim[k])
         while calls < maxfev:  # the cap goes before the tolerances: a step ending on it fails
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
-            spread = np.abs(sim[1:] - sim[0]).max()
-            if spread <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            order = fsim.argsort()
+            sim, fsim = sim.take(order, 0), fsim.take(order)
+            spread = np.maximum.reduce(np.abs(sim[1:] - sim[0]), None)
+            if spread <= xatol and np.maximum.reduce(np.abs(fsim[0] - fsim[1:]), None) <= fatol:
                 return True, calls
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = np.add.reduce(sim[:-1], 0) / nf
+            xr = 2.0 * xbar - sim[-1]
             fxr = fun(xr)
             if fxr < fsim[0]:  # expand
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = 3.0 * xbar - 2.0 * sim[-1]
                 fxe = fun(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:  # reflect
@@ -142,8 +159,8 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
+                    sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
                         fsim[j] = fun(sim[j])
     except _Spent:
         pass
@@ -198,11 +215,16 @@ def adversarial_search(
     best_x = grid[grid_ratios.index(max(grid_ratios))]
     used = len(grid_ratios)
 
-    def objective(x):
-        pen = 0.0
-        if family == "expdamp":  # keep c inside [0, C_MAX], where _expdamp_point clips it
+    if family == "expdamp":
+
+        def objective(x):  # keep c inside [0, C_MAX], where _expdamp_point clips it
             pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
-        return -score(x) + 10.0 * pen
+            return -score(x) + 10.0 * pen
+
+    else:
+
+        def objective(x):  # -r + 10.0 * 0.0, to the bit: a ratio of 0 still gives +0.0
+            return -score(x) + 0.0
 
     # a budget spent in the grid leaves no call: the refinement stops at once, unconverged
     converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)

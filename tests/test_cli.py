@@ -313,6 +313,15 @@ def test_malformed_seed_list_is_config_error(seeds, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, given", [("expdamp:1", 1), ("expdamp:1,2,3", 3), ("expdamp:", 0)])
+def test_expdamp_value_count_is_named(seeds, given, capsys):
+    # not Python's unpacking error: the expected form and the count given
+    assert main(["verify", *SMALL_GRID, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert f"bad seed descriptor {seeds!r}: expected expdamp:theta,c, got {given} value(s)" in err
+    assert "unpack" not in err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_t_list_is_config_error(tmp_path, capsys, source):
     # an empty list would drop every Thm3 check and still report "ok"

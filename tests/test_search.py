@@ -203,6 +203,14 @@ def _poly_objective(x):
     return -_POLY_SCORE(x)[0]
 
 
+_PROJECTED_X0 = np.array([1.0, 0.5, 0, 0, 0, 0, 0, 0])
+
+
+def _poly_sum(x) -> float:
+    """sum |p_i| of a poly search point x = (re p_1, im p_1, ...)."""
+    return float(np.abs(x[0::2] + 1j * x[1::2]).sum())
+
+
 def _recording(f):
     points = []
 
@@ -226,8 +234,12 @@ def _recording(f):
         # the search's own objective from a corner seed, whose seven zero
         # coordinates are each stepped to 0.00025
         (_poly_objective, np.array([0.0, 1.0, 0, 0, 0, 0, 0, 0]), 300, False),
+        # from outside the certified simplex (sum |p_i| = 1.118), where most of a
+        # search's evaluations land: every point is projected, and points on one
+        # ray project to one seed, so vertices tie; it converges in 965 calls
+        (_poly_objective, _PROJECTED_X0, 2000, True),
     ],
-    ids=["converges", "cap-at-step-end", "cap-inside-shrink", "zero-coordinates"],
+    ids=["converges", "cap-at-step-end", "cap-inside-shrink", "zero-coordinates", "projected"],
 )
 def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
     from scipy.optimize import minimize
@@ -244,6 +256,10 @@ def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
     assert converges or calls == maxfev
     for k in np.flatnonzero(x0 == 0):
         assert ours[k + 1][k] == 0.00025
+    if x0 is _PROJECTED_X0:
+        assert all(_poly_sum(x) > 1.0 for x in ours)
+        values = [f(x) for x in ours]
+        assert len(values) - len(set(values)) == 400  # values that repeat one before them
 
 
 def _corner(p1):
@@ -291,6 +307,23 @@ _PINNED = [
     (
         ("poly", -1.0, 1, 0, 200),
         (512, 200, "0x1.ff6485c57e371p-1", _corner(0.7071067811865474 - 0.7071067811865477j), False),
+    ),    # the benchmark's search workload: m = 2 (k = 2), B = -0.5 and -0.9, rng seed 7,
+    # budget 2000; every run converges
+    (
+        ("expdamp", -0.5, 2, 7, 2000),
+        (44, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), True),
+    ),
+    (
+        ("expdamp", -0.9, 2, 7, 2000),
+        (300, 240, "0x1.0000000000003p+0", ExpDamp(theta=3.976078661554988, c=0.0), True),
+    ),
+    (
+        ("poly", -0.5, 2, 7, 2000),
+        (44, 1189, "0x1.ffffffffffffep-1", _corner(6.123233995736766e-17 + 1j), True),
+    ),
+    (
+        ("poly", -0.9, 2, 7, 2000),
+        (300, 1097, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
     ),
 ]
 
@@ -407,3 +440,58 @@ def test_poly_point_and_polynomial_read_one_total_bitwise(monkeypatch):
         (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x)
         assert certified[-1] == members._poly_total(Polynomial(coeffs).coeffs)
     assert 100 < sum(abs(t - (1.0 - 1e-12)) <= 1e-15 for t in certified) < 300  # projected
+
+
+def _by_parts(x):
+    """The coefficients of search point x built as x[0::2] + 1j * x[1::2], projected alike."""
+    p = x[0::2] + 1j * x[1::2]
+    total = members._poly_total(p)
+    if total > 1.0:
+        p *= (1.0 - 1e-12) / total
+    return p
+
+
+# `_poly_point` reads x as complex128 and copies it.  That differs from
+# x[0::2] + 1j * x[1::2] only in the sign of a zero and at non-finite inputs:
+# the sum adds 0 * im to each real part and +0.0 to each imaginary part, so a
+# -0.0 imaginary part, and a -0.0 real part beside a nonnegative imaginary one,
+# become +0.0, and an infinite or NaN imaginary part makes a NaN real one.
+# A search never makes -0.0: its grid coordinates are +0.0 or nonzero, and
+# every Nelder-Mead coordinate is a sum or difference of earlier ones and of
+# their positive multiples (1.05, 2, 3, 1.5, 0.5, 1/n), or the step 0.00025.
+# Rounded to nearest, a sum or difference is -0.0 only if an operand is -0.0,
+# and a positive multiple of a nonzero double is nonzero unless it underflows,
+# which needs a coordinate below about 1e-308.
+
+
+def test_poly_point_writes_the_bits_of_the_parts_sum():
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-0.5, 0.5, (3000, 8)) * rng.uniform(0.1, 1.2, (3000, 1))
+    xs[::7, 2:] = 0.0  # corner seeds: p_2 = p_3 = p_4 = 0
+    projected = 0
+    for x in xs:  # each x a row of xs, as a vertex is a row of the simplex
+        before = x.tobytes()
+        v = np.zeros(5, dtype=np.complex128)
+        (coeffs,) = search._poly_point(v, x)
+        assert coeffs.tobytes() == _by_parts(x).tobytes() == v[1:].tobytes()
+        assert x.tobytes() == before  # a projection scales a copy
+        projected += _poly_sum(x) > 1.0
+    assert 1000 < projected < 2000
+
+    # a -0.0 part: equal values, but the bits of the sum hold +0.0
+    x = np.array([-0.0, 0.5, 0.25, -0.0, 0, 0, 0, 0])
+    (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x)
+    assert coeffs.tolist() == _by_parts(x).tolist()
+    assert coeffs.tobytes() != _by_parts(x).tobytes()
+
+
+def test_poly_point_rejects_a_non_finite_coordinate():
+    for k in range(8):  # each real and imaginary part
+        for value in (math.nan, math.inf, -math.inf):
+            x = np.full(8, 0.1)
+            x[k] = value
+            v = np.zeros(5, dtype=np.complex128)
+            # a NaN total fails the certificate; an infinite one projects by inf * 0 to NaN
+            with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
+                search._poly_point(v, x)
+            assert not v.any()  # nothing written
