@@ -50,6 +50,12 @@ def _in_range(bound: float, params: ClassParams, theorem: str, t: float | None =
     return bound
 
 
+def _check_weight(t: float) -> None:
+    """Thm3's hypothesis, a finite t <= 2; a NaN t gives a NaN kernel and -inf a zero one."""
+    if not (math.isfinite(t) and t <= 2.0):
+        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
+
+
 def thm_a_bound(params: ClassParams) -> float:
     """Sharp bound on sum |d_n|^2: G * Li_2(B^2)/B^2, the t = 0 Thm3 kernel."""
     return params.G * _weighted_series(params.B, 0.0)
@@ -95,9 +101,7 @@ def thm3_bound(params: ClassParams, t: float) -> float:
 
     B = -1 needs t < 1 for convergence.
     """
-    # named as a bad weight: a NaN t gives a NaN kernel, -inf a zero one
-    if not (math.isfinite(t) and t <= 2.0):
-        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
+    _check_weight(t)
     if params.B == -1.0 and t >= 1.0:
         raise DivergentSeries(f"sum (n+1)^t / n^2 diverges for t = {t} >= 1 at B = -1")
     return _in_range(params.G * _weighted_series(params.B, t), params, "Thm3", t)

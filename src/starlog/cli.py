@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -55,7 +56,8 @@ REPORT_COLUMNS = [
     "elapsed", "timestamp",
 ]
 
-SEED_KINDS = ("identity", "rotation", "expdamp", "poly")
+#: each seed kind's type: a descriptor gives its dataclass fields' values, in order
+SEED_TYPES = {"identity": Identity, "rotation": Rotation, "expdamp": ExpDamp, "poly": Polynomial}
 
 #: each report column's JSON key as a row writes it, `"key": `, after ', ' but the first
 _JSON_KEYS = tuple(f"{', ' if i else ''}{json.dumps(c)}: " for i, c in enumerate(REPORT_COLUMNS))
@@ -94,7 +96,7 @@ def _split_seeds(text: str) -> list[str]:
     seeds: list[str] = []
     for tok in _split(text):
         kind = tok.partition(":")[0].strip().lower()
-        if seeds and kind not in SEED_KINDS:
+        if seeds and kind not in SEED_TYPES:
             seeds[-1] += "," + tok
         else:
             seeds.append(tok)
@@ -102,25 +104,26 @@ def _split_seeds(text: str) -> list[str]:
 
 
 def parse_seed(token: str) -> SchwarzSeed:
-    """Seed descriptor: identity | rotation:theta | expdamp:theta,c | poly:p1,p2,..."""
+    """Seed descriptor: identity | rotation:theta | expdamp:theta,c | poly:p1,p2,...
+
+    One real value per field of the kind's type; poly takes any number of complex
+    coefficients (none: the zero seed)."""
     name, _, rest = token.strip().partition(":")
     name = name.strip().lower()
+    seed_type = SEED_TYPES.get(name)
+    if seed_type is None:
+        raise ConfigError(f"unknown seed kind {name!r} in {token!r}")
+    values = _split(rest)
     try:
-        if name == "identity":
-            return Identity()
-        if name == "rotation":
-            return Rotation(theta=float(rest))
-        if name == "expdamp":
-            values = _split(rest)
-            if len(values) != 2:
-                raise ValueError(f"expected expdamp:theta,c, got {len(values)} value(s)")
-            theta, c = values
-            return ExpDamp(theta=float(theta), c=float(c))
-        if name == "poly":
-            return Polynomial(coeffs=tuple(parse_complex(p) for p in _split(rest)))
+        if seed_type is Polynomial:
+            return Polynomial(coeffs=tuple(map(parse_complex, values)))
+        fields = [field.name for field in dataclasses.fields(seed_type)]
+        if len(values) != len(fields):
+            form = f"{name}:{','.join(fields)}" if fields else name
+            raise ValueError(f"expected {form}, got {len(values)} value(s)")
+        return seed_type(*map(float, values))
     except (ValueError, StarlogError) as exc:
         raise ConfigError(f"bad seed descriptor {token!r}: {exc}") from exc
-    raise ConfigError(f"unknown seed kind {name!r} in {token!r}")
 
 
 def load_config_file(path: str) -> dict:

@@ -9,17 +9,12 @@ themselves.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeightOutOfRange
+from .bounds import _check_weight
 from .members import ClassMember, ClassParams
-
-
-#: weight arrays kept by `_weights`; a sweep asks for a few N_d per t
-_CACHE_SIZE = 256
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -48,11 +43,6 @@ class LogCoeffVector:
         """|d_n|^2 (read-only), computed once for every sum."""
         return _read_only(np.abs(self.d) ** 2)
 
-    @functools.cached_property
-    def n(self) -> np.ndarray:
-        """The indices n = 1..N_d as float64 (read-only)."""
-        return _read_only(np.arange(1, self.n_terms + 1, dtype=np.float64))
-
     @property
     def n_terms(self) -> int:
         return len(self.d)
@@ -80,17 +70,10 @@ def sum_sq(d: LogCoeffVector) -> float:
 
 def sum_n2(d: LogCoeffVector) -> float:
     """Partial sum of n^2 |d_n|^2."""
-    return float((d.n**2 * d.abs_sq).sum())
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _weights(n_terms: int, t: float) -> np.ndarray:
-    """(n+1)^t for n = 1..n_terms (read-only), memoised on (n_terms, t)."""
-    return _read_only(np.arange(2.0, n_terms + 2.0) ** t)
+    return float((np.arange(1.0, d.n_terms + 1.0) ** 2 * d.abs_sq).sum())
 
 
 def sum_weighted(d: LogCoeffVector, t: float) -> float:
     """Partial sum of (n+1)^t |d_n|^2; requires a finite t <= 2."""
-    if not (math.isfinite(t) and t <= 2.0):
-        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
-    return float((_weights(d.n_terms, t) * d.abs_sq).sum())
+    _check_weight(t)
+    return float((np.arange(2.0, d.n_terms + 2.0) ** t * d.abs_sq).sum())

@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
+from .bounds import _check_weight, extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from .errors import BExcluded, DivergentSeries, HypothesisViolated, WeightOutOfRange
-from .logcoeffs import _weights
 from .members import ClassMember, ClassParams, Identity, extremal_function, suggested_order
 
 DEFAULT_TOL = 1e-9
@@ -73,9 +72,11 @@ def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple,
 
 @functools.lru_cache(maxsize=32)  # a command asks for a few N_d
 def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
-    """The weight rows of `keys` for n = 1..n_terms, one row each (read-only)."""
-    named = {"sq": np.ones(n_terms), "n2": np.arange(1, n_terms + 1, dtype=np.float64) ** 2}
-    rows = [named[key] if isinstance(key, str) else _weights(n_terms, key) for key in keys]
+    """The weight rows of `keys` for n = 1..n_terms, one row each (read-only):
+    1, n^2 or (n+1)^t, each with the bits of its `logcoeffs` sum's weights."""
+    n = np.arange(1.0, n_terms + 1.0)
+    named = {"sq": np.ones(n_terms), "n2": n**2}
+    rows = [named[key] if isinstance(key, str) else (n + 1.0) ** key for key in keys]
     stack = np.array(rows).reshape(len(keys), n_terms)  # no keys: no rows
     stack.flags.writeable = False
     return stack
@@ -197,8 +198,7 @@ def abel_weight_transfer(x, y, C: float, t: float) -> tuple[bool, float]:
     sum w_n x_n <= C sum w_n y_n with w_n = (n+1)^t / n^2.  Returns
     (conclusion holds, margin = C * rhs - lhs).
     """
-    if not (math.isfinite(t) and t <= 2.0):
-        raise WeightOutOfRange(f"weight exponent t = {t}: need a finite t <= 2")
+    _check_weight(t)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     N = min(len(x), len(y))
@@ -211,11 +211,11 @@ def abel_weight_transfer(x, y, C: float, t: float) -> tuple[bool, float]:
         raise HypothesisViolated(
             f"partial-sum dominance fails at K = {K}: {cx[K - 1]} > {C} * {cy[K - 1]}"
         )
-    ks = np.arange(1, N, dtype=np.float64)
-    if np.any(telescoping_weight(ks, t) <= 0.0):
-        raise WeightOutOfRange(f"telescoping weight factor not positive for t = {t}")
     n = np.arange(1, N + 1, dtype=np.float64)
     w = (n + 1.0) ** t / n**2
+    # the telescoping factors, with the bits of `telescoping_weight` at k = 1..N-1
+    if np.any(w[:-1] - w[1:] <= 0.0):
+        raise WeightOutOfRange(f"telescoping weight factor not positive for t = {t}")
     lhs = float(np.dot(w, x))
     rhs = float(np.dot(w, y))
     margin = C * rhs - lhs

@@ -262,6 +262,16 @@ class TestClosedFormKernel:
         direct = math.fsum((n + 1.0) ** t * x ** (n - 1) / n**2 for n in range(1, 2000))
         assert bounds._weighted_series.__wrapped__(B, t) == pytest.approx(direct, rel=5e-15, abs=0)
 
+    @pytest.mark.parametrize("B, t", [(-0.85, -1.0), (-0.85, 0.0), (-0.82, 1.0), (-0.8, 2.0)])
+    def test_matches_mpmath_where_the_tail_is_small_but_not_negligible(self, B, t):
+        # the rest past the 64-term head is bounded by 2^-60 .. 2^-40 of the first term:
+        # above 1e-15 relative, so dropping it (a switch at 2^-40) would show here
+        x = B * B
+        rest = 65.0**t / 64**2 * abs(B) ** 126 * x / (1.0 - x)
+        assert 2**-60 < rest / 2.0**t < 2**-40
+        got = bounds._weighted_series.__wrapped__(B, t)
+        assert got == pytest.approx(self.reference(B, t), rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("t", DEFAULT_T)
     def test_continuous_at_one_half(self, t):
         # two neighbouring doubles B, whose squares straddle x = 1/2, give kernels

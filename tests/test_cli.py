@@ -1,6 +1,7 @@
 """CLI surface: report files, exit codes, determinism, config handling."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from starlog import cli
 from starlog.cli import MAX_TERMS, REPORT_COLUMNS, build_parser, main, write_report
+from starlog.errors import ConfigError
 from starlog.members import ClassParams, ExpDamp, Identity, Polynomial
 from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness
 
@@ -313,13 +315,47 @@ def test_malformed_seed_list_is_config_error(seeds, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds, given", [("expdamp:1", 1), ("expdamp:1,2,3", 3), ("expdamp:", 0)])
+SEED_FORMS = {"identity": "identity", "rotation": "rotation:theta", "expdamp": "expdamp:theta,c"}
+
+
+@pytest.mark.parametrize(
+    "seeds, given",
+    [("expdamp:1", 1), ("expdamp:1,2,3", 3), ("expdamp:", 0),
+     ("identity:3", 1), ("rotation:", 0), ("rotation:1.3,0.5", 2)],
+)
 def test_expdamp_value_count_is_named(seeds, given, capsys):
-    # not Python's unpacking error: the expected form and the count given
+    # every fixed-count kind: not Python's unpacking or float error, nor a value dropped,
+    # but the expected form and the count given
     assert main(["verify", *SMALL_GRID, "--seeds", seeds]) == 2
     err = capsys.readouterr().err
-    assert f"bad seed descriptor {seeds!r}: expected expdamp:theta,c, got {given} value(s)" in err
-    assert "unpack" not in err
+    form = SEED_FORMS[seeds.partition(":")[0]]
+    assert f"bad seed descriptor {seeds!r}: expected {form}, got {given} value(s)" in err
+    assert "unpack" not in err and "convert" not in err
+
+
+SEED_VALUES = st.floats(allow_nan=False).map(repr) | st.sampled_from(["nan", "-0.0", "1e999", "x"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from([*cli.SEED_TYPES, "banana", ""]),
+    values=st.lists(SEED_VALUES, max_size=4),
+)
+def test_seed_descriptor_gives_its_values_or_a_config_error(kind, values, capsys):
+    # an accepted descriptor's seed holds exactly the values given; a rejected one exits 2
+    descriptor = f"{kind}:{','.join(values)}" if values else kind
+    try:
+        seed = cli.parse_seed(descriptor)
+    except ConfigError:
+        assert main(["verify", *SMALL_GRID, "--seeds", descriptor]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        return
+    if isinstance(seed, Polynomial):
+        held, given = seed.coeffs, tuple(map(cli.parse_complex, values))
+    else:
+        held, given = dataclasses.astuple(seed), tuple(map(float, values))
+    assert type(seed) is cli.SEED_TYPES[kind] and len(held) == len(values) and held == given
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

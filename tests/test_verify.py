@@ -23,6 +23,7 @@ from starlog.members import (
 )
 from starlog.series import TruncatedSeries, from_coeffs
 from starlog.verify import (
+    DEFAULT_TOL,
     abel_weight_transfer,
     check_sharpness,
     rogosinski_l2_check,
@@ -80,6 +81,22 @@ class TestVerifyMember:
         rows = verify_member(member, d1_offset=1e-3)
         thma = next(r for r in rows if r.theorem == "ThmA")
         assert not thma.passed
+
+    @pytest.mark.parametrize("excess", [1.5, 5.0, 9.5])
+    def test_ratio_just_past_tolerance_fails(self, excess):
+        # d_1 raised so the plain-squares sum is (1 + excess tol) times its bound: past
+        # 1 + tol it must fail, whatever the slack, also within 1 + 10 tol
+        params = ClassParams(1, 1, 1, -0.5)
+        member = member_from_seed(params, Identity(), suggested_order(params))
+        partial = next(r for r in verify_member(member) if r.theorem == "ThmA").partial_sum
+        d1 = member.d[0].real
+        target = thm_a_bound(params) * (1.0 + excess * DEFAULT_TOL)
+        offset = math.sqrt(d1 * d1 + target - partial) - d1
+        rows = verify_member(member, d1_offset=offset)
+        thma = next(r for r in rows if r.theorem == "ThmA")
+        assert 1.0 + DEFAULT_TOL < thma.ratio <= 1.0 + 10 * DEFAULT_TOL
+        assert not thma.passed
+        assert all(r.passed == (r.ratio <= 1.0 + DEFAULT_TOL) for r in rows)
 
     @pytest.mark.parametrize("B", [-0.5, -0.9])
     @pytest.mark.parametrize("seed", [Rotation(1.3), ExpDamp(2.0, 0.5)], ids=lambda s: s.label())
