@@ -33,13 +33,14 @@ from .members import (
     Rotation,
     SchwarzSeed,
     check_pair,
-    member_from_seed,
+    log_order,
     suggested_order,
+    unit_log_coefficients,
 )
 from .polylog import li
 from .search import FAMILIES, adversarial_search
 from .verify import DEFAULT_TOL, SHARPNESS_TOL, SKIPPED, VACUOUS, CheckRow, check_sharpness
-from .verify import bound_plan, verify_planned
+from .verify import bound_plan, plan_rows, weighted_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -320,14 +321,29 @@ def _verify_rows(args):
     if not t_values:
         raise ConfigError(f"empty t list {args.t!r}")
 
+    # |d_n|^2 = G |q_n|^2, and q depends only on (B, seed, N_d): this command solves
+    # and reduces each q once, against the weight rows of the plan keys, and every
+    # point with that key scales the sums by its own G
+    units = {}
+
     def rows(params):
         order = args.terms or suggested_order(params)
-        plan = None
+        n_d = log_order(params, order)  # an order below m raises here, before any sum
+        plan = bound_plan(params, t_values)
+        keys = plan[1]
+        # the fault hook in units of G: |d_1 + delta|^2 = G |q_1 + 2 delta/((A - B)/m)|^2
+        offset = 2.0 * args.inject_d1 / ((params.A - params.B) / params.m)
         for seed in seeds:
-            member = member_from_seed(params, seed, order)
-            # one plan for the point's seeds, made after its first member, whose errors come first
-            plan = plan or bound_plan(params, t_values)
-            yield from verify_planned(member, plan, args.tol, args.inject_d1)
+            # repr tells B = 0.0 from -0.0, which are one dict key
+            key = (repr(params.B), seed, n_d, keys)
+            unit = units.get(key)
+            if unit is None:
+                q = unit_log_coefficients(params.B, seed, n_d)
+                unit = units[key] = q, weighted_sums(q, keys)
+            q, sums = unit
+            if offset:
+                sums = weighted_sums(q, keys, offset)
+            yield from plan_rows(plan, sums, params.G, params, seed, order, n_d, args.tol)
 
     return rows
 

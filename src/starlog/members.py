@@ -266,14 +266,20 @@ def _evens(n_d: int) -> np.ndarray:
     return evens
 
 
-def _d_setup(params: ClassParams, order: int) -> tuple[np.ndarray, complex, np.ndarray]:
-    """A zero buffer for the seed coefficients v_0..v_{N_d}, N_d = order // m,
-    and the scale (A - B)/m and divisors 2n that `_solve_d` takes with it."""
+def log_order(params: ClassParams, order: int) -> int:
+    """N_d = order // m, the count of log coefficients of a member truncated
+    at `order`; raises TruncationTooSmall below one term (order < m)."""
     m = params.m
     if order < m:
         raise TruncationTooSmall(f"order {order} < m = {m}")
-    n_d = order // m
-    return np.zeros(n_d + 1, dtype=np.complex128), (params.A - params.B) / m, _evens(n_d)
+    return order // m
+
+
+def _d_setup(params: ClassParams, order: int) -> tuple[np.ndarray, complex, np.ndarray]:
+    """A zero buffer for the seed coefficients v_0..v_{N_d}, N_d = order // m,
+    and the scale (A - B)/m and divisors 2n that `_solve_d` takes with it."""
+    n_d = log_order(params, order)
+    return np.zeros(n_d + 1, dtype=np.complex128), (params.A - params.B) / params.m, _evens(n_d)
 
 
 def _solve_d(v: np.ndarray, scale: complex, B: float, evens: np.ndarray) -> np.ndarray:
@@ -333,6 +339,20 @@ def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> Clas
     d = _solve_d(v, scale, params.B, evens)
     d.flags.writeable = False
     return ClassMember(d, params, seed, order)
+
+
+def unit_log_coefficients(B: float, seed: SchwarzSeed, n_d: int) -> np.ndarray:
+    """q_n = u_n/n for n = 1..n_d, where (1 + B v) u = v (read-only).
+
+    Every member of the seed at this B with N_d = n_d has d_n = ((A - B)/(2m)) q_n,
+    so |d_n|^2 = G |q_n|^2: q depends on neither A nor m.  The solve is
+    `_solve_d`'s, at scale 2 and divisors 2n, which gives 2u/(2n) = u/n bit for bit.
+    """
+    v = np.zeros(n_d + 1, dtype=np.complex128)
+    _write_seed(v, seed)
+    q = _solve_d(v, 2.0, B, _evens(n_d))
+    q.flags.writeable = False
+    return q
 
 
 #: extremal geometric tail that `suggested_order` aims below

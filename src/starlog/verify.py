@@ -5,6 +5,9 @@ so a pass verdict is sound at any truncation; sharpness certification adds
 the extremal tail, summed to rounding, and compares partial + tail with the
 bound.  A member's bounds come from its point's plan, and its sums from one
 weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
+Since |d_n|^2 = G |q_n|^2 with q the seed's unit coefficients at (B, N_d),
+a sweep reduces |q_n|^2 once per (B, seed, N_d) and scales the sums by each
+point's G; both feed one row builder, `plan_rows`.
 """
 
 from __future__ import annotations
@@ -82,30 +85,39 @@ def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
     return stack
 
 
-def verify_planned(member: ClassMember, plan, tol: float, d1_offset: complex) -> list[CheckRow]:
-    """`verify_member` on `bound_plan`'s plan for the member's point.  The
-    compared sums are one reduction of |d_n|^2 against their weight rows,
-    each bit-equal to its `logcoeffs` sum."""
-    checks, keys = plan
-    if d1_offset == 0:
-        sq = np.abs(member.d) ** 2
+def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> list[float]:
+    """The sums of |c_n|^2 against the weight rows of `keys`, in order: one
+    reduction, each sum bit-equal to its `logcoeffs` sum on c.  A nonzero
+    `c1_offset` is added to c_1 of a copy first."""
+    if c1_offset == 0:
+        sq = np.abs(c) ** 2
     else:
-        d = np.array(member.d, dtype=np.complex128)  # the member's own d stays as it is
-        d[0] += complex(d1_offset)
+        c = np.array(c, dtype=np.complex128)  # the caller's c stays as it is
+        c[0] += complex(c1_offset)
         # past about 1.3e154 it squares to inf, silently: every sum is inf, and fails closed
         with np.errstate(over="ignore"):
-            sq = np.abs(d) ** 2
-    n_d = len(sq)
-    sums = iter((_weight_stack(n_d, keys) * sq).sum(axis=1).tolist())
-    seed, order = member.seed.label(), member.order
-    tail = extremal_tail_bound(member.params, n_d) if isinstance(member.seed, Identity) else None
+            sq = np.abs(c) ** 2
+    return (_weight_stack(len(sq), keys) * sq).sum(axis=1).tolist()
+
+
+def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,
+              tol: float) -> list[CheckRow]:
+    """The rows of `bound_plan`'s plan for the point `params`, the seed `seed`
+    and N = order, N_d = n_d: each compared check's sum is `scale` times the
+    next of `sums`, one per plan key.  `verify_member` gives the sums of
+    |d_n|^2 at scale 1; `starlog verify` gives those of |q_n|^2 at scale G, q
+    the seed's `unit_log_coefficients`, shared by every point at its B and N_d."""
+    checks, _ = plan
+    sums = iter(sums)
+    label = seed.label()
+    tail = extremal_tail_bound(params, n_d) if isinstance(seed, Identity) else None
     rows = []
     for theorem, t, bound, ratio, note, key in checks:
-        s = None if key is None else next(sums)  # a skipped or vacuous row makes no sum
+        s = None if key is None else scale * next(sums)  # a skipped or vacuous row makes no sum
         if s is not None:  # fail closed: a NaN, zero or negative bound gives a NaN ratio
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
         passed = s is None or ratio <= 1.0 + tol
-        rows.append(CheckRow(theorem, seed, t, order, n_d, s, bound, ratio, passed, tail, note))
+        rows.append(CheckRow(theorem, label, t, order, n_d, s, bound, ratio, passed, tail, note))
     return rows
 
 
@@ -120,7 +132,9 @@ def verify_member(
     `d1_offset` is a fault-injection hook: it perturbs a copy of d_1 before
     checking, so a sound pipeline with a nonzero offset must fail.
     """
-    return verify_planned(member, bound_plan(member.params, t_values), tol, d1_offset)
+    plan = bound_plan(member.params, t_values)
+    sums = weighted_sums(member.d, plan[1], d1_offset)
+    return plan_rows(plan, sums, 1.0, member.params, member.seed, member.order, len(member.d), tol)
 
 
 def check_sharpness(

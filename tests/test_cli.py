@@ -10,6 +10,8 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,8 +24,16 @@ from hypothesis import strategies as st
 from starlog import cli
 from starlog.cli import MAX_TERMS, REPORT_COLUMNS, build_parser, main, write_report
 from starlog.errors import ConfigError
-from starlog.members import ClassParams, ExpDamp, Identity, Polynomial
-from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness
+from starlog.members import (
+    ClassParams,
+    ExpDamp,
+    Identity,
+    Polynomial,
+    Rotation,
+    member_from_seed,
+    suggested_order,
+)
+from starlog.verify import DEFAULT_TOL, SHARPNESS_TOL, CheckRow, check_sharpness, verify_member
 
 SMALL_GRID = ["--j", "1", "--k", "1,2", "--A", "1", "--B", "-0.5"]
 
@@ -837,25 +847,33 @@ def test_failed_summary_lists_the_reports_first_failed_rows(tmp_path, capsys):
     ]
 
 
-def count_calls(monkeypatch, name):
-    """Record the m of every call `cli` makes to its function `name`."""
-    ms, real = [], getattr(cli, name)
+def count_calls(monkeypatch, name, key=lambda params, *args: params.m):
+    """Record `key` of the arguments of every call `cli` makes to its function
+    `name`: by default the m of its first argument, a ClassParams."""
+    calls, real = [], getattr(cli, name)
 
-    def counted(params, *args, **kwargs):
-        ms.append(params.m)
-        return real(params, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(key(*args))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, name, counted)
-    return ms
+    return calls
+
+
+def count_unit_solves(monkeypatch):
+    """Record the (B, seed, N_d) of every unit solve `cli` asks for."""
+    return count_calls(monkeypatch, "unit_log_coefficients", key=lambda *args: args)
 
 
 def test_default_sweep_builds_each_distinct_point_once(tmp_path, monkeypatch):
-    ms = count_calls(monkeypatch, "member_from_seed")
+    solves = count_unit_solves(monkeypatch)
     out = tmp_path / "sweep.json"
     assert main(["verify", *THREE_SEEDS, "--out", str(out), "--no-timestamp"]) == 0
-    # 135 grid points but 75 distinct (m, A, B), times 3 seeds: 225 members, not 405
+    # 135 grid points, 75 distinct (m, A, B), but 5 B times 3 seeds at one N_d each:
+    # 15 unit solves, where a member per (m, A, B, seed) would be 225
     assert len(json.loads(out.read_text())) == 135 * 3 * 6
-    assert len(ms) == 225
+    assert len(solves) == len(set(solves)) == 15
+    assert {n_d for _, _, n_d in solves} == {32, 11, 22, 54, 150}
 
 
 def test_search_runs_once_per_distinct_m(monkeypatch):
@@ -865,11 +883,153 @@ def test_search_runs_once_per_distinct_m(monkeypatch):
 
 
 def test_computed_points_do_not_outlive_their_command(tmp_path, monkeypatch):
-    ms = count_calls(monkeypatch, "member_from_seed")
+    solves = count_unit_solves(monkeypatch)
     argv = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.5", "--no-timestamp"]
     for run in (1, 2):
         assert main([*argv, "--out", str(tmp_path / f"{run}.json")]) == 0
-        assert ms == [1, 2] * run
+        # m = 1 and m = 2 share their one unit solve within a command, never across two
+        assert solves == [(-0.5, Identity(), 22)] * run
+
+
+#: `verify`'s default --t
+DEFAULT_T = (-1.0, 0.0, 1.0, 2.0)
+
+
+def member_path_pairs(rows: list[dict], seeds, t_values, terms: int = 0, d1_offset=0.0):
+    """Each report row with the `verify_member` row of its point and seed, on
+    that seed's own member: a point's rows, grouped by (j, k, A, B as written),
+    are its seeds' member rows in check order, tied checks in seed order."""
+    points: dict = {}
+    for row in rows:
+        points.setdefault((row["j"], row["k"], row["A"], repr(row["B"])), []).append(row)
+    for (j, k, A, B), got in points.items():
+        params = ClassParams(j, k, cli.parse_complex(A), float(B))
+        order = terms or suggested_order(params)
+        members = (member_from_seed(params, seed, order) for seed in seeds)
+        want = [r for m in members for r in verify_member(m, t_values, DEFAULT_TOL, d1_offset)]
+        want.sort(key=cli._check_key)
+        assert len(got) == len(want)
+        yield from zip(got, want)
+
+
+def assert_member_row(row: dict, want: CheckRow, rel: float = 1e-13) -> None:
+    """The report row has the member row's verdict, note, labels and counts,
+    and its numbers within `rel` (equal where not both finite)."""
+    labels = ("theorem", "seed", "t", "N", "N_d", "note")
+    assert [row[c] for c in labels] == [getattr(want, c) for c in labels]
+    assert row["pass"] == want.passed
+    for name in ("partial_sum", "bound", "ratio", "tail_bound"):
+        got, exp = row[name], getattr(want, name)
+        if got is None or exp is None or not (math.isfinite(got) and math.isfinite(exp)):
+            assert got == exp or (got != got and exp != exp), (name, got, exp)
+        else:
+            assert abs(got - exp) <= rel * abs(exp), (name, got, exp, row)
+
+
+def seed_descriptor(seed) -> str:
+    if isinstance(seed, Identity):
+        return "identity"
+    if isinstance(seed, Rotation):
+        return f"rotation:{seed.theta!r}"
+    if isinstance(seed, ExpDamp):
+        return f"expdamp:{seed.theta!r},{seed.c!r}"
+    return "poly:" + ",".join(map(cli.format_complex, seed.coeffs))
+
+
+ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
+SEEDS = st.one_of(
+    st.just(Identity()),
+    st.builds(Rotation, ANGLES),
+    st.builds(ExpDamp, ANGLES, st.floats(0.0, 6.0) | st.sampled_from([0.0, 50.0, 800.0])),
+    st.lists(st.complex_numbers(max_magnitude=0.33, allow_nan=False), min_size=1, max_size=3)
+    .map(lambda cs: Polynomial(tuple(cs))),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    js=st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
+    ks=st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),
+    As=st.lists(st.sampled_from([1.0, 0.5, 0.8 + 0.3j, 1e4, 3700 + 1100j, -0.2 + 1e-3j]),
+                min_size=1, max_size=2, unique=True),
+    Bs=st.lists(st.sampled_from([0.0, -0.0, -1.0, -0.5, -0.99]) | st.floats(-1.0, 0.0),
+                min_size=1, max_size=2, unique_by=repr),
+    seeds=st.lists(SEEDS, min_size=1, max_size=3),
+    terms=st.just(0) | st.integers(5, 300),
+    t_values=st.sampled_from([DEFAULT_T, (-300.0, 0.5, 1.5, 2.0)]),
+)
+def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, As, Bs, seeds, terms,
+                                                          t_values):
+    # the sums come from one unit solve per (B, seed, N_d), scaled by each point's G;
+    # every row is the row of that point's own member, to rounding
+    out = tmp_path / "units.json"
+    descriptors = [seed_descriptor(seed) for seed in seeds]
+    seeds = [cli.parse_seed(text) for text in descriptors]  # as written, e.g. -0j as 0j
+    argv = [
+        "verify", "--j", ",".join(map(str, js)), "--k", ",".join(map(str, ks)),
+        "--A=" + ",".join(map(cli.format_complex, As)), "--B=" + ",".join(map(repr, Bs)),
+        "--seeds", ",".join(descriptors), "--terms", str(terms),
+        "--t=" + ",".join(map(repr, t_values)), "--no-timestamp", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())
+    for row, want in member_path_pairs(rows, seeds, t_values, terms):
+        assert_member_row(row, want)
+
+
+FAULT_GRID = [
+    "verify", "--j", "0,1", "--k", "1,2,3", "--A", "1,0.8+0.3i,1e4", "--B=0,-0.5,-1",
+    "--seeds", "identity,rotation:1.3,expdamp:2,0.5,poly:0.5,0.25i", "--no-timestamp",
+]
+FAULT_SEEDS = (Identity(), Rotation(1.3), ExpDamp(2.0, 0.5), Polynomial((0.5, 0.25j)))
+
+
+@pytest.mark.parametrize("delta", [0.5, 1e-6, math.nan, 1e200])
+def test_injected_d1_offset_fails_as_on_each_member(tmp_path, delta):
+    # the hook moves q_1 of a copy of the shared unit row by 2 delta/((A - B)/m), so each
+    # point fails as its member fails with d_1 + delta, and warns of nothing
+    out = tmp_path / "fault.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*FAULT_GRID, "--inject-d1", repr(delta), "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())
+        pairs = list(member_path_pairs(rows, FAULT_SEEDS, DEFAULT_T, d1_offset=delta))
+    assert len(pairs) == 45 * 4 * 6
+    assert any(not w.passed for _, w in pairs)
+    for row, want in pairs:  # the pass flag, the note, and the numbers to rounding
+        assert_member_row(row, want)
+
+
+# (1, 4) alone, or last in a grid whose earlier points (m = 1..3) have N_d >= 1
+@pytest.mark.parametrize("grid, terms, summed_before", [
+    (["--j", "1", "--k", "4"], "2", False),
+    (["--j", "0,1", "--k", "1,2,3,4"], "3", True),
+])
+def test_an_order_below_m_is_refused_before_any_sum(tmp_path, monkeypatch, capsys, grid, terms,
+                                                    summed_before):
+    # N_d = order // m would be 0: no unit row may be made, let alone report empty sums as passes
+    lengths = count_calls(monkeypatch, "weighted_sums", key=lambda c, *rest: len(c))
+    out = tmp_path / "short.json"
+    argv = ["verify", *grid, "--A", "1", "--B=-0.5", "--terms", terms, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: order {terms} < m = 4\n")
+    assert not out.exists()
+    assert 0 not in lengths and bool(lengths) == summed_before
+
+
+def test_seeds_equal_as_keys_keep_their_own_labels(tmp_path, monkeypatch):
+    # Rotation(0.0) == Rotation(-0.0), so they share one unit solve, but not a label
+    solves = count_unit_solves(monkeypatch)
+    out = tmp_path / "labels.json"
+    argv = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.5",
+            "--seeds", "rotation:0,rotation:-0.0", "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())
+    assert len(solves) == 1
+    labels = Counter(row["seed"] for row in rows)
+    assert labels == {"rotation(theta=0)": 18, "rotation(theta=-0)": 18}
+    for row, want in member_path_pairs(rows, (Rotation(0.0), Rotation(-0.0)), DEFAULT_T):
+        assert_member_row(row, want)
 
 
 def test_default_sweep_plans_each_distinct_point_once(tmp_path, monkeypatch):

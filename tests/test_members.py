@@ -17,8 +17,10 @@ from starlog.members import (
     Polynomial,
     Rotation,
     extremal_function,
+    log_order,
     member_from_seed,
     seed_series,
+    unit_log_coefficients,
 )
 from starlog.series import TruncatedSeries, div, from_coeffs, one, scale
 from zlevel import compose_power, ratio_series
@@ -218,6 +220,26 @@ class TestMemberFromSeed:
     def test_truncation_too_small(self):
         with pytest.raises(TruncationTooSmall):
             member_from_seed(ClassParams(1, 4, 1, -0.5), Identity(), 3)
+
+    def test_log_order_refuses_an_order_below_m(self):
+        params = ClassParams(1, 4, 1, -0.5)
+        assert [log_order(params, order) for order in (4, 7, 8, 41)] == [1, 1, 2, 10]
+        with pytest.raises(TruncationTooSmall, match="order 3 < m = 4"):
+            log_order(params, 3)
+
+    @pytest.mark.parametrize("seed", SCHWARZ_SEEDS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("B", [0.0, -0.5, -1.0])
+    def test_unit_coefficients_scale_to_each_members_d(self, seed, B):
+        # d_n = ((A - B)/(2m)) q_n for every A and m at one N_d: q is the u/n of (1 + Bv)u = v
+        q = unit_log_coefficients(B, seed, 40)
+        assert q.shape == (40,) and not q.flags.writeable
+        for j, k, A in [(1, 1, 1), (0, 3, 0.8 + 0.3j), (1, 4, 1e4)]:
+            params = ClassParams(j, k, A, B)
+            d = member_from_seed(params, seed, 40 * params.m).d
+            scale = (params.A - params.B) / (2 * params.m)
+            assert np.max(np.abs(scale * q - d)) <= 1e-14 * np.max(np.abs(d))
+            sums = np.sum(np.abs(d) ** 2), params.G * np.sum(np.abs(q) ** 2)
+            assert sums[0] == pytest.approx(sums[1], rel=1e-14)
 
     def test_d_is_a_read_only_array_at_w_level(self):
         # m = 3, N = 25: d_1..d_8 in w = z^3, the log coefficients as they are
