@@ -40,7 +40,7 @@ from .members import (
 from .polylog import li
 from .search import FAMILIES, adversarial_search
 from .verify import DEFAULT_TOL, SHARPNESS_TOL, SKIPPED, VACUOUS, CheckRow, check_sharpness
-from .verify import bound_plan, plan_rows, weighted_sums
+from .verify import bound_plan, lifted, plan_rows, weighted_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -339,11 +339,13 @@ def _verify_rows(args):
             unit = units.get(key)
             if unit is None:
                 q = unit_log_coefficients(params.B, seed, n_d)
-                unit = units[key] = q, weighted_sums(q, keys)
-            q, sums = unit
+                lifted_q, _, e = lifted(q)  # G times a sum of subnormal squares would round twice
+                unit = units[key] = q, e, weighted_sums(lifted_q, keys)
+            q, e, sums = unit
             if offset:
-                sums = weighted_sums(q, keys, offset)
-            yield from plan_rows(plan, sums, params.G, params, seed, order, n_d, args.tol)
+                lifted_q, lifted_offset, e = lifted(q, offset)
+                sums = weighted_sums(lifted_q, keys, lifted_offset)
+            yield from plan_rows(plan, sums, params.G, params, seed, order, n_d, args.tol, -2 * e)
 
     return rows
 

@@ -7,7 +7,9 @@ bound.  A member's bounds come from its point's plan, and its sums from one
 weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
 Since |d_n|^2 = G |q_n|^2 with q the seed's unit coefficients at (B, N_d),
 a sweep reduces |q_n|^2 once per (B, seed, N_d) and scales the sums by each
-point's G; both feed one row builder, `plan_rows`.
+point's G, lifting a tiny q by a power of two first so that a sum of
+subnormal squares rounds once, not twice; both feed one row builder,
+`plan_rows`.
 """
 
 from __future__ import annotations
@@ -100,20 +102,37 @@ def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> list[f
     return (_weight_stack(len(sq), keys) * sq).sum(axis=1).tolist()
 
 
+def lifted(c: np.ndarray, c1_offset: complex = 0j) -> tuple[np.ndarray, complex, int]:
+    """c and `c1_offset` times 2^e, and e >= 0: the least e that brings the
+    larger of max |c_n| and |c1_offset| to 1/2 or above.  Squares of the
+    lifted values stay out of the subnormal range, so a sum that a scale
+    multiplies later rounds there once, in `plan_rows`, not twice.  The
+    scaling is exact: above the subnormal range each sum is 2^2e times the
+    sum on c, bit for bit."""
+    peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
+    e = max(0, -math.frexp(peak)[1])  # 0 for a peak of 0, inf or NaN
+    if e == 0:
+        return c, c1_offset, 0
+    c = np.ldexp(c.view(np.float64), e).view(np.complex128)
+    return c, complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e)), e
+
+
 def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,
-              tol: float) -> list[CheckRow]:
+              tol: float, shift: int = 0) -> list[CheckRow]:
     """The rows of `bound_plan`'s plan for the point `params`, the seed `seed`
     and N = order, N_d = n_d: each compared check's sum is `scale` times the
-    next of `sums`, one per plan key.  `verify_member` gives the sums of
-    |d_n|^2 at scale 1; `starlog verify` gives those of |q_n|^2 at scale G, q
-    the seed's `unit_log_coefficients`, shared by every point at its B and N_d."""
+    next of `sums`, one per plan key, times 2^shift.  `verify_member` gives
+    the sums of |d_n 2^e|^2 at scale 1, d `lifted` by 2^e, and shift -2e;
+    `starlog verify` gives those of |q_n 2^e|^2 at scale G, q the seed's
+    lifted `unit_log_coefficients`, shared by every point at its B and N_d."""
     checks, _ = plan
     sums = iter(sums)
     label = seed.label()
     tail = extremal_tail_bound(params, n_d) if isinstance(seed, Identity) else None
     rows = []
     for theorem, t, bound, ratio, note, key in checks:
-        s = None if key is None else scale * next(sums)  # a skipped or vacuous row makes no sum
+        # a skipped or vacuous row makes no sum
+        s = None if key is None else math.ldexp(scale * next(sums), shift)
         if s is not None:  # fail closed: a NaN, zero or negative bound gives a NaN ratio
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
         passed = s is None or ratio <= 1.0 + tol
@@ -133,8 +152,10 @@ def verify_member(
     checking, so a sound pipeline with a nonzero offset must fail.
     """
     plan = bound_plan(member.params, t_values)
-    sums = weighted_sums(member.d, plan[1], d1_offset)
-    return plan_rows(plan, sums, 1.0, member.params, member.seed, member.order, len(member.d), tol)
+    d, d1_offset, e = lifted(member.d, d1_offset)
+    sums = weighted_sums(d, plan[1], d1_offset)
+    return plan_rows(plan, sums, 1.0, member.params, member.seed, member.order, len(member.d), tol,
+                     -2 * e)
 
 
 def check_sharpness(

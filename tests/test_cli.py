@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starlog import cli
@@ -914,10 +914,14 @@ def member_path_pairs(rows: list[dict], seeds, t_values, terms: int = 0, d1_offs
 
 def assert_member_row(row: dict, want: CheckRow, rel: float = 1e-13) -> None:
     """The report row has the member row's verdict, note, labels and counts,
-    and its numbers within `rel` (equal where not both finite)."""
+    and its numbers within `rel` (equal where not both finite), or within
+    2 N_d u relative, u = 2^-53, where that is larger: each path's d_N_d comes
+    out of an N_d-step recursion, and near B = -1, where |B| x rounds a part
+    of an ulp off x at every step, each can drift by up to about N_d u."""
     labels = ("theorem", "seed", "t", "N", "N_d", "note")
     assert [row[c] for c in labels] == [getattr(want, c) for c in labels]
     assert row["pass"] == want.passed
+    rel = max(rel, 2 * want.N_d * 2.0**-53)
     for name in ("partial_sum", "bound", "ratio", "tail_bound"):
         got, exp = row[name], getattr(want, name)
         if got is None or exp is None or not (math.isfinite(got) and math.isfinite(exp)):
@@ -958,6 +962,12 @@ SEEDS = st.one_of(
     terms=st.just(0) | st.integers(5, 300),
     t_values=st.sampled_from([DEFAULT_T, (-300.0, 0.5, 1.5, 2.0)]),
 )
+# |q_1|^2 is subnormal: G times it rounded twice, one ulp from the member's |d_1|^2
+@example(js=[0], ks=[1, 2], As=[1.0], Bs=[0.0], seeds=[Polynomial((2.225199645155884e-160,))],
+         terms=0, t_values=DEFAULT_T)
+# N_d = 4096 one ulp from B = -1: the member's d_n drifts 1.5e-13 relative from G^(1/2) q_n
+@example(js=[0], ks=[2], As=[0.5], Bs=[-0.9999999999999999], seeds=[Identity()], terms=0,
+         t_values=DEFAULT_T)
 def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, As, Bs, seeds, terms,
                                                           t_values):
     # the sums come from one unit solve per (B, seed, N_d), scaled by each point's G;

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from starlog.verify import (
     DEFAULT_TOL,
     abel_weight_transfer,
     check_sharpness,
+    lifted,
     rogosinski_l2_check,
     telescoping_weight,
     verify_member,
@@ -415,6 +417,34 @@ def test_reduction_is_bit_equal_to_each_sum(n_d):
     for t in REDUCTION_T:
         assert rows[f"Thm3(t={t:g})"].partial_sum == sum_weighted(vector, t), t
     assert all(r.N_d == n_d for r in rows.values())
+
+
+@pytest.mark.parametrize("coeffs", [(2.225199645155884e-160,), (1e-160, 1e-160j, 1e-161), (3e-155, -7e-158j)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_subnormal_sums_round_once(coeffs, k):
+    # squares below the normal range are summed lifted by 2^2e and rounded once, so each
+    # sum is the float nearest the exact sum on the member's own d_n
+    params = ClassParams(0 if k > 1 else 1, k, 1, 0.0)
+    member = member_from_seed(params, Polynomial(coeffs), 12 * k)
+    sq = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in map(complex, member.d)]
+    weights = {"ThmA": lambda n: 1, "Thm2": lambda n: n * n}
+    weights |= {f"Thm3(t={t:g})": lambda n, t=t: Fraction(n + 1) ** t for t in (-1, 0, 1, 2)}
+    rows = verify_member(member)
+    for row in rows:
+        exact = sum(weights[row.theorem](n) * s for n, s in enumerate(sq, 1))
+        assert 0.0 < row.partial_sum < 2.0**-1022
+        assert row.partial_sum == float(exact), row.theorem
+
+
+def test_lift_is_a_power_of_two_that_stops_at_one_half():
+    c = np.array([3e-200 + 4e-200j, -1e-210j])
+    up, offset, e = lifted(c, 1e-205)
+    assert 0.5 <= np.abs(up).max() < 1.0 and e > 0
+    assert np.array_equal(up, c * 2.0**e) and offset == 1e-205 * 2.0**e
+    assert lifted(c, 0.5 + 0j)[2] == 0  # the offset counts in the peak
+    for peak in (0.0, 0.5, 7.0, math.inf, math.nan):
+        same = np.array([peak, 1e-300 * peak], dtype=np.complex128)
+        assert lifted(same)[0] is same and lifted(same)[2] == 0
 
 
 def test_weight_stack_is_read_only_and_its_cache_bounded():
