@@ -45,9 +45,5 @@ class DivergentSeries(StarlogError):
     """The weighted bound series diverges for the requested (B, t)."""
 
 
-class HypothesisViolated(StarlogError):
-    """Partial-sum dominance hypothesis fails in the weight-transfer check."""
-
-
 class ConfigError(StarlogError):
     """Malformed configuration: a CLI flag or config file, or a search setting."""

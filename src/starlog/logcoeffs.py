@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_weight
-from .members import ClassMember, ClassParams
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -49,18 +48,6 @@ class LogCoeffVector:
 
     def __getitem__(self, i: int) -> complex:
         return self.d[i]
-
-
-def log_coefficients(member: ClassMember) -> LogCoeffVector:
-    """d_n = [w^n] log(f/z) / 2 for n = 1..floor(order/m), with w = z^m."""
-    return LogCoeffVector(d=member.d, m=member.params.m)
-
-
-def extremal_log_coefficient(params: ClassParams, n: int) -> complex:
-    """Closed-form d_n = (A-B)/(2m) (-B)^{n-1} / n of the extremal member."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return (params.A - params.B) / (2.0 * params.m) * (-params.B) ** (n - 1) / n
 
 
 def sum_sq(d: LogCoeffVector) -> float:

@@ -72,7 +72,7 @@ FAMILIES = tuple(_FAMILY)
 
 def _scorer(params: ClassParams, family: str, order: int):
     """x -> (ratio, seed args) of the family's seed at x, scored op for op as
-    `sum_sq(log_coefficients(member_from_seed(...))) / bound`.  A poly seed is
+    `(np.abs(member_from_seed(...).d) ** 2).sum() / bound`.  A poly seed is
     solved on buffers held for the whole search; an ExpDamp seed, dense, is
     written into one reused buffer and solved by `_solve_d`, its band scanned."""
     write = _FAMILY[family][1]

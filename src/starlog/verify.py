@@ -7,9 +7,9 @@ bound.  A member's bounds come from its point's plan, and its sums from one
 weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
 Since |d_n|^2 = G |q_n|^2 with q the seed's unit coefficients at (B, N_d),
 a sweep reduces |q_n|^2 once per (B, seed, N_d) and scales the sums by each
-point's G, lifting a tiny q by a power of two first so that a sum of
-subnormal squares rounds once, not twice; both feed one row builder,
-`plan_rows`.
+point's G, lifting a tiny q and a weight row below 1/2 by powers of two
+first so that a subnormal sum rounds once, not twice; both feed one row
+builder, `plan_rows`.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _check_weight, extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
-from .errors import BExcluded, DivergentSeries, HypothesisViolated, WeightOutOfRange
+from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
+from .errors import BExcluded, DivergentSeries
 from .members import ClassMember, ClassParams, Identity, extremal_function, suggested_order
 
 DEFAULT_TOL = 1e-9
 SHARPNESS_TOL = 1e-8
 #: term-by-term equality tolerance for extremal coefficients
 COEFF_TOL = 1e-11
-#: slack floor of a partial-sum dominance B_K <= C_K: absolute, and relative to C_K
-SLACK_ABS, SLACK_REL = 1e-10, 1e-12
 #: the notes of a row with nothing to compare: its bound is excluded, or infinite
 SKIPPED = "skipped: B = -1 excluded by the theorem hypothesis"
 VACUOUS = "bound series diverges at B = -1; inequality vacuous"
@@ -75,22 +73,33 @@ def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple,
     return checks, tuple(c[5] for c in checks if c[5] is not None)
 
 
+def _row_lift(key) -> int:
+    """The least e >= 0 that lifts a weight row's peak (2^t at n = 1, t < -1) to 1/2 or above."""
+    return 0 if isinstance(key, str) or key >= -1.0 else math.ceil(-1.0 - key)
+
+
 @functools.lru_cache(maxsize=32)  # a command asks for a few N_d
 def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
-    """The weight rows of `keys` for n = 1..n_terms, one row each (read-only):
-    1, n^2 or (n+1)^t, each with the bits of its `logcoeffs` sum's weights."""
+    """The weight rows of `keys` for n = 1..n_terms (read-only): 1, n^2 or
+    (n+1)^t 2^e, e its `_row_lift`; each weight is the `logcoeffs` one times 2^e
+    where that is normal, bit for bit, else two normal halves' product, each lifted."""
     n = np.arange(1.0, n_terms + 1.0)
     named = {"sq": np.ones(n_terms), "n2": n**2}
     rows = [named[key] if isinstance(key, str) else (n + 1.0) ** key for key in keys]
+    for i, key in enumerate(keys):
+        if e := _row_lift(key):
+            half = (n + 1.0) ** (key / 2)
+            halves = np.ldexp(half, e // 2) * np.ldexp(half, e - e // 2)
+            rows[i] = np.where(rows[i] >= np.finfo(float).tiny, np.ldexp(rows[i], e), halves)
     stack = np.array(rows).reshape(len(keys), n_terms)  # no keys: no rows
     stack.flags.writeable = False
     return stack
 
 
 def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> list[float]:
-    """The sums of |c_n|^2 against the weight rows of `keys`, in order: one
-    reduction, each sum bit-equal to its `logcoeffs` sum on c.  A nonzero
-    `c1_offset` is added to c_1 of a copy first."""
+    """The sums of |c_n|^2 against the weight rows of `keys`, in order: one reduction,
+    each sum 2^e times its `logcoeffs` sum on c, e its row's `_row_lift` (bit for
+    bit at e = 0).  A nonzero `c1_offset` is added to c_1 of a copy first."""
     if c1_offset == 0:
         sq = np.abs(c) ** 2
     else:
@@ -104,11 +113,10 @@ def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> list[f
 
 def lifted(c: np.ndarray, c1_offset: complex = 0j) -> tuple[np.ndarray, complex, int]:
     """c and `c1_offset` times 2^e, and e >= 0: the least e that brings the
-    larger of max |c_n| and |c1_offset| to 1/2 or above.  Squares of the
-    lifted values stay out of the subnormal range, so a sum that a scale
-    multiplies later rounds there once, in `plan_rows`, not twice.  The
-    scaling is exact: above the subnormal range each sum is 2^2e times the
-    sum on c, bit for bit."""
+    larger of max |c_n| and |c1_offset| to 1/2 or above, so that squares of the
+    lifted values stay out of the subnormal range and a sum that a scale
+    multiplies later rounds there once, in `plan_rows`.  The scaling is exact:
+    above the subnormal range each sum is 2^2e times the sum on c, bit for bit."""
     peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
     e = max(0, -math.frexp(peak)[1])  # 0 for a peak of 0, inf or NaN
     if e == 0:
@@ -120,11 +128,11 @@ def lifted(c: np.ndarray, c1_offset: complex = 0j) -> tuple[np.ndarray, complex,
 def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,
               tol: float, shift: int = 0) -> list[CheckRow]:
     """The rows of `bound_plan`'s plan for the point `params`, the seed `seed`
-    and N = order, N_d = n_d: each compared check's sum is `scale` times the
-    next of `sums`, one per plan key, times 2^shift.  `verify_member` gives
-    the sums of |d_n 2^e|^2 at scale 1, d `lifted` by 2^e, and shift -2e;
-    `starlog verify` gives those of |q_n 2^e|^2 at scale G, q the seed's
-    lifted `unit_log_coefficients`, shared by every point at its B and N_d."""
+    and N = order, N_d = n_d: each compared check's sum, rounded once, is
+    `scale` times the next of `sums`, one per plan key, times 2^shift over its
+    row's lift 2^e.  `verify_member` gives the sums of |d_n 2^e|^2 at scale 1,
+    d `lifted` by 2^e, and shift -2e; `starlog verify` those of |q_n 2^e|^2 at
+    scale G, q the seed's lifted `unit_log_coefficients`, shared at a (B, N_d)."""
     checks, _ = plan
     sums = iter(sums)
     label = seed.label()
@@ -132,7 +140,7 @@ def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n
     rows = []
     for theorem, t, bound, ratio, note, key in checks:
         # a skipped or vacuous row makes no sum
-        s = None if key is None else math.ldexp(scale * next(sums), shift)
+        s = None if key is None else math.ldexp(scale * next(sums), shift - _row_lift(key))
         if s is not None:  # fail closed: a NaN, zero or negative bound gives a NaN ratio
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
         passed = s is None or ratio <= 1.0 + tol
@@ -199,59 +207,3 @@ def check_sharpness(
     ratio = (partial + tail) / bound if ok else math.nan
     passed = ok and abs(partial + tail - bound) <= tol * bound
     return CheckRow(*ran_at, partial, bound, ratio, passed, tail, "")
-
-
-def rogosinski_l2_check(subordinate, superordinate, upto: int) -> tuple[bool, float]:
-    """Partial-sum l^2 dominance of a subordinate pair of coefficient arrays.
-
-    Entry n of each array is the coefficient of z^n.  For every K <= upto
-    checks B_K <= C_K + max(SLACK_ABS, SLACK_REL * C_K), where B_K and C_K
-    are the partial sums of |b_n|^2 and |c_n|^2 (coefficients counted from
-    exponent 1), and returns (ok, minimum slack C_K - B_K).  Equal sums
-    computed apart differ by a few ulps of C_K, so the floor scales with C_K;
-    it stays absolute for tiny sums.  A NaN fails.
-    """
-    upto = min(upto, len(subordinate) - 1, len(superordinate) - 1)
-    b = np.abs(np.asarray(subordinate)[1 : upto + 1]) ** 2
-    c = np.cumsum(np.abs(np.asarray(superordinate)[1 : upto + 1]) ** 2)
-    slack = c - np.cumsum(b)
-    min_slack = float(slack.min()) if slack.size else 0.0
-    return bool(np.all(slack >= -np.maximum(SLACK_ABS, SLACK_REL * c))), min_slack
-
-
-def telescoping_weight(k, t: float):
-    """(k+1)^t / k^2 - (k+2)^t / (k+1)^2, positive for t <= 2; elementwise on arrays."""
-    return (k + 1.0) ** t / k**2 - (k + 2.0) ** t / (k + 1.0) ** 2
-
-
-def abel_weight_transfer(x, y, C: float, t: float) -> tuple[bool, float]:
-    """Transfer partial-sum dominance to (n+1)^t/n^2-weighted dominance.
-
-    Hypothesis (re-verified here): sum_{n<=K} x_n <= C sum_{n<=K} y_n for
-    all K, with nonnegative x, y.  Multiplying the K-th inequality by the
-    positive factor (K+1)^t/K^2 - (K+2)^t/(K+1)^2 and summing telescopes to
-    sum w_n x_n <= C sum w_n y_n with w_n = (n+1)^t / n^2.  Returns
-    (conclusion holds, margin = C * rhs - lhs).
-    """
-    _check_weight(t)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    N = min(len(x), len(y))
-    x, y = x[:N], y[:N]
-    cx, cy = np.cumsum(x), np.cumsum(y)
-    scale = 1.0 + np.abs(C) * np.maximum(cy, 1.0)
-    bad = np.nonzero(cx > C * cy + 1e-12 * scale)[0]
-    if bad.size:
-        K = int(bad[0]) + 1
-        raise HypothesisViolated(
-            f"partial-sum dominance fails at K = {K}: {cx[K - 1]} > {C} * {cy[K - 1]}"
-        )
-    n = np.arange(1, N + 1, dtype=np.float64)
-    w = (n + 1.0) ** t / n**2
-    # the telescoping factors, with the bits of `telescoping_weight` at k = 1..N-1
-    if np.any(w[:-1] - w[1:] <= 0.0):
-        raise WeightOutOfRange(f"telescoping weight factor not positive for t = {t}")
-    lhs = float(np.dot(w, x))
-    rhs = float(np.dot(w, y))
-    margin = C * rhs - lhs
-    return margin >= -1e-12 * (1.0 + abs(C * rhs)), margin

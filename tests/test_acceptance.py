@@ -12,6 +12,17 @@ import sys
 import numpy as np
 
 import starlog as sl
+from starlog.logcoeffs import sum_n2, sum_sq, sum_weighted
+from starlog.members import seed_series
+from starlog.series import TruncatedSeries
+
+from proofchain import (
+    HypothesisViolated,
+    abel_weight_transfer,
+    extremal_log_coefficient,
+    log_coefficients,
+    rogosinski_l2_check,
+)
 
 ZETA2 = math.pi**2 / 6
 
@@ -56,9 +67,9 @@ def test_criterion_1_dilogarithm():
 def test_criterion_2_extremal_coefficients():
     for params in grid_params():
         member = sl.extremal_function(params, 512)
-        d = sl.log_coefficients(member)
+        d = log_coefficients(member)
         for n in range(1, d.n_terms + 1):
-            expected = sl.extremal_log_coefficient(params, n)
+            expected = extremal_log_coefficient(params, n)
             assert abs(d[n - 1] - expected) <= 1e-11, (params, n)
     _announce(2, "pipeline d_n match the closed form to 1e-11 over the full grid at N = 512")
 
@@ -66,9 +77,9 @@ def test_criterion_2_extremal_coefficients():
 def test_criterion_3_thm_a_sharpness():
     for params in grid_params():
         member = sl.extremal_function(params, sl.suggested_order(params))
-        d = sl.log_coefficients(member)
+        d = log_coefficients(member)
         bound = sl.thm_a_bound(params)
-        total = sl.sum_sq(d) + sl.extremal_tail_bound(params, d.n_terms)
+        total = sum_sq(d) + sl.extremal_tail_bound(params, d.n_terms)
         assert abs(total - bound) <= 1e-8 * bound, params
     _announce(3, "sum_sq + tail brackets the plain-squares bound to 1e-8 relative on the grid")
 
@@ -87,11 +98,11 @@ def test_criterion_4_thm2_sharpness():
         if params.B == -1.0:
             continue
         member = sl.extremal_function(params, 512)
-        got = sl.sum_n2(sl.log_coefficients(member))
+        got = sum_n2(log_coefficients(member))
         bound = sl.thm2_bound(params)
         assert abs(got - bound) <= 1e-8 * bound, params
     instance = sl.ClassParams(1, 1, 1, -0.5)
-    got = sl.sum_n2(sl.log_coefficients(sl.extremal_function(instance, 512)))
+    got = sum_n2(log_coefficients(sl.extremal_function(instance, 512)))
     assert abs(got - 0.75) <= 1e-10
     _announce(4, "sum_n2 attains |A-B|^2/(4m^2(1-B^2)); (1,1,1,-1/2) equals 3/4 to 1e-10")
 
@@ -100,10 +111,10 @@ def test_criterion_5_thm3_consistency_and_sharpness():
     for params in grid_params():
         assert abs(sl.thm3_bound(params, 0.0) - sl.thm_a_bound(params)) <= 1e-12, params
         member = sl.extremal_function(params, 512)
-        d = sl.log_coefficients(member)
+        d = log_coefficients(member)
         for t in T_VALUES:
             bound = sl.thm3_bound(params, t)
-            assert abs(sl.sum_weighted(d, t) - bound) <= 1e-8 * bound, (params, t)
+            assert abs(sum_weighted(d, t) - bound) <= 1e-8 * bound, (params, t)
     _announce(5, "thm3(t=0) = thmA to 1e-12; weighted sums sharp to 1e-8 for t in {-1,0,1,2}")
 
 
@@ -136,7 +147,7 @@ def _compose(outer, inner):
     for n in range(1, order + 1):
         power = np.convolve(power, inner_v)[: order + 1]
         acc += outer[n] * power
-    return sl.TruncatedSeries(tuple(acc.tolist()))
+    return TruncatedSeries(tuple(acc.tolist()))
 
 
 def test_criterion_7_lemma_suites():
@@ -147,7 +158,7 @@ def test_criterion_7_lemma_suites():
     for trial in range(200):
         g = rng.normal(size=21) + 1j * rng.normal(size=21)
         g[0] = 0.0
-        g_series = sl.TruncatedSeries(tuple(g.tolist()))
+        g_series = TruncatedSeries(tuple(g.tolist()))
         if trial < 3:
             omega_seed = witness_seeds[trial]
         elif trial % 3 == 0:
@@ -158,9 +169,9 @@ def test_criterion_7_lemma_suites():
             omega_seed = sl.ExpDamp(
                 theta=float(rng.uniform(0, 2 * math.pi)), c=float(rng.uniform(0, 3))
             )
-        omega = sl.seed_series(omega_seed, 20)
+        omega = seed_series(omega_seed, 20)
         f_series = _compose(g_series, omega)
-        ok, _ = sl.rogosinski_l2_check(f_series.array, g_series.array, 20)
+        ok, _ = rogosinski_l2_check(f_series.array, g_series.array, 20)
         assert ok, (trial, omega_seed.label())
 
     # 500 hypothesis-satisfying weight transfers
@@ -168,7 +179,7 @@ def test_criterion_7_lemma_suites():
         y = rng.uniform(0, 1, 25)
         x = y * rng.uniform(0, 1, 25)
         t = float(rng.uniform(-2, 2))
-        ok, _ = sl.abel_weight_transfer(x, y, 1.0, t)
+        ok, _ = abel_weight_transfer(x, y, 1.0, t)
         assert ok
 
     # 50 hypothesis-violating instances must be rejected
@@ -179,8 +190,8 @@ def test_criterion_7_lemma_suites():
         pos = int(rng.integers(25))
         x[pos] += np.sum(y) * rng.uniform(1.0, 2.0)
         try:
-            sl.abel_weight_transfer(x, y, 1.0, float(rng.uniform(-2, 2)))
-        except sl.errors.HypothesisViolated:
+            abel_weight_transfer(x, y, 1.0, float(rng.uniform(-2, 2)))
+        except HypothesisViolated:
             rejected += 1
     assert rejected == 50
 
@@ -206,15 +217,15 @@ def test_criterion_8_adversarial_search():
 def test_criterion_9_corollary_instances():
     # B = 0 specialization: bound |A|^2/(4k^2) = 1/16, attained by a single term
     p1 = sl.ClassParams(1, 2, 1, 0)
-    d1 = sl.log_coefficients(sl.extremal_function(p1, 64))
+    d1 = log_coefficients(sl.extremal_function(p1, 64))
     assert abs(sl.thm_a_bound(p1) - 1 / 16) <= 1e-15
-    assert abs(sl.sum_sq(d1) - 1 / 16) <= 1e-12
+    assert abs(sum_sq(d1) - 1 / 16) <= 1e-12
 
     # B = -A specialization at A = 1/2: bound Li_2(1/4)
     p2 = sl.ClassParams(1, 1, 0.5, -0.5)
     assert abs(sl.thm_a_bound(p2) - direct_li2_oracle(0.25)) <= 1e-10
-    d2 = sl.log_coefficients(sl.extremal_function(p2, sl.suggested_order(p2)))
-    total = sl.sum_sq(d2) + sl.extremal_tail_bound(p2, d2.n_terms)
+    d2 = log_coefficients(sl.extremal_function(p2, sl.suggested_order(p2)))
+    total = sum_sq(d2) + sl.extremal_tail_bound(p2, d2.n_terms)
     assert abs(total - sl.thm_a_bound(p2)) <= 1e-8 * sl.thm_a_bound(p2)
     _announce(9, "corollary instances: 1/16 attained exactly; Li_2(1/4) bound sharp")
 

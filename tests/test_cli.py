@@ -950,28 +950,39 @@ SEEDS = st.one_of(
 )
 
 
+A_VALUES = [1.0, 0.5, 0.8 + 0.3j, 1e4, 3700 + 1100j, -0.2 + 1e-3j]
+#: each --t set with the A values it is drawn with: below t = -1022 the weight rows start
+#: below the normal range, and Thm3's bound, about G 2^t, stays normal only for G >= 2^28,
+#: which takes A >= about 1.7e5 at m = 5
+T_SETS = {
+    DEFAULT_T: A_VALUES,
+    (-300.0, 0.5, 1.5, 2.0): A_VALUES,
+    (-1050.0, -1040.0, -1.5, 0.5): [1e6, 3e6 + 1e6j],
+}
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     js=st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True),
     ks=st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),
-    As=st.lists(st.sampled_from([1.0, 0.5, 0.8 + 0.3j, 1e4, 3700 + 1100j, -0.2 + 1e-3j]),
-                min_size=1, max_size=2, unique=True),
+    t_and_As=st.sampled_from(list(T_SETS)).flatmap(lambda t: st.tuples(
+        st.just(t), st.lists(st.sampled_from(T_SETS[t]), min_size=1, max_size=2, unique=True))),
     Bs=st.lists(st.sampled_from([0.0, -0.0, -1.0, -0.5, -0.99]) | st.floats(-1.0, 0.0),
                 min_size=1, max_size=2, unique_by=repr),
     seeds=st.lists(SEEDS, min_size=1, max_size=3),
     terms=st.just(0) | st.integers(5, 300),
-    t_values=st.sampled_from([DEFAULT_T, (-300.0, 0.5, 1.5, 2.0)]),
 )
 # |q_1|^2 is subnormal: G times it rounded twice, one ulp from the member's |d_1|^2
-@example(js=[0], ks=[1, 2], As=[1.0], Bs=[0.0], seeds=[Polynomial((2.225199645155884e-160,))],
-         terms=0, t_values=DEFAULT_T)
+@example(js=[0], ks=[1, 2], t_and_As=(DEFAULT_T, [1.0]), Bs=[0.0],
+         seeds=[Polynomial((2.225199645155884e-160,))], terms=0)
 # N_d = 4096 one ulp from B = -1: the member's d_n drifts 1.5e-13 relative from G^(1/2) q_n
-@example(js=[0], ks=[2], As=[0.5], Bs=[-0.9999999999999999], seeds=[Identity()], terms=0,
-         t_values=DEFAULT_T)
-def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, As, Bs, seeds, terms,
-                                                          t_values):
+@example(js=[0], ks=[2], t_and_As=(DEFAULT_T, [0.5]), Bs=[-0.9999999999999999], seeds=[Identity()],
+         terms=0)
+def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, t_and_As, Bs, seeds,
+                                                          terms):
     # the sums come from one unit solve per (B, seed, N_d), scaled by each point's G;
     # every row is the row of that point's own member, to rounding
+    t_values, As = t_and_As
     out = tmp_path / "units.json"
     descriptors = [seed_descriptor(seed) for seed in seeds]
     seeds = [cli.parse_seed(text) for text in descriptors]  # as written, e.g. -0j as 0j
@@ -984,6 +995,23 @@ def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, As,
     assert main(argv) == 0
     rows = json.loads(out.read_text())
     for row, want in member_path_pairs(rows, seeds, t_values, terms):
+        assert_member_row(row, want)
+
+
+@pytest.mark.parametrize("seed", ["poly:0.7,0.1", "poly:0.3+0.2i"])
+def test_sums_on_weight_rows_below_the_normal_range_round_once(tmp_path, seed):
+    # (n+1)^t is subnormal from n = 1 at t = -1050: unlifted, G times a unit sum already
+    # rounded there would round twice, 2e-8 relative from the member's sum at A = 1e5
+    t_values = (-1040.0, -1050.0)
+    out = tmp_path / "deep.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1e5", "--B=-0.5", "--seeds", seed,
+            "--t=-1040,-1050", "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())
+    pairs = list(member_path_pairs(rows, [cli.parse_seed(seed)], t_values))
+    assert [row["theorem"] for row, _ in pairs] == ["Thm2", "Thm3(t=-1040)", "Thm3(t=-1050)", "ThmA"]
+    assert all(0 < row["partial_sum"] < 2.0**-1000 for row, _ in pairs[1:3])
+    for row, want in pairs:
         assert_member_row(row, want)
 
 

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from starlog.errors import WeightOutOfRange
-from starlog.logcoeffs import (
-    LogCoeffVector,
-    extremal_log_coefficient,
-    log_coefficients,
-    sum_n2,
-    sum_sq,
-    sum_weighted,
-)
+from starlog.logcoeffs import LogCoeffVector, sum_n2, sum_sq, sum_weighted
 from starlog.members import ClassParams, Identity, Rotation, extremal_function, member_from_seed
+
+from proofchain import extremal_log_coefficient, log_coefficients
 
 
 class TestLogCoefficients:

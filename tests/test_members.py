@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from starlog.errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from starlog.logcoeffs import log_coefficients
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -23,6 +22,7 @@ from starlog.members import (
     unit_log_coefficients,
 )
 from starlog.series import TruncatedSeries, div, from_coeffs, one, scale
+from proofchain import log_coefficients
 from zlevel import compose_power, ratio_series
 
 

@@ -8,9 +8,11 @@ import pytest
 from starlog import members, search
 from starlog.bounds import thm_a_bound
 from starlog.errors import ConfigError, InvalidSeed, TruncationTooSmall
-from starlog.logcoeffs import log_coefficients, sum_sq
+from starlog.logcoeffs import sum_sq
 from starlog.members import ClassParams, ExpDamp, Polynomial, member_from_seed, suggested_order
 from starlog.search import FAMILIES, adversarial_search
+
+from proofchain import log_coefficients
 
 
 def test_expdamp_finds_identity_corner():

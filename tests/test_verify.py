@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from starlog.bounds import extremal_tail_bound, thm2_bound, thm_a_bound
-from starlog.errors import HypothesisViolated, InvalidParams, WeightOutOfRange
-from starlog.logcoeffs import LogCoeffVector, log_coefficients, sum_n2, sum_sq, sum_weighted
+from starlog.errors import InvalidParams, WeightOutOfRange
+from starlog.logcoeffs import LogCoeffVector, sum_n2, sum_sq, sum_weighted
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -23,14 +23,14 @@ from starlog.members import (
     suggested_order,
 )
 from starlog.series import TruncatedSeries, from_coeffs
-from starlog.verify import (
-    DEFAULT_TOL,
+from starlog.verify import DEFAULT_TOL, check_sharpness, lifted, verify_member
+
+from proofchain import (
+    HypothesisViolated,
     abel_weight_transfer,
-    check_sharpness,
-    lifted,
+    log_coefficients,
     rogosinski_l2_check,
     telescoping_weight,
-    verify_member,
 )
 
 
@@ -323,8 +323,6 @@ class TestAbelWeightTransfer:
 
     def test_extremal_instantiation(self):
         # x_n = n^2 |d_n(K)|^2, y_n = B^{2n}, C = H(A, B): equality term by term
-        from starlog.logcoeffs import log_coefficients
-
         params = ClassParams(1, 1, 1, -0.5)
         d = log_coefficients(extremal_function(params, 40))
         n = np.arange(1, d.n_terms + 1)
@@ -454,6 +452,27 @@ def test_weight_stack_is_read_only_and_its_cache_bounded():
     assert stack.shape == (3, 5) and not stack.flags.writeable
     assert stack.tolist()[:2] == [[1.0] * 5, [1.0, 4.0, 9.0, 16.0, 25.0]]
     assert 0 < verify_mod._weight_stack.cache_info().maxsize <= 64
+
+
+def test_weight_rows_below_one_half_are_lifted_by_a_power_of_two():
+    import starlog.verify as verify_mod
+
+    # (n+1)^t peaks at 2^t, n = 1, for t < 0: below 1/2 from t < -1 and subnormal from t < -1022
+    keys = ("sq", "n2", 2.0, -1.0, -1.5, -300.0, -1050.0)
+    n = np.arange(1.0, 41.0)
+    stack = verify_mod._weight_stack(40, keys)
+    assert [verify_mod._row_lift(key) for key in keys] == [0, 0, 0, 0, 1, 299, 1049]
+    for key, row in zip(keys, stack):
+        e = verify_mod._row_lift(key)
+        w = {"sq": np.ones(40), "n2": n**2}.get(key) if isinstance(key, str) else (n + 1.0) ** key
+        normal = w >= np.finfo(float).tiny
+        assert np.array_equal(row[normal], np.ldexp(w[normal], e)), key  # bits kept, times 2^e
+        assert row.max() >= 0.5 and (e == 0 or row.max() < 1.0), key
+        if not isinstance(key, str) and key == int(key):  # the rest to a few ulps of 2^e (n+1)^t
+            exact = [Fraction(2) ** e * Fraction(int(k) + 1) ** int(key) for k in n[~normal]]
+            fine = [(float(x), got) for x, got in zip(exact, row[~normal]) if float(x) >= 2.0**-1022]
+            assert all(abs(got - x) <= 4 * 2.0**-53 * x for x, got in fine), key
+            assert key > -1022 or len(fine) == 2  # 2^1049 (n+1)^-1050 at n = 1 and 2
 
 
 @pytest.mark.parametrize("B", [-0.5, -1.0])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import starlog.series as series_mod
-from starlog.logcoeffs import log_coefficients
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -34,6 +33,7 @@ from starlog.series import (
     scale,
 )
 from starlog.verify import check_sharpness, verify_member
+from proofchain import log_coefficients
 from zlevel import compose_power, ratio_series
 
 REL = 1e-12
