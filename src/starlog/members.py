@@ -9,15 +9,15 @@ any analytic v with v(0) = 0 and |v(w)| <= |w| yields
 
 hence log(f/z) = L(z^m) with L(w) = (1/m) int_0^w P(u)/u du = 2 sum d_n w^n.
 A member stores its log coefficients d_1..d_{N_d}, with N_d = floor(N/m),
-as one read-only complex128 array built by one Toeplitz solve on raw arrays,
-with no exp or log.  The identity seed v(w) = w gives the closed-form
+as one read-only complex128 array: one Toeplitz solve on raw arrays, with
+no exp or log, gives the unit coefficients q_n = u_n/n of (1 + Bv)u = v,
+and d_n = ((A - B)/(2m)) q_n.  The identity seed v(w) = w gives the closed-form
 extremal function.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -258,14 +258,6 @@ def extremal_function(params: ClassParams, order: int) -> ClassMember:
     return member_from_seed(params, Identity(), order)
 
 
-@functools.lru_cache(maxsize=32)  # a command asks for a few N_d
-def _evens(n_d: int) -> np.ndarray:
-    """The divisors 2n, n = 1..n_d, of d_n = P_n/(2 m n) (read-only), memoised on n_d."""
-    evens = np.arange(2.0, 2.0 * n_d + 2.0, 2.0)
-    evens.flags.writeable = False
-    return evens
-
-
 def log_order(params: ClassParams, order: int) -> int:
     """N_d = order // m, the count of log coefficients of a member truncated
     at `order`; raises TruncationTooSmall below one term (order < m)."""
@@ -275,48 +267,39 @@ def log_order(params: ClassParams, order: int) -> int:
     return order // m
 
 
-def _d_setup(params: ClassParams, order: int) -> tuple[np.ndarray, complex, np.ndarray]:
-    """A zero buffer for the seed coefficients v_0..v_{N_d}, N_d = order // m,
-    and the scale (A - B)/m and divisors 2n that `_solve_d` takes with it."""
-    n_d = log_order(params, order)
-    return np.zeros(n_d + 1, dtype=np.complex128), (params.A - params.B) / params.m, _evens(n_d)
-
-
-def _solve_d(v: np.ndarray, scale: complex, B: float, evens: np.ndarray) -> np.ndarray:
-    """A fresh d_1..d_{N_d} of log(f/z) = 2 sum d_n z^{nm} for the seed
-    coefficients v (v_0 = 0): the whole d_n path of `member_from_seed`."""
-    # z f'/f - 1 = P(z^m) with P = (A - B) v / (1 + B v); constant terms stay exactly zero
-    num = v * scale  # scale carries the 1/m of L below
+def _solve_q(v: np.ndarray, B: float) -> np.ndarray:
+    """A fresh q_1..q_{N_d}, q_n = u_n/n with (1 + Bv)u = v, for the seed
+    coefficients v_0..v_{N_d} (v_0 = 0): the whole solve of a member's d_n."""
     den = B * v
     den[0] = 1.0
-    # L(w) = (1/m) int_0^w P(u)/u du: the quotient, then d_n = L_n/2 = P_n/(2 m n)
-    return _solve_toeplitz(den, num)[1:] / evens
+    # L(w) = (1/m) int_0^w P(u)/u du = ((A - B)/m) sum_n (u_n/n) w^n = 2 sum d_n w^n
+    return _solve_toeplitz(den, v)[1:] / np.arange(1.0, len(v))
 
 
-def _held_solver(params: ClassParams, order: int, degree: int):
+def _held_solver(B: float, n_d: int, degree: int):
     """(v, abs_sq) for seeds of degree <= `degree`, on solve buffers held by abs_sq.
 
     v is the zero buffer v_0..v_h, h = min(degree, N_d), for the seed's
     coefficients.  abs_sq() writes only what v sets: B v_i into the divisor
-    and rows 1..h of its band storage, v_i (A - B)/m into the rhs head, then
-    runs the block loop once and returns |d_1|^2..|d_{N_d}|^2 in a reused
-    array, the bits of `np.abs(_solve_d(...)) ** 2` on the zero-padded v.
-    The storage is `_band_storage`'s for a degree-h divisor: dense up to
-    _BLOCK rows, else band h, which holds every shorter band too.
+    and rows 1..h of its band storage, v_i into the rhs head, then runs the
+    block loop once and returns |q_1|^2..|q_{N_d}|^2 in a reused array, the
+    bits of `np.abs(_solve_q(...)) ** 2` on the zero-padded v.  The storage
+    is `_band_storage`'s for a degree-h divisor: dense up to _BLOCK rows,
+    else band h, which holds every shorter band too.
     """
-    cs, scale, evens = _d_setup(params, order)
-    n = len(cs)
-    # B and (A - B)/m as 0-d complex arrays: the same products as the Python
-    # numbers give, without numpy converting a Python scalar on every call
-    B, scale = np.array(complex(params.B)), np.array(scale)
-    h = min(degree, n - 1)
-    v = cs[: h + 1]
+    n = n_d + 1
+    # B as a 0-d complex array: the same products as the Python number gives,
+    # without numpy converting a Python scalar on every call
+    B = np.array(complex(B))
+    h = min(degree, n_d)
+    v = np.zeros(h + 1, dtype=np.complex128)
     den = np.zeros(n, dtype=np.complex128)
     den[: h + 1] = 1.0
     band, ab = _band_storage(den, n)
     x = np.empty(n, dtype=np.complex128)
-    d = np.empty(n - 1, dtype=np.complex128)
-    sq = np.empty(n - 1)
+    divisors = np.arange(1.0, n)
+    q = np.empty(n_d, dtype=np.complex128)
+    sq = np.empty(n_d)
     # made once: the views an evaluation writes through
     v_tail, den_head, ab_head = v[1:], den[1 : h + 1], ab[1 : h + 1]
     x_head, x_tail, den_col = x[: h + 1], x[h + 1 :], den[1 : h + 1, None]
@@ -324,19 +307,20 @@ def _held_solver(params: ClassParams, order: int, degree: int):
     def abs_sq() -> np.ndarray:
         np.multiply(B, v_tail, den_head)
         ab_head[...] = den_col
-        np.multiply(v, scale, x_head)
+        x_head[...] = v
         x_tail.fill(0.0)
-        np.divide(_solve_blocks(den, x, band, ab)[1:], evens, d)
-        return np.square(np.abs(d, sq), sq)
+        np.divide(_solve_blocks(den, x, band, ab)[1:], divisors, q)
+        return np.square(np.abs(q, sq), sq)
 
     return v, abs_sq
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
     """Generate the member induced by a Schwarz seed at level w = z^m."""
-    v, scale, evens = _d_setup(params, order)
+    v = np.zeros(log_order(params, order) + 1, dtype=np.complex128)
     _write_seed(v, seed)
-    d = _solve_d(v, scale, params.B, evens)
+    d = _solve_q(v, params.B)
+    d *= (params.A - params.B) / (2 * params.m)
     d.flags.writeable = False
     return ClassMember(d, params, seed, order)
 
@@ -345,12 +329,12 @@ def unit_log_coefficients(B: float, seed: SchwarzSeed, n_d: int) -> np.ndarray:
     """q_n = u_n/n for n = 1..n_d, where (1 + B v) u = v (read-only).
 
     Every member of the seed at this B with N_d = n_d has d_n = ((A - B)/(2m)) q_n,
-    so |d_n|^2 = G |q_n|^2: q depends on neither A nor m.  The solve is
-    `_solve_d`'s, at scale 2 and divisors 2n, which gives 2u/(2n) = u/n bit for bit.
+    so |d_n|^2 = G |q_n|^2: q depends on neither A nor m.  `member_from_seed`
+    scales this same solve.
     """
     v = np.zeros(n_d + 1, dtype=np.complex128)
     _write_seed(v, seed)
-    q = _solve_d(v, 2.0, B, _evens(n_d))
+    q = _solve_q(v, B)
     q.flags.writeable = False
     return q
 

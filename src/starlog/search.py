@@ -1,9 +1,13 @@
 """Adversarial search for counterexamples to the plain-squares bound.
 
 Maximizes ratio(seed) = sum |d_n|^2 / bound over a certified seed family
-(coarse grid, then Nelder-Mead refinement).  Deterministic for a fixed
-rng seed and budget; the expected outcome is a maximum ratio of 1 attained
-at (or converging to) the identity-equivalent corner.
+(coarse grid, then Nelder-Mead refinement).  The bound is G K(B), with
+K(B) = Li_2(B^2)/B^2, and sum |d_n|^2 = G sum |q_n|^2, q the seed's unit
+coefficients (`members.unit_log_coefficients`), so the search scores
+sum |q_n|^2 / K(B): G cancels, and a search depends on B and N_d, not on A
+or m.  Deterministic for a fixed rng seed and budget; the expected outcome
+is a maximum ratio of 1 attained at (or converging to) the
+identity-equivalent corner.
 
 The refinement is an in-house Nelder-Mead, step for step and bit for bit
 scipy's (`method="Nelder-Mead"` with `maxfev`, `xatol` and `fatol` set), so
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import thm_a_bound
+from .bounds import _weighted_series
 from .errors import ConfigError
-from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, suggested_order
-from .members import _check_expdamp, _check_poly, _d_setup, _held_solver, _solve_d
+from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, log_order, suggested_order
+from .members import _check_expdamp, _check_poly, _held_solver, _solve_q
 from .members import _poly_total, _write_expdamp, _write_poly
 
 _EXPDAMP_C_MAX = 5.0
@@ -70,24 +74,24 @@ _FAMILY = {"expdamp": (ExpDamp, _expdamp_point), "poly": (Polynomial, _poly_poin
 FAMILIES = tuple(_FAMILY)
 
 
-def _scorer(params: ClassParams, family: str, order: int):
+def _scorer(B: float, family: str, n_d: int):
     """x -> (ratio, seed args) of the family's seed at x, scored op for op as
-    `(np.abs(member_from_seed(...).d) ** 2).sum() / bound`.  A poly seed is
-    solved on buffers held for the whole search; an ExpDamp seed, dense, is
-    written into one reused buffer and solved by `_solve_d`, its band scanned."""
+    `(np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum() / K(B)`.  A poly
+    seed is solved on buffers held for the whole search; an ExpDamp seed, dense,
+    is written into one reused buffer and solved by `_solve_q`, its band scanned."""
     write = _FAMILY[family][1]
-    bound = thm_a_bound(params)
+    kernel = _weighted_series(B, 0.0)  # K(B), the bound in units of G
     if family == "poly":
-        v, abs_sq = _held_solver(params, order, _POLY_DEGREE)
+        v, abs_sq = _held_solver(B, n_d, _POLY_DEGREE)
     else:
-        v, scale, evens = _d_setup(params, order)
+        v = np.zeros(n_d + 1, dtype=np.complex128)
 
         def abs_sq() -> np.ndarray:
-            return np.abs(_solve_d(v, scale, params.B, evens)) ** 2
+            return np.abs(_solve_q(v, B)) ** 2
 
     def score(x) -> tuple[float, tuple]:
         args = write(v, x)
-        return float(np.add.reduce(abs_sq())) / bound, args
+        return float(np.add.reduce(abs_sq())) / kernel, args
 
     return score
 
@@ -178,6 +182,8 @@ def adversarial_search(
 
     A max ratio above 1 + 1e-9 would be a counterexample; the report flags
     non-convergence when the budget runs out before refinement finishes.
+    Every field of the report but `order` depends only on (B, N_d, family,
+    budget, rng_seed), N_d = order // m: not on A, nor on m apart from N_d.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -187,7 +193,7 @@ def adversarial_search(
             raise ConfigError(f"{name} {value!r} must be an integer")
     if budget < 1 or rng_seed < 0:
         raise ConfigError(f"need budget >= 1 and rng_seed >= 0, got {budget} and {rng_seed}")
-    ratio = _scorer(params, family, order)
+    ratio = _scorer(params.B, family, log_order(params, order))
     make_seed = _FAMILY[family][0]
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)

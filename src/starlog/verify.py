@@ -96,52 +96,55 @@ def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
     return stack
 
 
-def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> list[float]:
-    """The sums of |c_n|^2 against the weight rows of `keys`, in order: one reduction,
-    each sum 2^e times its `logcoeffs` sum on c, e its row's `_row_lift` (bit for
-    bit at e = 0).  A nonzero `c1_offset` is added to c_1 of a copy first."""
+def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> tuple[list[float], int]:
+    """(sums, shift): the sums of |c_n 2^e|^2 against the weight rows of `keys`, in
+    order, from one reduction, and shift = -2e.  c_1 of a copy moves by `c1_offset`
+    first.  e >= 0 is the least lift that brings the larger of max |c_n| and
+    |c1_offset| to 1/2 or above, so that no square is subnormal and a sum that a
+    scale multiplies later rounds once, in `plan_rows`.  The lift is exact: above
+    the subnormal range each sum is 2^(2e + row lift) times its `logcoeffs` sum
+    on c, bit for bit."""
+    peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
+    e = max(0, -math.frexp(peak)[1])  # 0 for a peak of 0, inf or NaN
+    c = np.ldexp(c.view(np.float64), e).view(np.complex128)  # a copy: the caller's c stays
     if c1_offset == 0:
         sq = np.abs(c) ** 2
     else:
-        c = np.array(c, dtype=np.complex128)  # the caller's c stays as it is
-        c[0] += complex(c1_offset)
+        c[0] += complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e))
         # past about 1.3e154 it squares to inf, silently: every sum is inf, and fails closed
         with np.errstate(over="ignore"):
             sq = np.abs(c) ** 2
-    return (_weight_stack(len(sq), keys) * sq).sum(axis=1).tolist()
-
-
-def lifted(c: np.ndarray, c1_offset: complex = 0j) -> tuple[np.ndarray, complex, int]:
-    """c and `c1_offset` times 2^e, and e >= 0: the least e that brings the
-    larger of max |c_n| and |c1_offset| to 1/2 or above, so that squares of the
-    lifted values stay out of the subnormal range and a sum that a scale
-    multiplies later rounds there once, in `plan_rows`.  The scaling is exact:
-    above the subnormal range each sum is 2^2e times the sum on c, bit for bit."""
-    peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
-    e = max(0, -math.frexp(peak)[1])  # 0 for a peak of 0, inf or NaN
-    if e == 0:
-        return c, c1_offset, 0
-    c = np.ldexp(c.view(np.float64), e).view(np.complex128)
-    return c, complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e)), e
+    return (_weight_stack(len(sq), keys) * sq).sum(axis=1).tolist(), -2 * e
 
 
 def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,
-              tol: float, shift: int = 0) -> list[CheckRow]:
+              tol: float) -> list[CheckRow]:
     """The rows of `bound_plan`'s plan for the point `params`, the seed `seed`
-    and N = order, N_d = n_d: each compared check's sum, rounded once, is
-    `scale` times the next of `sums`, one per plan key, times 2^shift over its
-    row's lift 2^e.  `verify_member` gives the sums of |d_n 2^e|^2 at scale 1,
-    d `lifted` by 2^e, and shift -2e; `starlog verify` those of |q_n 2^e|^2 at
-    scale G, q the seed's lifted `unit_log_coefficients`, shared at a (B, N_d)."""
+    and N = order, N_d = n_d: `sums` is `weighted_sums`' (sums, shift), one sum
+    per plan key, and each compared check's sum is `scale` times the next sum,
+    times 2^shift over its row's lift 2^e, rounded once.  `verify_member` gives
+    the sums of |d_n|^2 at scale 1, `starlog verify` those of the seed's
+    `unit_log_coefficients` q at scale G, shared at a (B, N_d)."""
     checks, _ = plan
+    sums, shift = sums
     sums = iter(sums)
+    # from 2^-1021 on a sum times the mantissa is normal, and 2^exp joins the exact
+    # ldexp, so no product can overflow before the shift; below it the product with
+    # the whole scale (< 2^1024) stays under 8 and still rounds once
+    mantissa, exp = math.frexp(scale)
     label = seed.label()
     tail = extremal_tail_bound(params, n_d) if isinstance(seed, Identity) else None
     rows = []
     for theorem, t, bound, ratio, note, key in checks:
-        # a skipped or vacuous row makes no sum
-        s = None if key is None else math.ldexp(scale * next(sums), shift - _row_lift(key))
-        if s is not None:  # fail closed: a NaN, zero or negative bound gives a NaN ratio
+        s = None  # a skipped or vacuous row makes no sum
+        if key is not None:
+            total, e = next(sums), shift - _row_lift(key)
+            try:
+                s = (math.ldexp(mantissa * total, exp + e) if total >= 2.0**-1021
+                     else math.ldexp(scale * total, e))
+            except OverflowError:  # the sum itself passes the largest double
+                s = math.inf
+            # fail closed: a NaN, zero or negative bound gives a NaN ratio
             ratio = s / bound if math.isfinite(bound) and bound > 0 else math.nan
         passed = s is None or ratio <= 1.0 + tol
         rows.append(CheckRow(theorem, label, t, order, n_d, s, bound, ratio, passed, tail, note))
@@ -160,10 +163,8 @@ def verify_member(
     checking, so a sound pipeline with a nonzero offset must fail.
     """
     plan = bound_plan(member.params, t_values)
-    d, d1_offset, e = lifted(member.d, d1_offset)
-    sums = weighted_sums(d, plan[1], d1_offset)
-    return plan_rows(plan, sums, 1.0, member.params, member.seed, member.order, len(member.d), tol,
-                     -2 * e)
+    sums = weighted_sums(member.d, plan[1], d1_offset)
+    return plan_rows(plan, sums, 1.0, member.params, member.seed, member.order, len(member.d), tol)
 
 
 def check_sharpness(

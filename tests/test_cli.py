@@ -876,10 +876,25 @@ def test_default_sweep_builds_each_distinct_point_once(tmp_path, monkeypatch):
     assert {n_d for _, _, n_d in solves} == {32, 11, 22, 54, 150}
 
 
-def test_search_runs_once_per_distinct_m(monkeypatch):
+@pytest.mark.parametrize("terms, ks, searched_ms, orders", [
+    # the default order gives m = 1 and m = 2 one N_d, 150, at B = -0.9: one search
+    ("0", "1,2", [1], [150, 150, 300]),
+    # an explicit order gives m = 1..4 the N_d 12, 6, 4 and 3: a search each
+    ("12", "1,2,3,4", [1, 2, 3, 4], [12] * 7),
+], ids=["default-order", "terms-12"])
+def test_search_runs_once_per_distinct_b_and_n_d(tmp_path, monkeypatch, capsys, terms, ks,
+                                                  searched_ms, orders):
     ms = count_calls(monkeypatch, "adversarial_search")
-    assert main(["search", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.9", "--budget", "100"]) == 0
-    assert ms == [1, 2]  # (0, 2) and (1, 1) share m = 1
+    out = tmp_path / "search.json"
+    argv = ["search", "--j", "0,1", "--k", ks, "--A", "1,0.8+0.3i", "--B=-0.9", "--budget", "60",
+            "--terms", terms, "--no-timestamp", "--out", str(out)]
+    assert main(argv) == 0
+    assert ms == searched_ms
+    rows = json.loads(out.read_text())
+    # every point with one (B, N_d) reports its search, under its own N
+    assert [row["N"] for row in rows if row["A"] == "1.0"] == orders
+    tails = {line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()}
+    assert len(tails) == len(searched_ms)
 
 
 def test_computed_points_do_not_outlive_their_command(tmp_path, monkeypatch):
@@ -1013,6 +1028,29 @@ def test_sums_on_weight_rows_below_the_normal_range_round_once(tmp_path, seed):
     assert all(0 < row["partial_sum"] < 2.0**-1000 for row, _ in pairs[1:3])
     for row, want in pairs:
         assert_member_row(row, want)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e154])
+def test_unit_sums_scale_past_the_largest_double_only_where_the_sum_does(tmp_path, delta):
+    # G = 2.5e307 and the lifted unit sums are 2^4 times the plain ones: their product
+    # with G passes the largest double, though the Thm2 sum itself, 1.57e307, is below
+    # its bound; with d_1 moved by 1e154 the Thm3(t=2) sum itself overflows, and fails
+    seed = "poly:0,0,0.7,0.2"
+    out = tmp_path / "huge.json"
+    argv = ["verify", "--j", "1", "--k", "1", "--A", "1e154", "--B=-0.5", "--t=1,2",
+            "--seeds", seed, "--inject-d1", repr(delta), "--no-timestamp", "--out", str(out)]
+    assert main(argv) == (1 if delta else 0)
+    rows = json.loads(out.read_text())
+    with np.errstate(over="ignore"):  # the member's 4 |d_1|^2 overflows in its weighted product
+        pairs = list(member_path_pairs(rows, [cli.parse_seed(seed)], (1.0, 2.0), d1_offset=delta))
+    assert len(pairs) == 4
+    for row, want in pairs:
+        assert_member_row(row, want)
+    sums = {row["theorem"]: row["partial_sum"] for row in rows}
+    if delta:
+        assert sums["Thm3(t=2)"] == math.inf
+    else:
+        assert sums["Thm2"] == 1.565600898737762e307
 
 
 FAULT_GRID = [

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlog import members, search
-from starlog.bounds import thm_a_bound
+from starlog.bounds import _weighted_series, thm_a_bound
 from starlog.errors import ConfigError, InvalidSeed, TruncationTooSmall
 from starlog.logcoeffs import sum_sq
-from starlog.members import ClassParams, ExpDamp, Polynomial, member_from_seed, suggested_order
+from starlog.members import ClassParams, ExpDamp, Polynomial, log_order, member_from_seed
+from starlog.members import suggested_order, unit_log_coefficients
 from starlog.search import FAMILIES, adversarial_search
 
 from proofchain import log_coefficients
@@ -98,20 +101,52 @@ _SOLVE_EDGES = [
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("k, B, order", _SOLVE_EDGES)
 def test_recorded_ratios_equal_the_member_pipeline_bitwise(monkeypatch, family, k, B, order):
-    """Each ratio the search scores off its reused buffers is the
-    plain-squares ratio of the seed's member, to the last bit."""
+    """Each ratio the search scores off its reused buffers is the sum of the
+    seed's |q_n|^2 over K(B), to the last bit, and the plain-squares ratio of
+    the seed's member to rounding."""
     params = ClassParams(1, k, 0.8 + 0.3j, B)
     order = order or suggested_order(params)
+    n_d = log_order(params, order)
     seed_of = {"expdamp": ExpDamp, "poly": Polynomial}[family]
     scored = _record_scores(monkeypatch)
     report = adversarial_search(params, family, budget=300, rng_seed=5, order=order)
     assert len(scored) == report.evaluations > 64
-    bound = thm_a_bound(params)
+    kernel, bound = _weighted_series(B, 0.0), thm_a_bound(params)
     for ratio, seed_args in scored:
-        member = member_from_seed(params, seed_of(*seed_args), order)
-        assert ratio == sum_sq(log_coefficients(member)) / bound
+        seed = seed_of(*seed_args)
+        assert ratio == float((np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum()) / kernel
+        member = member_from_seed(params, seed, order)
+        assert ratio == pytest.approx(sum_sq(log_coefficients(member)) / bound, rel=1e-14, abs=0)
     if family == "poly":
         assert sum(not any(args[0][1:]) for _, args in scored) >= 8
+
+
+#: (j, k) pairs of m = 1, 1, 2, 2, 4, 4 and 6
+_PAIRS = [(1, 1), (0, 2), (1, 2), (0, 3), (2, 3), (1, 4), (3, 4)]
+_A_VALUES = [1.0, 0.5, 0.8 + 0.3j, 1e4, -0.2 + 1e-3j, 3700 + 1100j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    B=st.sampled_from([0.0, -0.5, -0.9, -1.0]) | st.floats(-1.0, 0.0),
+    n_d=st.integers(1, 60),
+    points=st.lists(st.tuples(st.sampled_from(_PAIRS), st.sampled_from(_A_VALUES)),
+                    min_size=2, max_size=3),
+    budget=st.integers(1, 150),
+    rng_seed=st.integers(0, 20),
+)
+def test_report_depends_on_b_and_n_d_alone(family, B, n_d, points, budget, rng_seed):
+    """Every (j, k, A) at one (B, N_d) gets the same report, to the bit, but for
+    its order m N_d: G cancels from the ratio, and m enters only through N_d."""
+    reports = []
+    for (j, k), A in points:
+        params = ClassParams(j, k, A, B)
+        report = adversarial_search(params, family, budget, rng_seed, order=params.m * n_d)
+        assert report.order == params.m * n_d
+        reports.append((report.max_ratio.hex(), report.evaluations, report.best_seed,
+                        report.best_seed.sort_key(), report.converged))
+    assert reports.count(reports[0]) == len(reports)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +232,8 @@ def _plateau(x):
     return 0.0 if np.array_equal(x, _PLATEAU_X0) else 1.0
 
 
-_POLY_PARAMS = ClassParams(1, 2, 0.8 + 0.3j, -0.9)
-_POLY_SCORE = search._scorer(_POLY_PARAMS, "poly", suggested_order(_POLY_PARAMS))
+# the poly search's score at B = -0.9 and N_d = 150, `suggested_order`'s there
+_POLY_SCORE = search._scorer(-0.9, "poly", 150)
 
 
 def _poly_objective(x):
@@ -238,7 +273,7 @@ def _recording(f):
         (_poly_objective, np.array([0.0, 1.0, 0, 0, 0, 0, 0, 0]), 300, False),
         # from outside the certified simplex (sum |p_i| = 1.118), where most of a
         # search's evaluations land: every point is projected, and points on one
-        # ray project to one seed, so vertices tie; it converges in 965 calls
+        # ray project to one seed, so vertices tie; it converges in 987 calls
         (_poly_objective, _PROJECTED_X0, 2000, True),
     ],
     ids=["converges", "cap-at-step-end", "cap-inside-shrink", "zero-coordinates", "projected"],
@@ -261,71 +296,80 @@ def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
     if x0 is _PROJECTED_X0:
         assert all(_poly_sum(x) > 1.0 for x in ours)
         values = [f(x) for x in ours]
-        assert len(values) - len(set(values)) == 400  # values that repeat one before them
+        assert len(values) - len(set(values)) == 422  # values that repeat one before them
 
 
 def _corner(p1):
     return Polynomial(coeffs=(p1, 0j, 0j, 0j))
 
 
-# Reports as scipy's Nelder-Mead gave them, for a slice of (family, B, k,
-# rng seed, budget) at j = 1, A = 0.8+0.3i: a budget spent in the grid, in the
-# initial simplex, at a reflection, at a contraction, inside a shrink and at
-# the end of a step, and runs that converge.
+# Reports as scipy's Nelder-Mead gives them, scoring sum |q_n|^2 / K(B), for a
+# slice of (family, B, k, rng seed, budget) at j = 1, A = 0.8+0.3i: a budget spent
+# in the grid, in the initial simplex, at a reflection, at a contraction, inside a
+# shrink and at the end of a step, and runs that converge.
 _PINNED = [
     (
         ("expdamp", 0.0, 1, 0, 50),
-        (32, 50, "0x1.0000000000001p+0", ExpDamp(theta=2.356194490192345, c=0.0), False),
+        (32, 50, "0x1.0000000000002p+0", ExpDamp(theta=3.9269908169872414, c=0.0), False),
     ),
     (
+        # the last shrink point ends the step
         ("expdamp", 0.0, 1, 0, 200),
-        (32, 200, "0x1.0000000000002p+0", ExpDamp(theta=2.3635577103263046, c=0.0), False),
+        (32, 200, "0x1.0000000000002p+0", ExpDamp(theta=3.9269908169872414, c=0.0), False),
     ),
     (
         ("expdamp", -0.5, 1, 0, 2000),
-        (22, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), True),
+        (22, 228, "0x1.0000000000001p+0", ExpDamp(theta=3.9269908169872414, c=0.0), True),
     ),
     (
         # the run above, its budget ending on the step that met the tolerances
+        ("expdamp", -0.5, 1, 0, 228),
+        (22, 228, "0x1.0000000000001p+0", ExpDamp(theta=3.9269908169872414, c=0.0), False),
+    ),
+    (
+        # the same run, its budget ending inside a shrink
         ("expdamp", -0.5, 1, 0, 199),
-        (22, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), False),
+        (22, 199, "0x1.0000000000001p+0", ExpDamp(theta=3.9269908169872414, c=0.0), False),
     ),
     (
+        # after a reflection, before its contraction
         ("expdamp", -0.9, 1, 0, 200),
-        (150, 200, "0x1.0000000000003p+0", ExpDamp(theta=3.976078661554988, c=0.0), False),
+        (150, 200, "0x1.0000000000002p+0", ExpDamp(theta=3.9269908169872414, c=0.0), False),
     ),
     (
+        # after a failed contraction, before the shrink
         ("expdamp", -0.99, 4, 2, 200),
-        (6740, 190, "0x1.0000000000002p+0", ExpDamp(theta=1.1718854308128355e-05, c=0.0), True),
+        (6740, 200, "0x1.0000000000000p+0", ExpDamp(theta=3.9269848252748054, c=0.0), False),
     ),
     (
         ("poly", -0.5, 4, 1, 50),
-        (88, 50, "0x1.ffffffffffffep-1", _corner(6.123233995736766e-17 + 1j), False),
+        (88, 50, "0x1.ffffffffffffep-1", _corner(-1 + 1.2246467991473532e-16j), False),
     ),
     (
         ("poly", -0.9, 2, 3, 2000),
-        (300, 1097, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
+        (300, 1154, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
     ),
     (
         ("poly", -1.0, 1, 0, 200),
-        (512, 200, "0x1.ff6485c57e371p-1", _corner(0.7071067811865474 - 0.7071067811865477j), False),
-    ),    # the benchmark's search workload: m = 2 (k = 2), B = -0.5 and -0.9, rng seed 7,
+        (512, 200, "0x1.ff6485c57e373p-1", _corner(-1 + 1.2246467991473532e-16j), False),
+    ),
+    # the benchmark's search workload: m = 2 (k = 2), B = -0.5 and -0.9, rng seed 7,
     # budget 2000; every run converges
     (
         ("expdamp", -0.5, 2, 7, 2000),
-        (44, 199, "0x1.0000000000000p+0", ExpDamp(theta=6.25004768371582e-05, c=0.0), True),
+        (44, 228, "0x1.0000000000001p+0", ExpDamp(theta=3.9269908169872414, c=0.0), True),
     ),
     (
         ("expdamp", -0.9, 2, 7, 2000),
-        (300, 240, "0x1.0000000000003p+0", ExpDamp(theta=3.976078661554988, c=0.0), True),
+        (300, 249, "0x1.0000000000002p+0", ExpDamp(theta=3.9269908169872414, c=0.0), True),
     ),
     (
         ("poly", -0.5, 2, 7, 2000),
-        (44, 1189, "0x1.ffffffffffffep-1", _corner(6.123233995736766e-17 + 1j), True),
+        (44, 1082, "0x1.ffffffffffffep-1", _corner(-1 + 1.2246467991473532e-16j), True),
     ),
     (
         ("poly", -0.9, 2, 7, 2000),
-        (300, 1097, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
+        (300, 1154, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
     ),
 ]
 

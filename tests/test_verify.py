@@ -23,7 +23,7 @@ from starlog.members import (
     suggested_order,
 )
 from starlog.series import TruncatedSeries, from_coeffs
-from starlog.verify import DEFAULT_TOL, check_sharpness, lifted, verify_member
+from starlog.verify import DEFAULT_TOL, check_sharpness, verify_member, weighted_sums
 
 from proofchain import (
     HypothesisViolated,
@@ -436,13 +436,18 @@ def test_subnormal_sums_round_once(coeffs, k):
 
 def test_lift_is_a_power_of_two_that_stops_at_one_half():
     c = np.array([3e-200 + 4e-200j, -1e-210j])
-    up, offset, e = lifted(c, 1e-205)
-    assert 0.5 <= np.abs(up).max() < 1.0 and e > 0
-    assert np.array_equal(up, c * 2.0**e) and offset == 1e-205 * 2.0**e
-    assert lifted(c, 0.5 + 0j)[2] == 0  # the offset counts in the peak
+    before = c.tobytes()
+    (total,), shift = weighted_sums(c, ("sq",), 1e-205)
+    e = -shift // 2
+    assert shift == -2 * e and e > 0
+    up = c * 2.0**e
+    assert 0.5 <= np.abs(up).max() < 1.0
+    up[0] += 1e-205 * 2.0**e
+    assert total == float((np.abs(up) ** 2).sum()) and c.tobytes() == before
+    assert weighted_sums(c, ("sq",), 0.5 + 0j)[1] == 0  # the offset counts in the peak
     for peak in (0.0, 0.5, 7.0, math.inf, math.nan):
         same = np.array([peak, 1e-300 * peak], dtype=np.complex128)
-        assert lifted(same)[0] is same and lifted(same)[2] == 0
+        assert weighted_sums(same, ("sq",))[1] == 0
 
 
 def test_weight_stack_is_read_only_and_its_cache_bounded():
