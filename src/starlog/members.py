@@ -106,8 +106,9 @@ class SchwarzSeed:
     def label(self) -> str:
         raise NotImplementedError
 
-    def sort_key(self) -> tuple:
-        return (self.label(),)
+    def write(self, cs: np.ndarray) -> None:
+        """Write the coefficients of v into the zero array cs, truncated at len(cs) - 1."""
+        raise InvalidSeed(f"unknown seed type {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,9 @@ class Identity(SchwarzSeed):
 
     def label(self) -> str:
         return "identity"
+
+    def write(self, cs: np.ndarray) -> None:
+        cs[1:2] = 1.0
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ class Rotation(SchwarzSeed):
     def label(self) -> str:
         return f"rotation(theta={self.theta:.6g})"
 
-    def sort_key(self) -> tuple:
-        return ("rotation", self.theta)
+    def write(self, cs: np.ndarray) -> None:
+        cs[1:2] = cmath.exp(1j * self.theta)
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,9 @@ class ExpDamp(SchwarzSeed):
 
     def label(self) -> str:
         return f"expdamp(theta={self.theta:.6g},c={self.c:.6g})"
+
+    def write(self, cs: np.ndarray) -> None:
+        _write_expdamp(cs, self.theta, self.c)
 
     def sort_key(self) -> tuple:
         return ("expdamp", self.theta, self.c)
@@ -168,6 +175,9 @@ class Polynomial(SchwarzSeed):
     def label(self) -> str:
         body = ",".join(f"{c.real:.6g}{c.imag:+.6g}i" for c in self.coeffs)
         return f"poly({body})"
+
+    def write(self, cs: np.ndarray) -> None:
+        _write_poly(cs, self.coeffs)
 
     def sort_key(self) -> tuple:
         return ("poly",) + tuple(x for c in self.coeffs for x in (c.real, c.imag))
@@ -213,24 +223,10 @@ def _write_poly(cs: np.ndarray, coeffs) -> None:
     cs[1 : len(p) + 1] = p
 
 
-def _write_seed(cs: np.ndarray, seed: SchwarzSeed) -> None:
-    """Write the coefficients of `seed_series` into the zero array cs."""
-    if isinstance(seed, Identity):
-        cs[1:2] = 1.0
-    elif isinstance(seed, Rotation):
-        cs[1:2] = cmath.exp(1j * seed.theta)
-    elif isinstance(seed, ExpDamp):
-        _write_expdamp(cs, seed.theta, seed.c)
-    elif isinstance(seed, Polynomial):
-        _write_poly(cs, seed.coeffs)
-    else:
-        raise InvalidSeed(f"unknown seed type {type(seed).__name__}")
-
-
 def seed_series(seed: SchwarzSeed, order: int) -> TruncatedSeries:
     """Taylor coefficients of v(w) at 0, truncated at `order`; v(0) = 0 exactly."""
     cs = np.zeros(order + 1, dtype=np.complex128)
-    _write_seed(cs, seed)
+    seed.write(cs)
     return TruncatedSeries(cs)
 
 
@@ -316,11 +312,10 @@ def _held_solver(B: float, n_d: int, degree: int):
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
-    """Generate the member induced by a Schwarz seed at level w = z^m."""
-    v = np.zeros(log_order(params, order) + 1, dtype=np.complex128)
-    _write_seed(v, seed)
-    d = _solve_q(v, params.B)
-    d *= (params.A - params.B) / (2 * params.m)
+    """Generate the member induced by a Schwarz seed at level w = z^m: its
+    `unit_log_coefficients` times (A - B)/(2m)."""
+    q = unit_log_coefficients(params.B, seed, log_order(params, order))
+    d = q * ((params.A - params.B) / (2 * params.m))
     d.flags.writeable = False
     return ClassMember(d, params, seed, order)
 
@@ -333,7 +328,7 @@ def unit_log_coefficients(B: float, seed: SchwarzSeed, n_d: int) -> np.ndarray:
     scales this same solve.
     """
     v = np.zeros(n_d + 1, dtype=np.complex128)
-    _write_seed(v, seed)
+    seed.write(v)
     q = _solve_q(v, B)
     q.flags.writeable = False
     return q

@@ -7,9 +7,10 @@ bound.  A member's bounds come from its point's plan, and its sums from one
 weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
 Since |d_n|^2 = G |q_n|^2 with q the seed's unit coefficients at (B, N_d),
 a sweep reduces |q_n|^2 once per (B, seed, N_d) and scales the sums by each
-point's G, lifting a tiny q and a weight row below 1/2 by powers of two
-first so that a subnormal sum rounds once, not twice; both feed one row
-builder, `plan_rows`.
+point's G.  The reduction first moves the coefficients' peak into [1/2, 1)
+and a weight row below 1/2 up to it, by powers of two, so that no square
+overflows and a subnormal sum rounds once, not twice; both paths feed one
+row builder, `plan_rows`.  ThmA's plain squares are the t = 0 row.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple,
     the keys of the compared ones, in order.  Every bound is asked for here,
     before any sum, so one out of range raises before a sum can overflow.  A
     skipped or vacuous check has its ratio and note, and no key; a key is
-    "sq" (weight 1), "n2" (n^2) or t ((n+1)^t)."""
+    "n2" (n^2) or t ((n+1)^t), and ThmA's is 0.0, whose weights are exactly 1."""
 
     def plan(theorem: str, t: float | None, key, bound_fn, *args) -> tuple:
         try:
@@ -66,7 +67,7 @@ def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple,
             return theorem, t, math.inf, 0.0, VACUOUS, None
 
     checks = (
-        plan("ThmA", None, "sq", thm_a_bound),
+        plan("ThmA", None, 0.0, thm_a_bound),
         plan("Thm2", None, "n2", thm2_bound),
         *(plan(f"Thm3(t={t:g})", t, t, thm3_bound, t) for t in t_values),
     )
@@ -80,12 +81,12 @@ def _row_lift(key) -> int:
 
 @functools.lru_cache(maxsize=32)  # a command asks for a few N_d
 def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
-    """The weight rows of `keys` for n = 1..n_terms (read-only): 1, n^2 or
-    (n+1)^t 2^e, e its `_row_lift`; each weight is the `logcoeffs` one times 2^e
-    where that is normal, bit for bit, else two normal halves' product, each lifted."""
+    """The weight rows of `keys` for n = 1..n_terms (read-only): n^2 or
+    (n+1)^t 2^e, e its `_row_lift` (the t = 0 row is exactly 1); each weight is
+    the `logcoeffs` one times 2^e where that is normal, bit for bit, else two
+    normal halves' product, each lifted."""
     n = np.arange(1.0, n_terms + 1.0)
-    named = {"sq": np.ones(n_terms), "n2": n**2}
-    rows = [named[key] if isinstance(key, str) else (n + 1.0) ** key for key in keys]
+    rows = [n**2 if key == "n2" else (n + 1.0) ** key for key in keys]
     for i, key in enumerate(keys):
         if e := _row_lift(key):
             half = (n + 1.0) ** (key / 2)
@@ -99,22 +100,17 @@ def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
 def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> tuple[list[float], int]:
     """(sums, shift): the sums of |c_n 2^e|^2 against the weight rows of `keys`, in
     order, from one reduction, and shift = -2e.  c_1 of a copy moves by `c1_offset`
-    first.  e >= 0 is the least lift that brings the larger of max |c_n| and
-    |c1_offset| to 1/2 or above, so that no square is subnormal and a sum that a
-    scale multiplies later rounds once, in `plan_rows`.  The lift is exact: above
-    the subnormal range each sum is 2^(2e + row lift) times its `logcoeffs` sum
-    on c, bit for bit."""
+    first.  2^e, e of either sign, moves the larger of max |c_n| and |c1_offset|
+    into [1/2, 1): every square is then below 4, so none overflows, and a tiny
+    c's squares leave the subnormal range, so that a sum that a scale multiplies
+    later rounds once, in `plan_rows`, which also reads a sum past the largest
+    double as inf.  The move is exact: in the normal range each sum is
+    2^(2e + row lift) times its `logcoeffs` sum on c, bit for bit."""
     peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
-    e = max(0, -math.frexp(peak)[1])  # 0 for a peak of 0, inf or NaN
+    e = -math.frexp(peak)[1]  # 0 for a peak of 0, inf or NaN
     c = np.ldexp(c.view(np.float64), e).view(np.complex128)  # a copy: the caller's c stays
-    if c1_offset == 0:
-        sq = np.abs(c) ** 2
-    else:
-        c[0] += complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e))
-        # past about 1.3e154 it squares to inf, silently: every sum is inf, and fails closed
-        with np.errstate(over="ignore"):
-            sq = np.abs(c) ** 2
-    return (_weight_stack(len(sq), keys) * sq).sum(axis=1).tolist(), -2 * e
+    c[0] += complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e))
+    return (_weight_stack(len(c), keys) * np.abs(c) ** 2).sum(axis=1).tolist(), -2 * e
 
 
 def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,

@@ -1041,8 +1041,7 @@ def test_unit_sums_scale_past_the_largest_double_only_where_the_sum_does(tmp_pat
             "--seeds", seed, "--inject-d1", repr(delta), "--no-timestamp", "--out", str(out)]
     assert main(argv) == (1 if delta else 0)
     rows = json.loads(out.read_text())
-    with np.errstate(over="ignore"):  # the member's 4 |d_1|^2 overflows in its weighted product
-        pairs = list(member_path_pairs(rows, [cli.parse_seed(seed)], (1.0, 2.0), d1_offset=delta))
+    pairs = list(member_path_pairs(rows, [cli.parse_seed(seed)], (1.0, 2.0), d1_offset=delta))
     assert len(pairs) == 4
     for row, want in pairs:
         assert_member_row(row, want)
@@ -1074,6 +1073,29 @@ def test_injected_d1_offset_fails_as_on_each_member(tmp_path, delta):
     assert any(not w.passed for _, w in pairs)
     for row, want in pairs:  # the pass flag, the note, and the numbers to rounding
         assert_member_row(row, want)
+
+
+def test_thm_a_row_is_the_t_zero_row_bit_for_bit(tmp_path):
+    # ThmA's plain squares are Thm3's t = 0 weights, exactly 1, against one kernel: on
+    # every default-grid point and each seed kind the two rows agree bit for bit, on the
+    # command's unit path and on each member's own path
+    out = tmp_path / "t0.json"
+    seeds = ",".join(map(seed_descriptor, FAULT_SEEDS))
+    assert main(["verify", "--seeds", seeds, "--no-timestamp", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    pairs = list(member_path_pairs(rows, FAULT_SEEDS, DEFAULT_T))
+    assert len(pairs) == 135 * 4 * 6
+    numbers = ("partial_sum", "bound", "ratio")
+    checks: dict = {}
+    for row, want in pairs:
+        at = (row["j"], row["k"], row["A"], repr(row["B"]), row["seed"])
+        checks.setdefault(at, {})[row["theorem"]] = (
+            [float(row[name]).hex() for name in numbers],
+            [float(getattr(want, name)).hex() for name in numbers],
+        )
+    assert len(checks) == 135 * 4
+    for at, by in checks.items():
+        assert by["ThmA"] == by["Thm3(t=0)"], at
 
 
 # (1, 4) alone, or last in a grid whose earlier points (m = 1..3) have N_d >= 1

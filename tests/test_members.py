@@ -1,6 +1,7 @@
 """Class-member generation: extremal function, Schwarz seeds, subordination."""
 
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -15,6 +16,7 @@ from starlog.members import (
     Identity,
     Polynomial,
     Rotation,
+    SchwarzSeed,
     extremal_function,
     log_order,
     member_from_seed,
@@ -191,6 +193,24 @@ def test_schwarz_certification_on_grid(seed):
         powers = w[:, None] ** np.arange(len(coeffs))[None, :]
         values = powers @ coeffs
         assert np.all(np.abs(values) <= np.abs(w) + 1e-12)
+
+
+@dataclasses.dataclass(frozen=True)
+class Unwritten(SchwarzSeed):
+    """A seed type that does not override `write`."""
+
+    def label(self) -> str:
+        return "unwritten"
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: member_from_seed(ClassParams(1, 1, 1, -0.5), seed, 8),
+    lambda seed: unit_log_coefficients(-0.5, seed, 8),
+    lambda seed: seed_series(seed, 8),
+], ids=["member_from_seed", "unit_log_coefficients", "seed_series"])
+def test_a_seed_type_that_does_not_write_itself_is_refused(make):
+    with pytest.raises(InvalidSeed, match="^unknown seed type Unwritten$"):
+        make(Unwritten())
 
 
 class TestMemberFromSeed:

@@ -435,25 +435,33 @@ def test_subnormal_sums_round_once(coeffs, k):
 
 
 def test_lift_is_a_power_of_two_that_stops_at_one_half():
+    # the peak of |c_n| and |c1_offset| moves into [1/2, 1) by 2^e, e > 0 for a tiny
+    # peak and e < 0 for a large one; each sum's bits are those of the moved oracle
+    for c, offset, up in (
+        (np.array([3e-200 + 4e-200j, -1e-210j]), 1e-205, True),
+        (np.array([7.0, -1e-3j]), 0.0, False),
+        (np.array([1e300 - 2e299j, 3e290]), 1e299j, False),
+    ):
+        before = c.tobytes()
+        (total,), shift = weighted_sums(c, (0.0,), offset)
+        e = -shift // 2
+        assert shift == -2 * e and (e > 0) == up and e != 0
+        moved = c * 2.0**e
+        assert 0.5 <= np.abs(moved).max() < 1.0
+        moved[0] += offset * 2.0**e
+        assert total == float((np.abs(moved) ** 2).sum()) and c.tobytes() == before
     c = np.array([3e-200 + 4e-200j, -1e-210j])
-    before = c.tobytes()
-    (total,), shift = weighted_sums(c, ("sq",), 1e-205)
-    e = -shift // 2
-    assert shift == -2 * e and e > 0
-    up = c * 2.0**e
-    assert 0.5 <= np.abs(up).max() < 1.0
-    up[0] += 1e-205 * 2.0**e
-    assert total == float((np.abs(up) ** 2).sum()) and c.tobytes() == before
-    assert weighted_sums(c, ("sq",), 0.5 + 0j)[1] == 0  # the offset counts in the peak
-    for peak in (0.0, 0.5, 7.0, math.inf, math.nan):
+    assert weighted_sums(c, (0.0,), 0.5 + 0j)[1] == 0  # the offset counts in the peak
+    assert weighted_sums(c, (0.0,), 7.0 + 0j)[1] == 6  # upward too
+    for peak in (0.0, 0.5, math.inf, math.nan):
         same = np.array([peak, 1e-300 * peak], dtype=np.complex128)
-        assert weighted_sums(same, ("sq",))[1] == 0
+        assert weighted_sums(same, (0.0,))[1] == 0
 
 
 def test_weight_stack_is_read_only_and_its_cache_bounded():
     import starlog.verify as verify_mod
 
-    stack = verify_mod._weight_stack(5, ("sq", "n2", 2.0))
+    stack = verify_mod._weight_stack(5, (0.0, "n2", 2.0))
     assert stack.shape == (3, 5) and not stack.flags.writeable
     assert stack.tolist()[:2] == [[1.0] * 5, [1.0, 4.0, 9.0, 16.0, 25.0]]
     assert 0 < verify_mod._weight_stack.cache_info().maxsize <= 64
@@ -463,13 +471,13 @@ def test_weight_rows_below_one_half_are_lifted_by_a_power_of_two():
     import starlog.verify as verify_mod
 
     # (n+1)^t peaks at 2^t, n = 1, for t < 0: below 1/2 from t < -1 and subnormal from t < -1022
-    keys = ("sq", "n2", 2.0, -1.0, -1.5, -300.0, -1050.0)
+    keys = (0.0, "n2", 2.0, -1.0, -1.5, -300.0, -1050.0)
     n = np.arange(1.0, 41.0)
     stack = verify_mod._weight_stack(40, keys)
     assert [verify_mod._row_lift(key) for key in keys] == [0, 0, 0, 0, 1, 299, 1049]
     for key, row in zip(keys, stack):
         e = verify_mod._row_lift(key)
-        w = {"sq": np.ones(40), "n2": n**2}.get(key) if isinstance(key, str) else (n + 1.0) ** key
+        w = n**2 if key == "n2" else (n + 1.0) ** key
         normal = w >= np.finfo(float).tiny
         assert np.array_equal(row[normal], np.ldexp(w[normal], e)), key  # bits kept, times 2^e
         assert row.max() >= 0.5 and (e == 0 or row.max() < 1.0), key
@@ -478,6 +486,19 @@ def test_weight_rows_below_one_half_are_lifted_by_a_power_of_two():
             fine = [(float(x), got) for x, got in zip(exact, row[~normal]) if float(x) >= 2.0**-1022]
             assert all(abs(got - x) <= 4 * 2.0**-53 * x for x, got in fine), key
             assert key > -1022 or len(fine) == 2  # 2^1049 (n+1)^-1050 at n = 1 and 2
+
+
+def test_an_offset_that_squares_past_the_largest_double_warns_nothing():
+    # 4 |d_1 + 1e154|^2 passes the largest double: the reduction moves the peak into
+    # [1/2, 1) first, so no square overflows, and the sums that pass it read inf and fail
+    member = member_from_seed(ClassParams(1, 1, 1e154, -0.5), Polynomial((0, 0, 0.7, 0.2)), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = verify_member(member, t_values=(1.0, 2.0), d1_offset=1e154)
+    sums = {row.theorem: row.partial_sum for row in rows}
+    assert sums == {"ThmA": 1.0147959935200588e308, "Thm2": 1.1565630437849754e308,
+                    "Thm3(t=1)": math.inf, "Thm3(t=2)": math.inf}
+    assert not any(row.passed for row in rows)
 
 
 @pytest.mark.parametrize("B", [-0.5, -1.0])
