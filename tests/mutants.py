@@ -86,7 +86,7 @@ def mutate(src: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run_module(src: Path, module: str, work: Path, stop_early: bool) -> bool:
+def run_module(src: Path, module: str, work: Path) -> bool:
     """Whether `tests/<module>` passes with `import starlog` reading the copy at `src`.
 
     pytest runs in `work`, so hypothesis keeps its example database there.
@@ -96,10 +96,8 @@ def run_module(src: Path, module: str, work: Path, stop_early: bool) -> bool:
     loaded = subprocess.run(probe, env=env, cwd=work, capture_output=True, text=True, check=True)
     if not Path(loaded.stdout.strip()).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"import starlog loads {loaded.stdout.strip()}, not the copy at {src}")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), str(ROOT / "tests" / module)]
-    if stop_early:
-        cmd.append("-x")
     return subprocess.run(cmd, env=env, cwd=work, capture_output=True).returncode == 0
 
 
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / "src", clean)
         for module in sorted({m.module for m in mutants}):
             t0 = time.perf_counter()
-            if not run_module(clean, module, tmp, stop_early=False):
+            if not run_module(clean, module, tmp):
                 print(f"FAILED unmutated: {module}", flush=True)
                 return 1
             print(f"passes unmutated: {module} ({time.perf_counter() - t0:.1f} s)", flush=True)
@@ -125,7 +123,7 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / "src", src)
             mutate(src, mutant)
             t0 = time.perf_counter()
-            killed = not run_module(src, mutant.module, tmp, stop_early=True)
+            killed = not run_module(src, mutant.module, tmp)
             shutil.rmtree(src)
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict}: {mutant.name} by {mutant.module} ({time.perf_counter() - t0:.1f} s)",
