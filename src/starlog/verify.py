@@ -7,9 +7,10 @@ bound.  A member's bounds come from its point's plan, and its sums from one
 weighted reduction of |d_n|^2; a skipped or vacuous check makes no sum.
 Since |d_n|^2 = G |q_n|^2 with q the seed's unit coefficients at (B, N_d),
 a sweep reduces |q_n|^2 once per (B, seed, N_d) and scales the sums by each
-point's G.  The reduction first moves the coefficients' peak into [1/2, 1)
-and a weight row below 1/2 up to it, by powers of two, so that no square
-overflows and a subnormal sum rounds once, not twice; both paths feed one
+point's G.  The reduction first lifts a coefficient peak below 1/2 into
+[1/2, 1), and a weight row below 1/2 up to it, by powers of two, so that a
+subnormal sum rounds once, not twice; it lowers a large peak only as far as
+keeps every sum finite, so no square or sum overflows.  Both paths feed one
 row builder, `plan_rows`.  ThmA's plain squares are the t = 0 row.
 """
 
@@ -53,7 +54,7 @@ class CheckRow(NamedTuple):
 
 def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple, tuple]:
     """A point's checks, each (theorem, t, bound, ratio, note, weight key), and
-    the keys of the compared ones, in order.  Every bound is asked for here,
+    the distinct keys of the compared ones, in order.  Every bound is asked for here,
     before any sum, so one out of range raises before a sum can overflow.  A
     skipped or vacuous check has its ratio and note, and no key; a key is
     "n2" (n^2) or t ((n+1)^t), and ThmA's is 0.0, whose weights are exactly 1."""
@@ -71,7 +72,7 @@ def bound_plan(params: ClassParams, t_values: tuple[float, ...]) -> tuple[tuple,
         plan("Thm2", None, "n2", thm2_bound),
         *(plan(f"Thm3(t={t:g})", t, t, thm3_bound, t) for t in t_values),
     )
-    return checks, tuple(c[5] for c in checks if c[5] is not None)
+    return checks, tuple(dict.fromkeys(c[5] for c in checks if c[5] is not None))
 
 
 def _row_lift(key) -> int:
@@ -100,30 +101,36 @@ def _weight_stack(n_terms: int, keys: tuple) -> np.ndarray:
 def weighted_sums(c: np.ndarray, keys: tuple, c1_offset: complex = 0j) -> tuple[list[float], int]:
     """(sums, shift): the sums of |c_n 2^e|^2 against the weight rows of `keys`, in
     order, from one reduction, and shift = -2e.  c_1 of a copy moves by `c1_offset`
-    first.  2^e, e of either sign, moves the larger of max |c_n| and |c1_offset|
-    into [1/2, 1): every square is then below 4, so none overflows, and a tiny
-    c's squares leave the subnormal range, so that a sum that a scale multiplies
-    later rounds once, in `plan_rows`, which also reads a sum past the largest
-    double as inf.  The move is exact: in the normal range each sum is
-    2^(2e + row lift) times its `logcoeffs` sum on c, bit for bit."""
+    first.  Let the peak be the larger of max |c_n| and |c1_offset|.  Below 1/2,
+    e > 0 lifts it into [1/2, 1), so a tiny c's squares leave the subnormal
+    range and a sum that a scale multiplies later rounds once, in `plan_rows`.
+    Past 2^room, e < 0 lowers it to below 2^room: n_terms squares below
+    (2^(room+1))^2, c_1 + c1_offset's included, times the largest weight stay
+    below 2^1023, so no square or sum overflows, and `plan_rows` reads a sum
+    past the largest double as inf.  Between, e = 0: a sum that cannot overflow
+    keeps the bits of its subnormal terms.  The move is exact: in the normal
+    range each sum is 2^(2e + row lift) times its `logcoeffs` sum on c, bit for bit."""
     peak = max(float(np.max(np.abs(c), initial=0.0)), abs(c1_offset))
-    e = -math.frexp(peak)[1]  # 0 for a peak of 0, inf or NaN
+    exp = math.frexp(peak)[1]  # peak in [2^(exp-1), 2^exp); exp = 0 for 0, inf or NaN
+    stack = _weight_stack(len(c), keys)
+    room = (1021 - math.frexp(float(stack.max(initial=0.0)))[1] - len(c).bit_length()) // 2
+    e = min(max(0, -exp), room - exp)
     c = np.ldexp(c.view(np.float64), e).view(np.complex128)  # a copy: the caller's c stays
     c[0] += complex(math.ldexp(c1_offset.real, e), math.ldexp(c1_offset.imag, e))
-    return (_weight_stack(len(c), keys) * np.abs(c) ** 2).sum(axis=1).tolist(), -2 * e
+    return (stack * np.abs(c) ** 2).sum(axis=1).tolist(), -2 * e
 
 
 def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n_d: int,
               tol: float) -> list[CheckRow]:
     """The rows of `bound_plan`'s plan for the point `params`, the seed `seed`
     and N = order, N_d = n_d: `sums` is `weighted_sums`' (sums, shift), one sum
-    per plan key, and each compared check's sum is `scale` times the next sum,
+    per plan key, and each compared check's sum is `scale` times its key's sum,
     times 2^shift over its row's lift 2^e, rounded once.  `verify_member` gives
     the sums of |d_n|^2 at scale 1, `starlog verify` those of the seed's
     `unit_log_coefficients` q at scale G, shared at a (B, N_d)."""
-    checks, _ = plan
+    checks, keys = plan
     sums, shift = sums
-    sums = iter(sums)
+    sums = dict(zip(keys, sums))
     # from 2^-1021 on a sum times the mantissa is normal, and 2^exp joins the exact
     # ldexp, so no product can overflow before the shift; below it the product with
     # the whole scale (< 2^1024) stays under 8 and still rounds once
@@ -134,7 +141,7 @@ def plan_rows(plan, sums, scale: float, params: ClassParams, seed, order: int, n
     for theorem, t, bound, ratio, note, key in checks:
         s = None  # a skipped or vacuous row makes no sum
         if key is not None:
-            total, e = next(sums), shift - _row_lift(key)
+            total, e = sums[key], shift - _row_lift(key)
             try:
                 s = (math.ldexp(mantissa * total, exp + e) if total >= 2.0**-1021
                      else math.ldexp(scale * total, e))

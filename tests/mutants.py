@@ -3,21 +3,19 @@ and the test module named with it must fail on it.
 
 Run from anywhere:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py -k lift      # the mutants whose name contains "lift"
+    python tests/mutants.py
 
 A mutant is data: a file under `src/starlog`, the exact old text (which must
 occur once in it), the new text, and the test module that must kill it.  The
 runner copies `src/` to a temporary directory, applies one mutant there and
-runs only the named module, with PYTHONPATH at the copy, after checking that
-the copy is what `import starlog` loads (an editable install must not shadow
-it).  A mutant counts as killed only if its module fails on the mutant and
+runs only the named module, with PYTHONPATH at the copy; it first checks,
+on the unmutated copy, that the copy is what `import starlog` loads (an
+editable install must not shadow it).  A mutant counts as killed only if its module fails on the mutant and
 passes on the unmutated copy.  Exit status 0: every mutant killed; 1: not.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -53,7 +51,9 @@ MUTANTS = (
     Mutant("term tolerance 1e-9", "verify.py",
            "COEFF_TOL = 1e-11", "COEFF_TOL = 1e-9", "test_cli.py"),
     Mutant("one-way lift", "verify.py",
-           "e = -math.frexp(peak)[1]", "e = max(0, -math.frexp(peak)[1])", "test_verify.py"),
+           "e = min(max(0, -exp), room - exp)", "e = max(0, -exp)", "test_verify.py"),
+    Mutant("lift down to [1/2, 1) at any peak", "verify.py",
+           "e = min(max(0, -exp), room - exp)", "e = -exp", "test_verify.py"),
     Mutant("ThmA weighted by (n+1)^1", "verify.py",
            'plan("ThmA", None, 0.0, thm_a_bound)', 'plan("ThmA", None, 1.0, thm_a_bound)',
            "test_verify.py"),
@@ -86,39 +86,41 @@ def mutate(src: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
+def environment(src: Path) -> dict:
+    """The environment in which `import starlog` reads the copy at `src`."""
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_module(src: Path, module: str, work: Path) -> bool:
     """Whether `tests/<module>` passes with `import starlog` reading the copy at `src`.
 
     pytest runs in `work`, so hypothesis keeps its example database there.
     """
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    probe = [sys.executable, "-c", "import starlog; print(starlog.__file__)"]
-    loaded = subprocess.run(probe, env=env, cwd=work, capture_output=True, text=True, check=True)
-    if not Path(loaded.stdout.strip()).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"import starlog loads {loaded.stdout.strip()}, not the copy at {src}")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT), str(ROOT / "tests" / module)]
-    return subprocess.run(cmd, env=env, cwd=work, capture_output=True).returncode == 0
+    return subprocess.run(cmd, env=environment(src), cwd=work, capture_output=True).returncode == 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose name contains this")
-    args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if args.k in m.name]
+def main() -> int:
     start = time.perf_counter()
     survived = []
     with tempfile.TemporaryDirectory(prefix="starlog-mutants-") as tmp:
         tmp = Path(tmp)
         clean = tmp / "clean"
         shutil.copytree(ROOT / "src", clean)
-        for module in sorted({m.module for m in mutants}):
+        # every copy sits in `tmp` with the same layout, so one probe covers them all
+        probe = [sys.executable, "-c", "import starlog; print(starlog.__file__)"]
+        loaded = subprocess.run(probe, env=environment(clean), cwd=tmp, capture_output=True,
+                                text=True, check=True).stdout.strip()
+        if not Path(loaded).resolve().is_relative_to(clean.resolve()):
+            raise SystemExit(f"import starlog loads {loaded}, not the copy at {clean}")
+        for module in sorted({m.module for m in MUTANTS}):
             t0 = time.perf_counter()
             if not run_module(clean, module, tmp):
                 print(f"FAILED unmutated: {module}", flush=True)
                 return 1
             print(f"passes unmutated: {module} ({time.perf_counter() - t0:.1f} s)", flush=True)
-        for i, mutant in enumerate(mutants):
+        for i, mutant in enumerate(MUTANTS):
             src = tmp / f"mutant{i}"
             shutil.copytree(ROOT / "src", src)
             mutate(src, mutant)
@@ -131,7 +133,7 @@ def main(argv=None) -> int:
             if not killed:
                 survived.append(mutant.name)
     elapsed = time.perf_counter() - start
-    print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed in {elapsed:.0f} s")
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed in {elapsed:.0f} s")
     return 1 if survived else 0
 
 

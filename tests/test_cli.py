@@ -993,6 +993,9 @@ T_SETS = {
 # N_d = 4096 one ulp from B = -1: the member's d_n drifts 1.5e-13 relative from G^(1/2) q_n
 @example(js=[0], ks=[2], t_and_As=(DEFAULT_T, [0.5]), Bs=[-0.9999999999999999], seeds=[Identity()],
          terms=0)
+# v_1 = 0: no n = 1 term keeps the sums of the rows below the normal range normal
+@example(js=[1], ks=[1], t_and_As=((-1050.0, -1040.0, -1.5, 0.5), [1e6]), Bs=[-0.5],
+         seeds=[Polynomial((0.0, 0.0, 0.3))], terms=0)
 def test_verify_rows_in_units_of_g_match_each_members_rows(tmp_path, js, ks, t_and_As, Bs, seeds,
                                                           terms):
     # the sums come from one unit solve per (B, seed, N_d), scaled by each point's G;

@@ -435,11 +435,11 @@ def test_subnormal_sums_round_once(coeffs, k):
 
 
 def test_lift_is_a_power_of_two_that_stops_at_one_half():
-    # the peak of |c_n| and |c1_offset| moves into [1/2, 1) by 2^e, e > 0 for a tiny
-    # peak and e < 0 for a large one; each sum's bits are those of the moved oracle
+    # a peak of |c_n| and |c1_offset| below 1/2 moves up into [1/2, 1) by 2^e, e > 0; a
+    # large one moves down by e < 0 only past 2^room, just below it: with one weight
+    # row of ones and two terms, 2^509; each sum's bits are those of the moved oracle
     for c, offset, up in (
         (np.array([3e-200 + 4e-200j, -1e-210j]), 1e-205, True),
-        (np.array([7.0, -1e-3j]), 0.0, False),
         (np.array([1e300 - 2e299j, 3e290]), 1e299j, False),
     ):
         before = c.tobytes()
@@ -447,15 +447,31 @@ def test_lift_is_a_power_of_two_that_stops_at_one_half():
         e = -shift // 2
         assert shift == -2 * e and (e > 0) == up and e != 0
         moved = c * 2.0**e
-        assert 0.5 <= np.abs(moved).max() < 1.0
+        assert (0.5 <= np.abs(moved).max() < 1.0) if up else (2.0**508 <= np.abs(moved).max() < 2.0**509)
         moved[0] += offset * 2.0**e
         assert total == float((np.abs(moved) ** 2).sum()) and c.tobytes() == before
     c = np.array([3e-200 + 4e-200j, -1e-210j])
     assert weighted_sums(c, (0.0,), 0.5 + 0j)[1] == 0  # the offset counts in the peak
-    assert weighted_sums(c, (0.0,), 7.0 + 0j)[1] == 6  # upward too
-    for peak in (0.0, 0.5, math.inf, math.nan):
+    assert weighted_sums(c, (0.0,), 7.0 + 0j)[1] == 0  # a peak that cannot overflow stays
+    assert weighted_sums(c, (0.0,), 2.0**600 + 0j)[1] == 2 * 92  # 2^600 lowered to 2^508
+    for peak in (0.0, 0.5, 7.0, 2.0**508, math.inf, math.nan):
         same = np.array([peak, 1e-300 * peak], dtype=np.complex128)
         assert weighted_sums(same, (0.0,))[1] == 0
+    # room = (1021 - the largest weight's binary exponent - the term count's bit length) // 2:
+    # (1021 - 20 - 10) // 2 = 495 for the n^2 row of 1000 terms, whose largest weight is 10^6
+    assert weighted_sums(np.full(1000, 2.0**600, dtype=np.complex128), ("n2",))[1] == 2 * 106
+
+
+def test_a_peak_that_cannot_overflow_keeps_its_subnormal_terms_bits():
+    # d_1 .. d_14 = 0 and |d_15| ~ 2^194: at t = -345 the lifted weight 16^-345 2^344 =
+    # 2^-1036 is exact, and its product with |d_15|^2 is normal, so the sum rounds once;
+    # lowering the peak into [1/2, 1) would have rounded that product as a subnormal
+    member = member_from_seed(ClassParams(1, 1, 1e60, -0.5), Polynomial((0,) * 14 + (0.7,)), 64)
+    assert not member.d[:14].any() and abs(member.d[14]) > 2.0**193
+    (row,) = [row for row in verify_member(member, t_values=(-345.0,)) if row.t == -345.0]
+    sq = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in map(complex, member.d)]
+    exact = sum(Fraction(n + 1) ** -345 * s for n, s in enumerate(sq, 1))
+    assert row.partial_sum == float(exact) > 2.0**-1000
 
 
 def test_weight_stack_is_read_only_and_its_cache_bounded():
@@ -489,8 +505,8 @@ def test_weight_rows_below_one_half_are_lifted_by_a_power_of_two():
 
 
 def test_an_offset_that_squares_past_the_largest_double_warns_nothing():
-    # 4 |d_1 + 1e154|^2 passes the largest double: the reduction moves the peak into
-    # [1/2, 1) first, so no square overflows, and the sums that pass it read inf and fail
+    # 4 |d_1 + 1e154|^2 passes the largest double: the reduction lowers the peak below
+    # 2^room first, so no square overflows, and the sums that pass it read inf and fail
     member = member_from_seed(ClassParams(1, 1, 1e154, -0.5), Polynomial((0, 0, 0.7, 0.2)), 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
