@@ -18,6 +18,7 @@ extremal function.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import TruncatedSeries, _band_storage, _solve_blocks, _solve_toeplitz
+from .series import _BLOCK, TruncatedSeries, _band, _block_plan, _solve_blocks, _solve_toeplitz
 
 
 def check_pair(j: int, k: int) -> None:
@@ -88,9 +89,9 @@ def _check_expdamp(theta: float, c: float) -> None:
         raise InvalidSeed(f"damping c = {c} must be finite and nonnegative")
 
 
-def _poly_total(coeffs) -> float:
+def _poly_total(coeffs, out=None) -> float:
     """sum |p_i| of a polynomial seed's coefficients, as its certificate reads it."""
-    return float(np.add.reduce(np.abs(coeffs)))
+    return float(np.add.reduce(np.abs(coeffs, out), 0))
 
 
 def _check_poly(total: float) -> None:
@@ -263,52 +264,47 @@ def log_order(params: ClassParams, order: int) -> int:
     return order // m
 
 
-def _solve_q(v: np.ndarray, B: float) -> np.ndarray:
-    """A fresh q_1..q_{N_d}, q_n = u_n/n with (1 + Bv)u = v, for the seed
-    coefficients v_0..v_{N_d} (v_0 = 0): the whole solve of a member's d_n."""
-    den = B * v
-    den[0] = 1.0
-    # L(w) = (1/m) int_0^w P(u)/u du = ((A - B)/m) sum_n (u_n/n) w^n = 2 sum d_n w^n
-    return _solve_toeplitz(den, v)[1:] / np.arange(1.0, len(v))
-
-
-def _held_solver(B: float, n_d: int, degree: int):
-    """(v, abs_sq) for seeds of degree <= `degree`, on solve buffers held by abs_sq.
-
-    v is the zero buffer v_0..v_h, h = min(degree, N_d), for the seed's
-    coefficients.  abs_sq() writes only what v sets: B v_i into the divisor
-    and rows 1..h of its band storage, v_i into the rhs head, then runs the
-    block loop once and returns |q_1|^2..|q_{N_d}|^2 in a reused array, the
-    bits of `np.abs(_solve_q(...)) ** 2` on the zero-padded v.  The storage
-    is `_band_storage`'s for a degree-h divisor: dense up to _BLOCK rows,
-    else band h, which holds every shorter band too.
-    """
+def _held_solver(B: float, n_d: int, degree: int | None = None):
+    """(v, sum_sq): seeds written one after another into the zero-padded rhs v
+    (v_1..v_h, h = min(degree, N_d), or any v_n without a degree) and solved on
+    buffers held by sum_sq.  sum_sq() returns sum |q_n|^2, the bits of
+    `(np.abs(unit_log_coefficients(B, seed, N_d)) ** 2).sum()`, and allocates no
+    array but each later block's convolution.  Its calls: B v_n into the divisor
+    and rows 0..h of its band storage, v into the solution x, one `ztbsv` per
+    block and one convolution per later block, then divide, abs, square and sum
+    (eight numpy and f2py calls for one block).  The band is a degree-h
+    divisor's (dense up to _BLOCK rows, else h, which holds every shorter band
+    bit for bit), or each seed's, scanned, without a degree; its storage, a
+    view of one held buffer, and its plan are made when the band is first met."""
     n = n_d + 1
+    h = n_d if degree is None else min(degree, n_d)
     # B as a 0-d complex array: the same products as the Python number gives,
     # without numpy converting a Python scalar on every call
     B = np.array(complex(B))
-    h = min(degree, n_d)
-    v = np.zeros(h + 1, dtype=np.complex128)
-    den = np.zeros(n, dtype=np.complex128)
+    v, den, x = (np.zeros(n, dtype=np.complex128) for _ in range(3))
     den[: h + 1] = 1.0
-    band, ab = _band_storage(den, n)
-    x = np.empty(n, dtype=np.complex128)
-    divisors = np.arange(1.0, n)
-    q = np.empty(n_d, dtype=np.complex128)
-    sq = np.empty(n_d)
-    # made once: the views an evaluation writes through
-    v_tail, den_head, ab_head = v[1:], den[1 : h + 1], ab[1 : h + 1]
-    x_head, x_tail, den_col = x[: h + 1], x[h + 1 :], den[1 : h + 1, None]
+    fixed = None if degree is None else _band(den, n)
+    flat = np.zeros(min(_BLOCK, n) ** 2, dtype=np.complex128)  # any band's storage
+    divisors, q, sq = np.arange(1.0, n), np.empty(n_d, dtype=np.complex128), np.empty(n_d)
+    v_head, den_head, x_tail = v[1 : h + 1], den[1 : h + 1], x[1:]
 
-    def abs_sq() -> np.ndarray:
-        np.multiply(B, v_tail, den_head)
-        ab_head[...] = den_col
-        x_head[...] = v
-        x_tail.fill(0.0)
-        np.divide(_solve_blocks(den, x, band, ab)[1:], divisors, q)
-        return np.square(np.abs(q, sq), sq)
+    @functools.cache
+    def planned(band: int) -> tuple:
+        """The storage rows a seed rewrites, their column of the divisor, and the plan."""
+        ab, plan = _block_plan(den, x, band, flat)
+        live = min(len(ab), h + 1)
+        return ab[:live], den[:live, None], plan
 
-    return v, abs_sq
+    def sum_sq() -> float:
+        np.multiply(B, v_head, den_head)
+        storage, column, plan = planned(_band(den, n) if fixed is None else fixed)
+        storage[...] = column
+        x[...] = v  # a fresh rhs: the solve overwrites x
+        _solve_blocks(plan, x)
+        np.divide(x_tail, divisors, q)
+        return float(np.add.reduce(np.square(np.abs(q, sq), sq), 0))
+
+    return v, sum_sq
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:
@@ -329,7 +325,10 @@ def unit_log_coefficients(B: float, seed: SchwarzSeed, n_d: int) -> np.ndarray:
     """
     v = np.zeros(n_d + 1, dtype=np.complex128)
     seed.write(v)
-    q = _solve_q(v, B)
+    den = B * v
+    den[0] = 1.0
+    # L(w) = (1/m) int_0^w P(u)/u du = ((A - B)/m) sum_n (u_n/n) w^n = 2 sum d_n w^n
+    q = _solve_toeplitz(den, v)[1:] / np.arange(1.0, n_d + 1)
     q.flags.writeable = False
     return q
 

@@ -16,6 +16,7 @@ the search loads nothing of scipy beyond the BLAS extension of `starlog.series`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .bounds import _weighted_series
 from .errors import ConfigError
 from .members import ClassParams, ExpDamp, Polynomial, SchwarzSeed, log_order, suggested_order
-from .members import _check_expdamp, _check_poly, _held_solver, _solve_q
+from .members import _check_expdamp, _check_poly, _held_solver
 from .members import _poly_total, _write_expdamp, _write_poly
 
 _EXPDAMP_C_MAX = 5.0
@@ -50,20 +51,21 @@ def _expdamp_point(v: np.ndarray, x) -> tuple:
     return theta, c
 
 
-def _poly_point(v: np.ndarray, x: np.ndarray) -> tuple:
+def _poly_point(v: np.ndarray, x: np.ndarray, mags: np.ndarray) -> tuple:
     """Write the certified Polynomial seed of point x into v; returns its
     (coeffs,), the array of coefficients written.
 
     x is a contiguous float64 array (re p_1, im p_1, re p_2, ...), read as
     complex128 in place and copied, so a projection scales the copy, not x.
     For a point with no -0.0 and no non-finite coordinate, which is every
-    point of a search, these are the bits of x[0::2] + 1j * x[1::2].
+    point of a search, these are the bits of x[0::2] + 1j * x[1::2].  Each
+    total's |p_i| go to `mags`, held by the search.
     """
     p = x.view(np.complex128).copy()
-    total = _poly_total(p)
+    total = _poly_total(p, mags)
     if total > 1.0:
         p *= (1.0 - 1e-12) / total  # project back onto the certified simplex
-        total = _poly_total(p)
+        total = _poly_total(p, mags)
     _check_poly(total)  # the total of the coefficients written, as `Polynomial` reads it
     _write_poly(v, p)
     return (p,)
@@ -76,22 +78,20 @@ FAMILIES = tuple(_FAMILY)
 
 def _scorer(B: float, family: str, n_d: int):
     """x -> (ratio, seed args) of the family's seed at x, scored op for op as
-    `(np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum() / K(B)`.  A poly
-    seed is solved on buffers held for the whole search; an ExpDamp seed, dense,
-    is written into one reused buffer and solved by `_solve_q`, its band scanned."""
+    `(np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum() / K(B)`, on the
+    buffers of one `_held_solver` held for the whole search: a poly seed at its
+    degree's band, a dense ExpDamp seed at the band scanned per point."""
     write = _FAMILY[family][1]
     kernel = _weighted_series(B, 0.0)  # K(B), the bound in units of G
     if family == "poly":
-        v, abs_sq = _held_solver(B, n_d, _POLY_DEGREE)
+        v, sum_sq = _held_solver(B, n_d, _POLY_DEGREE)
+        write = functools.partial(write, mags=np.empty(_POLY_DEGREE))
     else:
-        v = np.zeros(n_d + 1, dtype=np.complex128)
-
-        def abs_sq() -> np.ndarray:
-            return np.abs(_solve_q(v, B)) ** 2
+        v, sum_sq = _held_solver(B, n_d)
 
     def score(x) -> tuple[float, tuple]:
         args = write(v, x)
-        return float(np.add.reduce(abs_sq())) / kernel, args
+        return sum_sq() / kernel, args
 
     return score
 
@@ -108,15 +108,15 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
     the fill and after every step, as in scipy, so ties break the same way
     (scipy sorts once more after the fill, which changes nothing).
 
-    Each step runs scipy's arithmetic on the same arrays, on fewer calls:
-    `fsim.argsort()` (numpy's quicksort; Python's sort may break ties
-    otherwise) and `take` reorder the simplex; `np.maximum.reduce(..., None)`
-    takes the two spreads and `np.add.reduce` the centroid, the reductions
-    that `ndarray.max` and `ndarray.sum` run, without their wrappers; n and
-    the step coefficients are Python floats, the same doubles as scipy's ints,
-    which numpy converts for less; and a shrink moves every vertex but the
-    best in one expression, to the bits of scipy's row by row update, then
-    calls f on them in order.
+    Each step runs scipy's arithmetic on fewer calls: `fsim.argsort()` (numpy's
+    quicksort; Python's sort may break ties otherwise) and `take` reorder the
+    simplex; f's spread, tested first, is fsim[-1] - fsim[0], scipy's max
+    |fsim[0] - fsim[1:]| on the sorted fsim (rounding is monotone; a NaN, sorted
+    last, fails both), so the vertices' spread is taken only once f's is met;
+    `np.add.reduce` takes the centroid without `ndarray.sum`'s wrapper; n and
+    the step coefficients are 0-d float64 arrays, scipy's doubles, which numpy
+    takes without converting a Python number; and a shrink moves every vertex
+    but the best in one expression, to the bits of scipy's row by row update.
     """
     calls = 0
 
@@ -128,7 +128,7 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         return f(x)
 
     n = len(x0)
-    nf = float(n)
+    nf, half, three_halves, two, three = map(np.array, (float(n), 0.5, 1.5, 2.0, 3.0))
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
@@ -139,31 +139,30 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         while calls < maxfev:  # the cap goes before the tolerances: a step ending on it fails
             order = fsim.argsort()
             sim, fsim = sim.take(order, 0), fsim.take(order)
-            spread = np.maximum.reduce(np.abs(sim[1:] - sim[0]), None)
-            if spread <= xatol and np.maximum.reduce(np.abs(fsim[0] - fsim[1:]), None) <= fatol:
+            if fsim[-1] - fsim[0] <= fatol and np.maximum.reduce(np.abs(sim[1:] - sim[0]), None) <= xatol:
                 return True, calls
             xbar = np.add.reduce(sim[:-1], 0) / nf
-            xr = 2.0 * xbar - sim[-1]
+            xr = two * xbar - sim[-1]
             fxr = fun(xr)
             if fxr < fsim[0]:  # expand
-                xe = 3.0 * xbar - 2.0 * sim[-1]
+                xe = three * xbar - two * sim[-1]
                 fxe = fun(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:  # reflect
                 sim[-1], fsim[-1] = xr, fxr
             else:  # contract outside or inside; shrink toward sim[0] if that fails
                 if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    xc = three_halves * xbar - half * sim[-1]
                     fxc = fun(xc)
                     accept = fxc <= fxr
                 else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    xc = half * xbar + half * sim[-1]
                     fxc = fun(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
-                    sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                    sim[1:] = sim[0] + half * (sim[1:] - sim[0])
                     for j in range(1, n + 1):
                         fsim[j] = fun(sim[j])
     except _Spent:
@@ -207,30 +206,22 @@ def adversarial_search(
 
     # the best (ratio, seed) so far; a tie goes to the smaller seed key, whatever the order
     max_ratio, best_seed = -math.inf, None
+    clip = family == "expdamp"  # c is kept inside [0, C_MAX], where _expdamp_point clips it
 
-    def score(x) -> float:
+    def objective(x) -> float:  # -r + 10.0 * pen, pen +0.0 for poly: a ratio of 0 gives +0.0
         nonlocal max_ratio, best_seed
         r, args = ratio(x)
         if r >= max_ratio:  # a seed is built only for a new best or a tie
             seed = make_seed(*args)
             if r > max_ratio or seed.sort_key() < best_seed.sort_key():
                 max_ratio, best_seed = r, seed
-        return r
+        pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2 if clip else 0.0
+        return -r + 10.0 * pen
 
-    grid_ratios = [score(x) for x in grid[:budget]]
-    best_x = grid[grid_ratios.index(max(grid_ratios))]
-    used = len(grid_ratios)
-
-    if family == "expdamp":
-
-        def objective(x):  # keep c inside [0, C_MAX], where _expdamp_point clips it
-            pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2
-            return -score(x) + 10.0 * pen
-
-    else:
-
-        def objective(x):  # -r + 10.0 * 0.0, to the bit: a ratio of 0 still gives +0.0
-            return -score(x) + 0.0
+    # no grid point is penalized, so the least objective is the first greatest ratio
+    grid_values = [objective(x) for x in grid[:budget]]
+    best_x = grid[grid_values.index(min(grid_values))]
+    used = len(grid_values)
 
     # a budget spent in the grid leaves no call: the refinement stops at once, unconverged
     converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)

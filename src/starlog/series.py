@@ -8,11 +8,12 @@ blocks of rows: one convolution brings the solved history into a block
 and one BLAS banded triangular solve finishes it.  The history and the
 band reach back only over the index of the last nonzero Toeplitz entry,
 so a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds
-and a dense one O(N^2); the per-coefficient Python overhead goes.  The
-solve has two parts: `_band_storage` finds the band and fills one block's
-band storage, and `_solve_blocks`, the one block loop, runs on storage
-its caller holds.  `_solve_toeplitz` makes both per call; a caller that
-solves many divisors of one band can keep them and rewrite only the rows
+and a dense one O(N^2); the per-coefficient Python overhead goes.
+`_block_plan` cuts the rows into blocks and makes every view a block reads
+once, and `_solve_blocks`, the one block loop, runs the plan: one `ztbsv`
+per block and one convolution per later block, the convolution's result
+the only allocation.  `_solve_toeplitz` plans every call; a caller that
+solves many divisors of one band keeps the plan and rewrites the rows
 that change.  Each block's solve is scipy's f2py `ztbsv`, loaded from its
 compiled BLAS wrapper `scipy.linalg._fblas` without the `scipy.linalg`
 package, so importing this module loads numpy and that one scipy extension.
@@ -96,60 +97,66 @@ class TruncatedSeries:
         return add(self, other)
 
 
-def _band_storage(t: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """The band b of the first n entries of t and one block's band storage for it.
-
-    Row n of the solve reaches back over b only (t_k = 0 for k > b).  b is
-    scanned for only past _BLOCK rows and when t[n - 1] is zero, else it is
-    n - 1 (dense); NaN and inf count as nonzero.  The storage is w =
-    min(b, _BLOCK - 1) + 1 rows (row i holds t_i) over _BLOCK**2 // w
-    columns (at most n): 64 rows of x when dense, 2048 when b = 1.
-    """
-    band = n - 1
+def _band(t: np.ndarray, n: int) -> int:
+    """The band b of the first n entries of t (t_k = 0 for k > b): scanned for
+    only past _BLOCK rows and when t[n - 1] is zero, else n - 1 (dense); NaN
+    and inf count as nonzero."""
     if n > _BLOCK and t[n - 1] == 0:
         (nonzero,) = t[:n].nonzero()
-        band = int(nonzero[-1]) if nonzero.size else 0
+        return int(nonzero[-1]) if nonzero.size else 0
+    return n - 1
+
+
+def _block_plan(t: np.ndarray, x: np.ndarray, band: int, flat: np.ndarray, diag=None) -> tuple:
+    """(ab, plan) for the solve of x in place on t, of band `band`.  ab, one
+    block's band storage (unfilled), is a Fortran-order view of `flat`: w =
+    min(band, _BLOCK - 1) + 1 rows (row i for t_i) over _BLOCK**2 // w columns,
+    at most len(x), so 64 rows of x a block when dense, 2048 when band = 1.  The
+    plan has each block's (offset, storage, history, diagonal): the history, from
+    the second block on, is (its rows of x, t_1.., the solved rows of x the band
+    reaches), and the diagonal, with `diag`, is (storage row 0, its rows of diag)."""
     width = min(band, _BLOCK - 1) + 1
-    ab = np.empty((width, min(_BLOCK * _BLOCK // width, n)), dtype=np.complex128, order="F")
-    ab[:] = t[:width, None]
-    return band, ab
+    rows = min(_BLOCK * _BLOCK // width, len(x))
+    ab = flat[: width * rows].reshape((width, rows), order="F")
+    plan = []
+    for s in range(0, len(x), rows):
+        e = min(s + rows, len(x))
+        lo = max(0, s - band)
+        history = (x[s:e], t[1 : e - lo], x[lo:s]) if s and band else None
+        diagonal = None if diag is None else (ab[0, : e - s], diag[s:e])
+        plan.append((s, ab[:, : e - s], history, diagonal))
+    return ab, plan
 
 
-def _solve_blocks(t: np.ndarray, x: np.ndarray, band: int, ab: np.ndarray, diag=None):
-    """Solve in place: x holds the rhs of `_solve_toeplitz` and becomes its solution.
-
-    `band` and the storage `ab` are `_band_storage`'s for t, or any band and
-    storage that hold t's nonzero entries; a caller may keep them from one
-    solve to the next and rewrite only the rows that change.  Each block of
-    rows takes its solved history by one convolution over the band, then one
-    `ztbsv`; `diag` overwrites row 0 of the storage per block.
-    """
-    width, rows = ab.shape
-    n = len(x)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        if s and band:
-            lo = max(0, s - band)
-            x[s:e] -= np.convolve(t[1 : e - lo], x[lo:s], "valid")
-        if diag is not None:
-            ab[0, : e - s] = diag[s:e]
+def _solve_blocks(plan: list, x: np.ndarray) -> np.ndarray:
+    """Solve in place by `_block_plan`'s plan made on x, which holds the rhs of
+    `_solve_toeplitz` and becomes its solution: per block, its history by one
+    convolution over the band, then one `ztbsv`.  x is contiguous complex128, so
+    `ztbsv` overwrites x itself, which the plan's views read."""
+    for s, a, history, diagonal in plan:
+        if history:
+            rows, t, past = history
+            rows -= np.convolve(t, past, "valid")
+        if diagonal:
+            row, d = diagonal
+            row[...] = d
         # incx 1, offx s, lower, no transpose, non-unit diagonal, overwrite x; passed
         # by position, since f2py's keyword parsing costs more than a short solve
-        x = ztbsv(width - 1, ab[:, : e - s], x, 1, s, 1, 0, 0, 1)
+        ztbsv(len(a) - 1, a, x, 1, s, 1, 0, 0, 1)
     return x
 
 
 def _solve_toeplitz(t: np.ndarray, rhs: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
-    """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs).
-
-    d_n = t_0 unless `diag` gives the diagonal; t needs len(rhs) entries.
-    Allocates the solution and one block's band storage per call
-    (`_band_storage`), then runs the block loop (`_solve_blocks`).
-    """
+    """x with d_n x_n + sum_{k=1}^{n} t_k x_{n-k} = rhs_n for n < len(rhs); d_n = t_0
+    unless `diag` gives the diagonal, and t needs len(rhs) entries.  Allocates x
+    and one block's band storage, plans, fills the storage and runs the plan."""
     x = np.array(rhs, dtype=np.complex128)
     if not len(x):
         return x
-    return _solve_blocks(t, x, *_band_storage(t, len(x)), diag)
+    flat = np.empty(min(_BLOCK, len(x)) ** 2, dtype=np.complex128)  # any band's storage
+    ab, plan = _block_plan(t, x, _band(t, len(x)), flat, diag)
+    ab[:] = t[: len(ab), None]
+    return _solve_blocks(plan, x)
 
 
 def from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:

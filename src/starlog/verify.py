@@ -24,11 +24,12 @@ import numpy as np
 
 from .bounds import extremal_tail_bound, thm2_bound, thm3_bound, thm_a_bound
 from .errors import BExcluded, DivergentSeries
-from .members import ClassMember, ClassParams, Identity, extremal_function, suggested_order
+from .members import ClassMember, ClassParams, Identity, log_order, suggested_order
+from .members import unit_log_coefficients
 
 DEFAULT_TOL = 1e-9
 SHARPNESS_TOL = 1e-8
-#: term-by-term equality tolerance for extremal coefficients
+#: term-by-term equality tolerance for the extremal unit coefficients |q_n|^2
 COEFF_TOL = 1e-11
 #: the notes of a row with nothing to compare: its bound is excluded, or infinite
 SKIPPED = "skipped: B = -1 excluded by the theorem hypothesis"
@@ -177,33 +178,34 @@ def check_sharpness(
 ) -> CheckRow:
     """Certify equality of the plain-squares bound at the extremal member.
 
-    Verifies |d_n(K)|^2 = G B^{2(n-1)}/n^2 term by term, by one rule at every
-    B: within `COEFF_TOL`, or, where the closed form vanishes (every n > 1 at
-    B = 0), |d_n| <= `COEFF_TOL`.  Then it checks that the partial sum plus
-    the tail `extremal_tail_bound`, summed to rounding, is the bound within
-    `tol`.  A term that differs, or is not finite, gives a failed row with no
-    sum, whose note names the first such n.  The member has
-    `suggested_order(params)` terms by default (512 m at B = -1): the tail
-    covers whatever the partial sum leaves.
+    Verifies the identity seed's unit coefficients (`unit_log_coefficients`, d_n
+    = ((A - B)/(2m)) q_n) term by term, free of G, by one rule at every B:
+    |q_n|^2 = B^{2(n-1)}/n^2 within `COEFF_TOL`, or |q_n| <= `COEFF_TOL` where
+    that vanishes (every n > 1 at B = 0).  Then G sum |q_n|^2 plus the tail
+    `extremal_tail_bound`, summed to rounding, must be the bound within `tol`.
+    The row gives G times each figure; a term that differs, or is not finite,
+    fails it with no sum, its note naming the first such n.  The default order
+    is `suggested_order(params)` (512 m at B = -1): the tail covers the rest.
     """
     if order is None:
         order = suggested_order(params)
-    member = extremal_function(params, order)
-    d, n_d = member.d, len(member.d)
-    ran_at = ("ThmA-sharpness", "identity", None, member.order, n_d)
+    n_d = log_order(params, order)
+    q = unit_log_coefficients(params.B, Identity(), n_d)
+    ran_at = ("ThmA-sharpness", "identity", None, order, n_d)
 
-    # one rule for every B: |d_n|^2 against G B^{2(n-1)}/n^2; where that vanishes (each
-    # n > 1 at B = 0, or an underflow) |d_n| itself must; a NaN fails either comparison
-    sq = np.abs(d) ** 2
-    expected = params.G * (params.B * params.B) ** np.arange(n_d) / np.arange(1.0, n_d + 1.0) ** 2
-    close = np.where(expected == 0.0, np.abs(d), np.abs(sq - expected)) <= COEFF_TOL
+    # one rule for every B: |q_n|^2 against B^{2(n-1)}/n^2; where that vanishes (each
+    # n > 1 at B = 0, or an underflow) |q_n| itself must; a NaN fails either comparison
+    sq = np.abs(q) ** 2
+    expected = (params.B * params.B) ** np.arange(n_d) / np.arange(1.0, n_d + 1.0) ** 2
+    close = np.where(expected == 0.0, np.abs(q), np.abs(sq - expected)) <= COEFF_TOL
     n = int(np.argmin(close)) + 1
     if not close[n - 1]:
-        s, e = sq[n - 1], expected[n - 1]
-        note = f"term-by-term equality failed at n={n}: |d_{n}|^2 = {s} != {e} (d_{n} = {d[n - 1]})"
+        G, d = params.G, q[n - 1] * ((params.A - params.B) / (2 * params.m))
+        s, e = G * sq[n - 1], G * expected[n - 1]
+        note = f"term-by-term equality failed at n={n}: |d_{n}|^2 = {s} != {e} (d_{n} = {d})"
         return CheckRow(*ran_at, None, None, None, False, None, note)
 
-    partial = float(sq.sum())
+    partial = params.G * float(sq.sum())
     tail = extremal_tail_bound(params, n_d)
     bound = thm_a_bound(params)
     # fail closed, as verify_member does: only a positive finite bound can pass

@@ -49,7 +49,7 @@ MUTANTS = (
     Mutant("sharpness tolerance times 100", "verify.py",
            "SHARPNESS_TOL = 1e-8", "SHARPNESS_TOL = 1e-6", "test_verify.py"),
     Mutant("term tolerance 1e-9", "verify.py",
-           "COEFF_TOL = 1e-11", "COEFF_TOL = 1e-9", "test_cli.py"),
+           "COEFF_TOL = 1e-11", "COEFF_TOL = 1e-9", "test_verify.py"),
     Mutant("one-way lift", "verify.py",
            "e = min(max(0, -exp), room - exp)", "e = max(0, -exp)", "test_verify.py"),
     Mutant("lift down to [1/2, 1) at any peak", "verify.py",
@@ -68,9 +68,16 @@ MUTANTS = (
            "ORDER_TAIL_EPS = 1e-13", "ORDER_TAIL_EPS = 1e-9", "test_verify.py"),
     Mutant("poly certificate slack 1e-9", "members.py",
            "if not total <= 1.0 + 1e-12:", "if not total <= 1.0 + 1e-9:", "test_search.py"),
+    Mutant("pair bound j <= k", "members.py",
+           "if not (0 <= j <= k - 1 or (j, k) == (1, 1)):", "if not (0 <= j <= k or (j, k) == (1, 1)):",
+           "test_members.py"),
+    Mutant("held solve reuses the previous solution", "members.py",
+           "x[...] = v  # a fresh rhs", "pass  # a fresh rhs", "test_search.py"),
     Mutant("rotation by -theta", "members.py",
            "cs[1:2] = cmath.exp(1j * self.theta)", "cs[1:2] = cmath.exp(-1j * self.theta)",
            "test_members.py"),
+    Mutant("lerch_tail takes a non-finite argument", "polylog.py",
+           "if not (finite and mu >= 0.0", "if not (mu >= 0.0", "test_polylog.py"),
     Mutant("projection onto the simplex's boundary", "search.py",
            "p *= (1.0 - 1e-12) / total", "p *= 1.0 / total", "test_search.py"),
 )

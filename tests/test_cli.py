@@ -153,9 +153,8 @@ def test_koebe_sharpness_takes_the_suggested_order(capsys, k, terms):
     assert capsys.readouterr().out == default
 
 
-# COEFF_TOL = 1e-11 is absolute, so at large A it is below one ulp of |d_n|^2
-# (|d_3|^2 = 1822828.06... at B = -0.9); ROADMAP item 3's rounding certificate mends it
-@pytest.mark.xfail(strict=True, reason="absolute COEFF_TOL below one ulp (ROADMAP item 3)")
+# the term test compares the unit |q_n|^2, so at large A it is not below one ulp of
+# |d_n|^2 = G |q_n|^2 (|d_3|^2 = 1822828.06... at B = -0.9, G = 2.5e7)
 @pytest.mark.parametrize("B", ["-0.9", "-1"])
 def test_large_a_extremal_member_certifies(capsys, B):
     assert main(["sharpness", "--j", "1", "--k", "1", "--A", "1e4", f"--B={B}",
@@ -192,18 +191,15 @@ def test_report_row_carries_every_check_row_field(tmp_path):
 
 
 def test_failed_sharpness_row_reports_the_order_it_ran_at(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
     import starlog.verify as verify_mod
-    from starlog.members import extremal_function
+    from starlog.members import unit_log_coefficients
 
-    def perturbed_extremal(params, order):
-        member = extremal_function(params, order)
-        coeffs = member.d.copy()
-        coeffs[0] += 5e-5  # breaks |d_1|^2 equality
-        return dataclasses.replace(member, d=coeffs)
+    def perturbed_unit(B, seed, n_d):
+        q = unit_log_coefficients(B, seed, n_d).copy()
+        q[0] += 5e-5  # breaks |d_1|^2 equality
+        return q
 
-    monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
+    monkeypatch.setattr(verify_mod, "unit_log_coefficients", perturbed_unit)
     out = tmp_path / "sharp.json"
     argv = ["sharpness", "--j", "1", "--k", "1", "--A", "1", "--B=-0.5", "--out", str(out)]
     assert main([*argv, "--no-timestamp"]) == 1

@@ -371,13 +371,32 @@ _PINNED = [
         ("poly", -0.9, 2, 7, 2000),
         (300, 1154, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), True),
     ),
+    # where the poly search's held solve changes shape: N_d = 1, 2 and 3 (orders 2, 4
+    # and 6 at m = 2), below the seed's degree 4, and three blocks of the band-4
+    # solve at B = -0.99 (N_d = 1685)
+    (
+        ("poly", -0.9, 2, 7, 2000, 2),
+        (2, 1094, "0x1.7ab43e26a09cbp-1", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
+    (
+        ("poly", -0.9, 2, 7, 2000, 4),
+        (4, 1164, "0x1.c764430e730e6p-1", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
+    (
+        ("poly", -0.9, 2, 7, 2000, 6),
+        (6, 1157, "0x1.e2ffc9f143efap-1", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
+    (
+        ("poly", -0.99, 2, 7, 2000),
+        (3370, 1176, "0x1.ffffffffffffcp-1", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
 ]
 
 
 @pytest.mark.parametrize("config, pinned", _PINNED, ids=["-".join(map(str, c)) for c, _ in _PINNED])
 def test_report_is_pinned(config, pinned):
-    family, B, k, rng_seed, budget = config
-    report = adversarial_search(ClassParams(1, k, 0.8 + 0.3j, B), family, budget, rng_seed)
+    family, B, k, rng_seed, budget, *order = config  # an order, where not suggested_order's
+    report = adversarial_search(ClassParams(1, k, 0.8 + 0.3j, B), family, budget, rng_seed, *order)
     order, evaluations, max_ratio, best_seed, converged = pinned
     assert (report.order, report.evaluations) == (order, evaluations)
     assert report.max_ratio.hex() == max_ratio
@@ -428,14 +447,15 @@ def test_poly_certificate_reads_the_total_of_the_coefficients_written(monkeypatc
     projected coefficients or the point's own, as `Polynomial` reads it."""
     read, certified = [], []
 
-    def total(p):
-        read.append(members._poly_total(p))
+    def total(p, out):
+        read.append(members._poly_total(p, out))
+        assert out is mags  # each total's |p_i| go to the held buffer
         return read[-1]
 
     monkeypatch.setattr(search, "_poly_total", total)
     monkeypatch.setattr(search, "_check_poly", lambda t: certified.append(t) or members._check_poly(t))
-    v, x = np.zeros(5, dtype=np.complex128), np.array(_TWO_SUMS_POINT) * scale
-    (coeffs,) = search._poly_point(v, x)
+    v, x, mags = np.zeros(5, dtype=np.complex128), np.array(_TWO_SUMS_POINT) * scale, np.empty(4)
+    (coeffs,) = search._poly_point(v, x, mags)
     p = x[0::2] + 1j * x[1::2]
     assert read[0] == members._poly_total(p.tolist()) != sum(map(abs, p.tolist()))
     assert len(read) == totals and certified == read[-1:]
@@ -466,13 +486,13 @@ def test_polynomial_and_poly_point_certify_alike(coeffs, accepted):
         with pytest.raises(InvalidSeed):
             Polynomial(coeffs)
     if math.isfinite(abs(sum(coeffs))):
-        (written,) = search._poly_point(v, x)
+        (written,) = search._poly_point(v, x, np.empty(4))
         assert Polynomial(written).coeffs == tuple(v[1:].tolist())
         assert (written.tolist() == [complex(c) for c in coeffs]) == accepted
     else:
         # a NaN total fails the certificate; an infinite one projects by inf * 0 to NaN
         with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
-            search._poly_point(v, x)
+            search._poly_point(v, x, np.empty(4))
         assert not v.any()  # nothing written
 
 
@@ -483,7 +503,7 @@ def test_poly_point_and_polynomial_read_one_total_bitwise(monkeypatch):
     monkeypatch.setattr(search, "_check_poly", lambda t: certified.append(t) or members._check_poly(t))
     rng = np.random.default_rng(3)
     for x in rng.uniform(-0.5, 0.5, (400, 8)) * rng.uniform(0.2, 1.0, (400, 1)):
-        (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x)
+        (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x, np.empty(4))
         assert certified[-1] == members._poly_total(Polynomial(coeffs).coeffs)
     assert 100 < sum(abs(t - (1.0 - 1e-12)) <= 1e-15 for t in certified) < 300  # projected
 
@@ -518,7 +538,7 @@ def test_poly_point_writes_the_bits_of_the_parts_sum():
     for x in xs:  # each x a row of xs, as a vertex is a row of the simplex
         before = x.tobytes()
         v = np.zeros(5, dtype=np.complex128)
-        (coeffs,) = search._poly_point(v, x)
+        (coeffs,) = search._poly_point(v, x, np.empty(4))
         assert coeffs.tobytes() == _by_parts(x).tobytes() == v[1:].tobytes()
         assert x.tobytes() == before  # a projection scales a copy
         projected += _poly_sum(x) > 1.0
@@ -526,7 +546,7 @@ def test_poly_point_writes_the_bits_of_the_parts_sum():
 
     # a -0.0 part: equal values, but the bits of the sum hold +0.0
     x = np.array([-0.0, 0.5, 0.25, -0.0, 0, 0, 0, 0])
-    (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x)
+    (coeffs,) = search._poly_point(np.zeros(5, dtype=np.complex128), x, np.empty(4))
     assert coeffs.tolist() == _by_parts(x).tolist()
     assert coeffs.tobytes() != _by_parts(x).tobytes()
 
@@ -539,5 +559,5 @@ def test_poly_point_rejects_a_non_finite_coordinate():
             v = np.zeros(5, dtype=np.complex128)
             # a NaN total fails the certificate; an infinite one projects by inf * 0 to NaN
             with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
-                search._poly_point(v, x)
+                search._poly_point(v, x, np.empty(4))
             assert not v.any()  # nothing written

@@ -21,6 +21,7 @@ from starlog.members import (
     member_from_seed,
     seed_series,
     suggested_order,
+    unit_log_coefficients,
 )
 from starlog.series import TruncatedSeries, from_coeffs
 from starlog.verify import DEFAULT_TOL, check_sharpness, verify_member, weighted_sums
@@ -213,18 +214,39 @@ class TestCheckSharpness:
         assert abs(ratio - 1) <= 1e-12
 
     def test_detects_broken_pipeline(self, monkeypatch):
-        import starlog.verify as verify_mod
-
-        def perturbed_extremal(params, order):
-            member = extremal_function(params, order)
-            coeffs = member.d.copy()
-            coeffs[0] += 5e-5  # breaks |d_1|^2 equality
-            return dataclasses.replace(member, d=coeffs)
-
-        monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
+        _unit_with(monkeypatch, 1, lambda q: q + 5e-5)  # breaks |d_1|^2 equality
         row = check_sharpness(ClassParams(1, 1, 1, -0.5), order=64)
         assert not row.passed and "n=1:" in row.note
         assert (row.N, row.N_d) == (64, 64)
+
+    # the term test reads |q_n|^2, free of G: a member whose d_2 and d_3 are swapped
+    # fails at G = 2.5e-13, where every |d_n|^2 is below 1e-11, and at G = 2.5e7,
+    # where one ulp of |d_n|^2 is above it
+    @pytest.mark.parametrize("A, G", [(-0.499999, 2.5e-13), (9999.5, 2.5e7)])
+    def test_swapped_terms_fail_at_every_scale(self, monkeypatch, A, G):
+        import starlog.verify as verify_mod
+
+        def swapped(B, seed, n_d):
+            q = unit_log_coefficients(B, seed, n_d).copy()
+            q[[1, 2]] = q[[2, 1]]
+            return q
+
+        params = ClassParams(1, 1, A, -0.5)
+        assert params.G == pytest.approx(G, rel=1e-9)
+        assert check_sharpness(params).passed
+        monkeypatch.setattr(verify_mod, "unit_log_coefficients", swapped)
+        row = check_sharpness(params)
+        assert not row.passed and "n=2:" in row.note
+
+    # |q_1|^2 off by 2e-10, between COEFF_TOL and 1e-9: the term test sees it at any
+    # G, and reports |d_1|^2 = G |q_1|^2 against G
+    @pytest.mark.parametrize("A", [1.0, 1e4])
+    def test_term_tolerance_is_coeff_tol_on_the_unit_squares(self, monkeypatch, A):
+        params = ClassParams(1, 1, A, -0.5)
+        _unit_with(monkeypatch, 1, lambda q: q * (1 + 1e-10))
+        row = check_sharpness(params)
+        assert not row.passed and "n=1:" in row.note
+        assert f"!= {params.G}" in row.note
 
 
 def compose_truncated(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -544,24 +566,23 @@ def test_plan_bounds_are_read_at_each_call(monkeypatch):
     assert not next(r for r in verify_member(member) if r.theorem == "Thm2").passed
 
 
-def _extremal_with(monkeypatch, n, value):
-    """Make check_sharpness see the extremal member with d_n set by `value`."""
+def _unit_with(monkeypatch, n, value):
+    """Make check_sharpness see the identity seed's unit coefficients with q_n set by `value`."""
     import starlog.verify as verify_mod
 
-    def perturbed_extremal(params, order):
-        member = extremal_function(params, order)
-        coeffs = member.d.copy()
-        coeffs[n - 1] = value(coeffs[n - 1])
-        return dataclasses.replace(member, d=coeffs)
+    def perturbed_unit(B, seed, n_d):
+        q = unit_log_coefficients(B, seed, n_d).copy()
+        q[n - 1] = value(q[n - 1])
+        return q
 
-    monkeypatch.setattr(verify_mod, "extremal_function", perturbed_extremal)
+    monkeypatch.setattr(verify_mod, "unit_log_coefficients", perturbed_unit)
 
 
 # for B = 0, |d_1|^2 must be G and d_3 must vanish; at B = -0.5 the same rule
 # compares |d_3|^2 with the closed form
 @pytest.mark.parametrize("n", [1, 3], ids=["d1", "d3"])
 def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
-    _extremal_with(monkeypatch, n, lambda d: d + 5e-7)
+    _unit_with(monkeypatch, n, lambda q: q + 5e-7)
     for B in (0.0, -0.5):
         row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
         assert not row.passed and f"n={n}:" in row.note, B
@@ -571,7 +592,7 @@ def test_b_zero_sharpness_flags_first_nonvanishing_coefficient(monkeypatch, n):
 # a NaN term fails closed: the note names it and the row carries no sum
 @pytest.mark.parametrize("B", [-0.5, 0.0])
 def test_sharpness_flags_a_nan_coefficient(monkeypatch, B):
-    _extremal_with(monkeypatch, 3, lambda d: math.nan)
+    _unit_with(monkeypatch, 3, lambda q: math.nan)
     row = check_sharpness(ClassParams(1, 2, 0.6, B), order=40)
     assert not row.passed and "n=3:" in row.note
     assert row.partial_sum is None and row.ratio is None
