@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
-from .series import _BLOCK, TruncatedSeries, _band, _block_plan, _solve_blocks, _solve_toeplitz
+from .series import _BLOCK, TruncatedSeries, _band, _block_plan, _solve_blocks, _solve_toeplitz, ztbsv
+
+#: complex128 entries of band storage that one stack of poly search points may
+#: hold (320 KiB): 10 points at N_d = 44 and 13 at N_d = 300, a whole simplex
+_STACK_ENTRIES = 5 * _BLOCK * _BLOCK
 
 
 def check_pair(j: int, k: int) -> None:
@@ -265,9 +269,10 @@ def log_order(params: ClassParams, order: int) -> int:
 
 
 def _held_solver(B: float, n_d: int, degree: int | None = None):
-    """(v, sum_sq): seeds written one after another into the zero-padded rhs v
-    (v_1..v_h, h = min(degree, N_d), or any v_n without a degree) and solved on
-    buffers held by sum_sq.  sum_sq() returns sum |q_n|^2, the bits of
+    """(v, sum_sq, stack): seeds written one after another into the zero-padded
+    rhs v (v_1..v_h, h = min(degree, N_d), or any v_n without a degree) and
+    solved on buffers held by sum_sq, and, with a degree, `_held_stack`'s batch
+    entry (None without).  sum_sq() returns sum |q_n|^2, the bits of
     `(np.abs(unit_log_coefficients(B, seed, N_d)) ** 2).sum()`, and allocates no
     array but each later block's convolution.  Its calls: B v_n into the divisor
     and rows 0..h of its band storage, v into the solution x, one `ztbsv` per
@@ -304,7 +309,61 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
         np.divide(x_tail, divisors, q)
         return float(np.add.reduce(np.square(np.abs(q, sq), sq), 0))
 
-    return v, sum_sq
+    return v, sum_sq, None if fixed is None else _held_stack(B, n, h, fixed, divisors)
+
+
+def _held_stack(B: np.ndarray, n: int, h: int, band: int, divisors: np.ndarray):
+    """(heads, sums) for `_held_solver`'s degree-h divisors of `band`, or None
+    where their plan has more than one block.  heads holds v_1..v_h of as many
+    points as `_STACK_ENTRIES` of band storage take; sums(k) returns the
+    sum_sq() of each of the first k points, as floats, bit for bit.
+
+    The k points lie one after another in one band storage.  At the divisor's
+    own band h, one `ztbsv` solves the stack: each point's n rows are followed
+    by h rows of the identity, so no entry of a point reaches the next.  Its
+    updates are then h long where a point's own solve has shorter ones in its
+    last h columns, which keeps the bits for a BLAS whose axpy rounds alike at
+    every length up to h (OpenBLAS's rounds an update of 16 or more entries
+    otherwise than a shorter one).  A dense band wider than h (h < N_d <
+    _BLOCK) spans the point, so each point gets its own `ztbsv` on its own
+    columns, with the single solve's updates.  Its calls: B v_n into
+    the divisors and their storage rows 1..h, the rhs into the solution, the
+    solves, then divide, abs, square and a sum along each point's row; it
+    allocates only the k sums."""
+    width = min(band, _BLOCK - 1) + 1
+    if _BLOCK * _BLOCK // width < n:
+        return None
+    stacked = width == h + 1
+    step = n + h if stacked else n
+    cap = max(1, _STACK_ENTRIES // (width * step))
+    rhs, x = np.zeros((cap, step), dtype=np.complex128), np.empty(cap * step, dtype=np.complex128)
+    den, q = np.empty((cap, h), dtype=np.complex128), np.empty((cap, n - 1), dtype=np.complex128)
+    points, sq = x.reshape(cap, step), np.empty((cap, n - 1))
+    ab = np.zeros((width, cap * step), dtype=np.complex128, order="F")
+    ab[0] = 1.0
+    # [p, c, i]: storage row i of column c of point p, the entry (p step + c + i, p step + c)
+    columns = ab.reshape((width, step, cap), order="F").transpose(2, 1, 0)[:, :n, 1 : h + 1]
+
+    @functools.cache
+    def views(k: int) -> tuple:
+        if stacked:
+            solves = [(ab[:, : k * step], 0)]
+        else:
+            solves = [(ab[:, p * step : p * step + n], p * step) for p in range(k)]
+        return rhs[:k, 1 : h + 1], den[:k], columns[:k], points[:k], rhs[:k], solves, points[:k, 1:n], q[:k], sq[:k]
+
+    def sums(k: int) -> list:
+        head, dk, stored, solution, fresh, solves, tail, qk, sqk = views(k)
+        np.multiply(B, head, dk)
+        stored[...] = dk[:, None]
+        solution[...] = fresh  # a fresh rhs, zero on the identity rows
+        for stack, offset in solves:
+            # incx 1, offx, lower, no transpose, non-unit diagonal, overwrite x
+            ztbsv(width - 1, stack, x, 1, offset, 1, 0, 0, 1)
+        np.divide(tail, divisors, qk)
+        return np.add.reduce(np.square(np.abs(qk, sqk), sqk), 1).tolist()
+
+    return rhs[:, 1 : h + 1], sums
 
 
 def member_from_seed(params: ClassParams, seed: SchwarzSeed, order: int) -> ClassMember:

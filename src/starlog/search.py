@@ -12,6 +12,15 @@ identity-equivalent corner.
 The refinement is an in-house Nelder-Mead, step for step and bit for bit
 scipy's (`method="Nelder-Mead"` with `maxfev`, `xatol` and `fatol` set), so
 the search loads nothing of scipy beyond the BLAS extension of `starlog.series`.
+
+Points that do not depend on each other, the grid, the initial simplex and
+the n vertices of each shrink, are scored together: a poly search writes up
+to a stack of them at once and solves them on its solver's held stack (one
+`ztbsv` over a banded stack, one per point when dense), a few calls per
+stack where one point alone takes about fifteen.  Reflections, expansions
+and contractions, and every ExpDamp point, are scored one at a time.  The
+best ratio and its ties are tracked in the order the points come, so a
+report has the bits of one scored point by point.
 """
 
 from __future__ import annotations
@@ -71,42 +80,75 @@ def _poly_point(v: np.ndarray, x: np.ndarray, mags: np.ndarray) -> tuple:
     return (p,)
 
 
+def _poly_points(heads: np.ndarray, xs) -> list:
+    """Write the certified Polynomial seeds of points xs into the first rows of
+    heads, v_1..v_h of each, as `_poly_point` writes each into v; returns each
+    one's (coeffs,), a row of one new array.  Each total is a sum along a row
+    and each projection scales a row, with the bits of the point's own; any
+    point that fails the certificate fails the batch before anything is written."""
+    p = np.array(xs).view(np.complex128)
+    totals = np.add.reduce(np.abs(p), 1)
+    over = totals > 1.0
+    if over.any():
+        p[over] *= ((1.0 - 1e-12) / totals[over])[:, None]  # project back onto the certified simplex
+        totals = np.add.reduce(np.abs(p), 1)
+    _check_poly(np.maximum.reduce(totals))  # NaN, the max of a NaN total, fails too
+    heads[: len(p)] = p[:, : heads.shape[1]]
+    return [(coeffs,) for coeffs in p]
+
+
 # each family's seed type and the writer of its seed at a search point
 _FAMILY = {"expdamp": (ExpDamp, _expdamp_point), "poly": (Polynomial, _poly_point)}
 FAMILIES = tuple(_FAMILY)
 
 
 def _scorer(B: float, family: str, n_d: int):
-    """x -> (ratio, seed args) of the family's seed at x, scored op for op as
-    `(np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum() / K(B)`, on the
-    buffers of one `_held_solver` held for the whole search: a poly seed at its
-    degree's band, a dense ExpDamp seed at the band scanned per point."""
+    """(score, score_all) of the family's seed, on the buffers of one
+    `_held_solver` held for the whole search.  score(x) is (ratio, seed args) of
+    the seed at x, scored op for op as `(np.abs(unit_log_coefficients(B, seed,
+    n_d)) ** 2).sum() / K(B)`; score_all(xs) is [score(x) for x in xs], the same
+    bits.  A poly seed is solved at its degree's band, and score_all solves its
+    points a stack at a time where the solver has a stack (a one-block plan); a
+    dense ExpDamp seed is solved at the band scanned per point, one at a time."""
     write = _FAMILY[family][1]
     kernel = _weighted_series(B, 0.0)  # K(B), the bound in units of G
     if family == "poly":
-        v, sum_sq = _held_solver(B, n_d, _POLY_DEGREE)
+        v, sum_sq, stack = _held_solver(B, n_d, _POLY_DEGREE)
         write = functools.partial(write, mags=np.empty(_POLY_DEGREE))
     else:
-        v, sum_sq = _held_solver(B, n_d)
+        v, sum_sq, stack = _held_solver(B, n_d)
 
     def score(x) -> tuple[float, tuple]:
         args = write(v, x)
         return sum_sq() / kernel, args
 
-    return score
+    def score_all(xs) -> list:
+        if stack is None:
+            return [score(x) for x in xs]
+        heads, sums = stack
+        scored = []
+        for at in range(0, len(xs), len(heads)):
+            args = _poly_points(heads, xs[at : at + len(heads)])
+            scored += zip([s / kernel for s in sums(len(args))], args)
+        return scored
+
+    return score, score_all
 
 
 class _Spent(Exception):
     """The evaluation cap is reached; the run ends where it stands."""
 
 
-def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, int]:
+def _nelder_mead(f, f_all, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, int]:
     """Minimize f from x0 by Nelder-Mead with rho, chi, psi, sigma = 1, 2, 1/2, 1/2.
 
-    Returns (converged, calls): converged when the simplex met both tolerances
-    before `maxfev` calls of f were spent.  The vertices are argsorted after
-    the fill and after every step, as in scipy, so ties break the same way
-    (scipy sorts once more after the fill, which changes nothing).
+    f_all(xs) must be [f(x) for x in xs].  It scores the points that do not
+    depend on each other, the initial simplex and each shrink's n vertices, as
+    many of them as the calls left allow.  Returns (converged, calls): converged
+    when the simplex met both tolerances before `maxfev` points were scored.
+    The vertices are argsorted after the fill and after every step, as in
+    scipy, so ties break the same way (scipy sorts once more after the fill,
+    which changes nothing).
 
     Each step runs scipy's arithmetic on fewer calls: `fsim.argsort()` (numpy's
     quicksort; Python's sort may break ties otherwise) and `take` reorder the
@@ -127,6 +169,15 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         calls += 1
         return f(x)
 
+    def fun_all(xs) -> list:
+        nonlocal calls
+        take = min(len(xs), maxfev - calls)
+        values = f_all(xs[:take]) if take else []
+        calls += take
+        if take < len(xs):
+            raise _Spent
+        return values
+
     n = len(x0)
     nf, half, three_halves, two, three = map(np.array, (float(n), 0.5, 1.5, 2.0, 3.0))
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
@@ -134,8 +185,7 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
         sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
     fsim = np.full(n + 1, np.inf)
     try:
-        for k in range(n + 1):
-            fsim[k] = fun(sim[k])
+        fsim[:] = fun_all(sim)
         while calls < maxfev:  # the cap goes before the tolerances: a step ending on it fails
             order = fsim.argsort()
             sim, fsim = sim.take(order, 0), fsim.take(order)
@@ -163,8 +213,7 @@ def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float) -> tuple[bool, 
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     sim[1:] = sim[0] + half * (sim[1:] - sim[0])
-                    for j in range(1, n + 1):
-                        fsim[j] = fun(sim[j])
+                    fsim[1:] = fun_all(sim[1:])
     except _Spent:
         pass
     return False, calls
@@ -192,7 +241,7 @@ def adversarial_search(
             raise ConfigError(f"{name} {value!r} must be an integer")
     if budget < 1 or rng_seed < 0:
         raise ConfigError(f"need budget >= 1 and rng_seed >= 0, got {budget} and {rng_seed}")
-    ratio = _scorer(params.B, family, log_order(params, order))
+    ratio, ratios = _scorer(params.B, family, log_order(params, order))
     make_seed = _FAMILY[family][0]
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -208,9 +257,9 @@ def adversarial_search(
     max_ratio, best_seed = -math.inf, None
     clip = family == "expdamp"  # c is kept inside [0, C_MAX], where _expdamp_point clips it
 
-    def objective(x) -> float:  # -r + 10.0 * pen, pen +0.0 for poly: a ratio of 0 gives +0.0
+    # -r + 10.0 * pen of the point x of ratio r, pen +0.0 for poly: a ratio of 0 gives +0.0
+    def value(x, r: float, args: tuple) -> float:
         nonlocal max_ratio, best_seed
-        r, args = ratio(x)
         if r >= max_ratio:  # a seed is built only for a new best or a tie
             seed = make_seed(*args)
             if r > max_ratio or seed.sort_key() < best_seed.sort_key():
@@ -218,13 +267,19 @@ def adversarial_search(
         pen = min(x[1], 0.0) ** 2 + max(x[1] - _EXPDAMP_C_MAX, 0.0) ** 2 if clip else 0.0
         return -r + 10.0 * pen
 
+    def objective(x) -> float:
+        return value(x, *ratio(x))
+
+    def objectives(xs) -> list:  # scored together, tracked in order: [objective(x) for x in xs]
+        return [value(x, *scored) for x, scored in zip(xs, ratios(xs))]
+
     # no grid point is penalized, so the least objective is the first greatest ratio
-    grid_values = [objective(x) for x in grid[:budget]]
+    grid_values = objectives(grid[:budget])
     best_x = grid[grid_values.index(min(grid_values))]
     used = len(grid_values)
 
     # a budget spent in the grid leaves no call: the refinement stops at once, unconverged
-    converged, calls = _nelder_mead(objective, best_x, budget - used, xatol=1e-10, fatol=1e-13)
+    converged, calls = _nelder_mead(objective, objectives, best_x, budget - used, xatol=1e-10, fatol=1e-13)
     used += calls
 
     return SearchReport(order, used, max_ratio, best_seed, converged)

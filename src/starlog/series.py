@@ -4,8 +4,9 @@ All operations are pure functions on immutable values.  Truncation is
 explicit: every binary operation truncates to the minimum operand order,
 never zero-pads.  div, log and exp are lower-triangular Toeplitz solves
 (the Cauchy-product recursions q*b = a, L'*a = a' and E' = a'*E), done in
-blocks of rows: one convolution brings the solved history into a block
-and one BLAS banded triangular solve finishes it.  The history and the
+blocks of rows: one convolution brings the solved history into the rows
+of a block that the band reaches, and one BLAS banded triangular solve
+finishes it.  The history and the
 band reach back only over the index of the last nonzero Toeplitz entry,
 so a banded divisor such as 1 + Bv costs O(N*(band + 64)) multiply-adds
 and a dense one O(N^2); the per-coefficient Python overhead goes.
@@ -113,16 +114,17 @@ def _block_plan(t: np.ndarray, x: np.ndarray, band: int, flat: np.ndarray, diag=
     min(band, _BLOCK - 1) + 1 rows (row i for t_i) over _BLOCK**2 // w columns,
     at most len(x), so 64 rows of x a block when dense, 2048 when band = 1.  The
     plan has each block's (offset, storage, history, diagonal): the history, from
-    the second block on, is (its rows of x, t_1.., the solved rows of x the band
-    reaches), and the diagonal, with `diag`, is (storage row 0, its rows of diag)."""
+    the second block on, is (its first min(band, rows) rows of x, t_1.., the
+    solved rows of x the band reaches), since the band reaches no later row of
+    the block, and the diagonal, with `diag`, is (storage row 0, its rows of diag)."""
     width = min(band, _BLOCK - 1) + 1
     rows = min(_BLOCK * _BLOCK // width, len(x))
     ab = flat[: width * rows].reshape((width, rows), order="F")
     plan = []
     for s in range(0, len(x), rows):
         e = min(s + rows, len(x))
-        lo = max(0, s - band)
-        history = (x[s:e], t[1 : e - lo], x[lo:s]) if s and band else None
+        lo, reach = max(0, s - band), min(s + band, e)
+        history = (x[s:reach], t[1 : reach - lo], x[lo:s]) if s and band else None
         diagonal = None if diag is None else (ab[0, : e - s], diag[s:e])
         plan.append((s, ab[:, : e - s], history, diagonal))
     return ab, plan
@@ -131,7 +133,8 @@ def _block_plan(t: np.ndarray, x: np.ndarray, band: int, flat: np.ndarray, diag=
 def _solve_blocks(plan: list, x: np.ndarray) -> np.ndarray:
     """Solve in place by `_block_plan`'s plan made on x, which holds the rhs of
     `_solve_toeplitz` and becomes its solution: per block, its history by one
-    convolution over the band, then one `ztbsv`.  x is contiguous complex128, so
+    convolution over the band, into the block's first min(band, rows) rows,
+    then one `ztbsv`.  x is contiguous complex128, so
     `ztbsv` overwrites x itself, which the plan's views read."""
     for s, a, history, diagonal in plan:
         if history:

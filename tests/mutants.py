@@ -80,6 +80,13 @@ MUTANTS = (
            "if not (finite and mu >= 0.0", "if not (mu >= 0.0", "test_polylog.py"),
     Mutant("projection onto the simplex's boundary", "search.py",
            "p *= (1.0 - 1e-12) / total", "p *= 1.0 / total", "test_search.py"),
+    Mutant("stacked point reaches into the next", "members.py",
+           "order=\"F\").transpose(2, 1, 0)[:, :n, 1 : h + 1]",
+           "order=\"F\").transpose(2, 1, 0)[:, : n + 1, 1 : h + 1]", "test_search.py"),
+    Mutant("dense points solved as one stack", "members.py",
+           "stacked = width == h + 1", "stacked = True", "test_search.py"),
+    Mutant("batch scores past the remaining budget", "search.py",
+           "take = min(len(xs), maxfev - calls)", "take = len(xs)", "test_search.py"),
 )
 
 

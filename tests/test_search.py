@@ -64,18 +64,25 @@ def test_budget_below_one_rejected():
 
 
 def _record_scores(monkeypatch) -> list:
-    """Make the search record each (ratio, seed args) it scores, in order."""
+    """Make the search record each (ratio, seed args) it scores, one at a time
+    or in a batch, in the order it scores them."""
     scored = []
     scorer = search._scorer
 
     def spy(*args):
-        score = scorer(*args)
+        score, score_all = scorer(*args)
 
         def recording(x):
             scored.append(score(x))
             return scored[-1]
 
-        return recording
+        def recording_all(xs):
+            batch = score_all(xs)
+            assert len(batch) == len(xs)
+            scored.extend(batch)
+            return batch
+
+        return recording, recording_all
 
     monkeypatch.setattr(search, "_scorer", spy)
     return scored
@@ -161,13 +168,17 @@ def test_nan_coordinate_raises_invalid_seed(monkeypatch, family, x):
     """The family writer checks the seed's certificate on every evaluation:
     a NaN point that the refinement steps to fails it mid-search."""
 
-    def refine(f, x0, maxfev, xatol, fatol):
+    def refine(f, f_all, x0, maxfev, xatol, fatol):
         f(x0)
         f(np.array(x))
 
-    monkeypatch.setattr(search, "_nelder_mead", refine)
-    with pytest.raises(InvalidSeed):
-        adversarial_search(ClassParams(1, 2, 1, -0.5), family, budget=100)
+    def refine_all(f, f_all, x0, maxfev, xatol, fatol):
+        f_all(np.stack([x0, x0 + 0.01, np.array(x)]))
+
+    for refinement in (refine, refine_all):  # the point alone, and in a batch
+        monkeypatch.setattr(search, "_nelder_mead", refinement)
+        with pytest.raises(InvalidSeed):
+            adversarial_search(ClassParams(1, 2, 1, -0.5), family, budget=100)
     # the aborted search's buffers die with it: the next search reports as pinned
     monkeypatch.undo()
     test_report_is_pinned(*next(p for p in _PINNED if p[0][0] == family))
@@ -233,11 +244,15 @@ def _plateau(x):
 
 
 # the poly search's score at B = -0.9 and N_d = 150, `suggested_order`'s there
-_POLY_SCORE = search._scorer(-0.9, "poly", 150)
+_POLY_SCORE, _POLY_SCORE_ALL = search._scorer(-0.9, "poly", 150)
 
 
 def _poly_objective(x):
     return -_POLY_SCORE(x)[0]
+
+
+def _poly_objectives(xs):
+    return [-ratio for ratio, _ in _POLY_SCORE_ALL(xs)]
 
 
 _PROJECTED_X0 = np.array([1.0, 0.5, 0, 0, 0, 0, 0, 0])
@@ -248,14 +263,22 @@ def _poly_sum(x) -> float:
     return float(np.abs(x[0::2] + 1j * x[1::2]).sum())
 
 
-def _recording(f):
+def _recording(f, f_all=None):
+    """(points, f, f_all) that record each point scored, in order; f_all by
+    default scores the points one at a time."""
     points = []
 
     def recorded(x):
         points.append(np.array(x, dtype=float))
         return f(x)
 
-    return points, recorded
+    def recorded_all(xs):
+        points.extend(np.array(x, dtype=float) for x in xs)
+        values = f_all(xs) if f_all else [f(x) for x in xs]
+        assert values == [f(x) for x in xs]  # a batch scores each point as f does
+        return values
+
+    return points, recorded, recorded_all
 
 
 @pytest.mark.parametrize(
@@ -281,9 +304,9 @@ def _recording(f):
 def test_nelder_mead_retraces_scipy_bitwise(f, x0, maxfev, converges):
     from scipy.optimize import minimize
 
-    ours, f_ours = _recording(f)
-    converged, calls = search._nelder_mead(f_ours, x0, maxfev, xatol=1e-10, fatol=1e-13)
-    theirs, f_theirs = _recording(f)
+    ours, f_ours, f_all_ours = _recording(f, _poly_objectives if f is _poly_objective else None)
+    converged, calls = search._nelder_mead(f_ours, f_all_ours, x0, maxfev, xatol=1e-10, fatol=1e-13)
+    theirs, f_theirs, _ = _recording(f)
     options = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-13}
     res = minimize(f_theirs, x0, method="Nelder-Mead", options=options)
 
@@ -389,6 +412,21 @@ _PINNED = [
     (
         ("poly", -0.99, 2, 7, 2000),
         (3370, 1176, "0x1.ffffffffffffcp-1", _corner(-1 + 1.2246467991473532e-16j), True),
+    ),
+    # the benchmark's poly run at B = -0.9 cut short where the points are scored in
+    # batches: inside the grid (48 points), inside the initial simplex (9) and after
+    # 4 of the first shrink's 8 points
+    (
+        ("poly", -0.9, 2, 7, 30),
+        (300, 30, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), False),
+    ),
+    (
+        ("poly", -0.9, 2, 7, 52),
+        (300, 52, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), False),
+    ),
+    (
+        ("poly", -0.9, 2, 7, 639),
+        (300, 639, "0x1.0000000000000p+0", _corner(-1 + 1.2246467991473532e-16j), False),
     ),
 ]
 
@@ -561,3 +599,100 @@ def test_poly_point_rejects_a_non_finite_coordinate():
             with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
                 search._poly_point(v, x, np.empty(4))
             assert not v.any()  # nothing written
+
+
+# Points the search scores together, the grid, the initial simplex and each
+# shrink, are solved as one stack on the poly solver's held buffers.
+
+
+def _poly_xs(rng, k: int) -> np.ndarray:
+    """k poly search points, about half of them outside the certified simplex
+    and about a quarter corner seeds (p_2 = p_3 = p_4 = 0)."""
+    xs = rng.uniform(-0.6, 0.6, (k, 8)) * rng.uniform(0.1, 1.2, (k, 1))
+    xs[rng.random(k) < 0.25, 2:] = 0.0
+    return xs
+
+
+# N_d at the edges of the held solve: below the seed's degree (1, 2, 3), at it (4),
+# dense (22, 63), banded from 64 rows on, and the last N_d whose band-4 plan is one block
+_STACK_N_D = [1, 2, 3, 4, 22, 63, 64, 150, 818]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_d=st.sampled_from(_STACK_N_D),
+    B=st.sampled_from([0.0, -0.5, -0.9, -1.0]) | st.floats(-1.0, 0.0),
+    size=st.sampled_from(["one", "cap", "cap-1"]) | st.floats(0.0, 1.0),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_sums_equal_single_sums_bitwise(n_d, B, size, rng_seed):
+    """sums(k) of k points written into the held rows is, point by point, the
+    bits of sum_sq() of each point written into v, for every k up to the cap."""
+    v, sum_sq, (heads, sums) = members._held_solver(B, n_d, search._POLY_DEGREE)
+    cap = len(heads)
+    k = {"one": 1, "cap": cap, "cap-1": max(cap - 1, 1)}.get(size) or 1 + int(size * (cap - 1))
+    rng = np.random.default_rng(rng_seed)
+    xs = _poly_xs(rng, k)
+    singles = []
+    for x in xs:
+        search._poly_point(v, x, np.empty(4))
+        singles.append(sum_sq())
+    search._poly_points(heads, xs)
+    batch = sums(k)
+    assert [s.hex() for s in batch] == [s.hex() for s in singles]
+
+
+@pytest.mark.parametrize("n_d", _STACK_N_D + [819, 1685])
+def test_score_all_is_score_of_each_point_bitwise(n_d):
+    """score_all of more points than one stack takes, so in several stacks, or
+    one point at a time where the plan has more than one block (N_d >= 819),
+    gives each point's ratio and coefficients as score does, to the bit."""
+    score, score_all = search._scorer(-0.9, "poly", n_d)
+    heads = members._held_solver(-0.9, n_d, search._POLY_DEGREE)[2]
+    xs = _poly_xs(np.random.default_rng(n_d), min(2 * len(heads) + 1, 60) if heads else 20)
+    want = [score(x) for x in xs]
+    got = score_all(list(xs))  # a list of points, as the grid is
+    assert [r.hex() for r, _ in got] == [r.hex() for r, _ in want]
+    assert [args[0].tobytes() for _, args in got] == [args[0].tobytes() for _, args in want]
+
+
+# A dense band reaches across a whole point.  One `ztbsv` over a stack of dense
+# points runs each column's update as long as the band, where a point's own
+# solve has shorter ones in its last columns; OpenBLAS rounds an update of 16 or
+# more entries otherwise than a shorter one, so the last 15 q_n of a stacked
+# point round otherwise, and now and then its sum: here the first point's.
+_DENSE_POINT = [-0.042, -0.0847, -0.234, 0.195, -0.0492, -0.0023, 0.27, -0.268]
+
+
+def test_dense_points_keep_their_own_solve():
+    v, sum_sq, (heads, sums) = members._held_solver(-0.9, 22, search._POLY_DEGREE)
+    xs = np.array([_DENSE_POINT, _DENSE_POINT])
+    search._poly_point(v, xs[0], np.empty(4))
+    single = sum_sq()
+    search._poly_points(heads, xs)
+    assert [s.hex() for s in sums(2)] == [single.hex()] * 2
+
+
+def test_poly_points_write_each_point_as_poly_point():
+    """The batch writer projects, certifies and writes every point as
+    `_poly_point` does: the same coefficient bits, also for -0.0 parts, and a
+    point it cannot certify fails the whole batch before anything is solved."""
+    rng = np.random.default_rng(17)
+    xs = _poly_xs(rng, 400)
+    xs[::50, 0] = -0.0
+    heads = np.zeros((400, 4), dtype=np.complex128)
+    written = search._poly_points(heads, xs)
+    for x, (coeffs,), head in zip(xs, written, heads):
+        v = np.zeros(5, dtype=np.complex128)
+        (want,) = search._poly_point(v, x, np.empty(4))
+        assert coeffs.tobytes() == want.tobytes() == head.tobytes() == v[1:].tobytes()
+    heads = np.zeros((3, 2), dtype=np.complex128)  # N_d = 2: v_1, v_2 of each point
+    search._poly_points(heads, xs[:3])
+    assert heads.tobytes() == np.array([c[:2] for (c,) in written[:3]]).tobytes()
+    for value in (math.nan, math.inf):
+        bad = xs[:3].copy()
+        bad[1, 3] = value
+        heads = np.zeros((3, 4), dtype=np.complex128)
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
+            search._poly_points(heads, bad)
+        assert not heads.any()  # nothing written

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from starlog.cli import MAX_TERMS
 from starlog.errors import NonzeroConstantTerm, NotUnitConstantTerm, ZeroConstantTerm
+from starlog.members import ExpDamp, Identity, Polynomial, Rotation, unit_log_coefficients
 from starlog.series import (
+    _BLOCK,
     TruncatedSeries,
+    _band,
+    _block_plan,
+    _solve_blocks,
     _solve_toeplitz,
     add,
     div,
@@ -337,6 +342,47 @@ def test_band_one_solve_at_max_terms_allocates_only_its_result():
         tracemalloc.stop()
     assert np.all(x == 1.0)
     assert peak <= x.nbytes + 2**20
+
+
+def _whole_history_solve(t, rhs):
+    """`_solve_toeplitz` with each later block's history convolved into all of
+    its rows, where the band reaches only the first min(band, rows) of them."""
+    x = np.array(rhs, dtype=np.complex128)
+    band = _band(t, len(x))
+    ab, plan = _block_plan(t, x, band, np.empty(min(_BLOCK, len(x)) ** 2, dtype=np.complex128))
+    ab[:] = t[: len(ab), None]
+    whole = []
+    for s, a, history, diagonal in plan:
+        if history:
+            e, lo = s + a.shape[1], max(0, s - band)
+            history = (x[s:e], t[1 : e - lo], x[lo:s])
+        whole.append((s, a, history, diagonal))
+    return _solve_blocks(whole, x), len(plan)
+
+
+# band 1 (2048 rows a block), band 4 (819), and a dense ExpDamp seed whose
+# coefficients underflow to 0 past about 170 terms (a band past _BLOCK: 64 rows a block)
+@pytest.mark.parametrize(
+    "seed", [Identity(), Rotation(1.3), Polynomial((0.3, 0.2j, -0.25, 0.1 + 0.1j)), ExpDamp(0.5, 2.0)],
+    ids=["identity", "rotation", "poly", "expdamp"],
+)
+@pytest.mark.parametrize("B", [-0.5, -0.9, -1.0])
+@pytest.mark.parametrize("n_d", [4100, 40000])
+def test_history_cut_to_the_band_keeps_every_nonzero_bit(n_d, B, seed):
+    """Past its first min(band, rows) rows a block's history is a sum of zero
+    products.  Leaving those rows out keeps the value and sign of every nonzero
+    q_n; an exact zero may only change its sign."""
+    v = np.zeros(n_d + 1, dtype=np.complex128)
+    seed.write(v)
+    den = B * v
+    den[0] = 1.0
+    x, blocks = _whole_history_solve(den, v)
+    assert blocks >= 3
+    want = x[1:] / np.arange(1.0, n_d + 1)
+    q = unit_log_coefficients(B, seed, n_d)
+    nonzero = want != 0
+    assert np.array_equal(q != 0, nonzero)
+    assert q[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 @pytest.mark.parametrize("order", [65, 129, 300])
