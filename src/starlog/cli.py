@@ -39,8 +39,8 @@ from .members import (
 )
 from .polylog import li
 from .search import FAMILIES, adversarial_search
-from .verify import DEFAULT_TOL, SHARPNESS_TOL, SKIPPED, VACUOUS, CheckRow, check_sharpness
-from .verify import bound_plan, plan_rows, weighted_sums
+from .verify import DEFAULT_TOL, SHARPNESS_TOL, SKIPPED, VACUOUS, CheckRow, _unit_certificate
+from .verify import bound_plan, plan_rows, sharpness_row, weighted_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -368,7 +368,21 @@ def _verify_summary(points, failed):
 
 
 def _sharpness_rows(args):
-    return lambda params: [check_sharpness(params, args.terms or None, args.tol)]
+    # the term test and sum |q_n|^2 of the extremal member are G-free: this command
+    # makes each (B, N_d)'s unit certificate once, and every point with that key
+    # scales it by its own G
+    certificates = {}
+
+    def rows(params):
+        order = args.terms or suggested_order(params)
+        n_d = log_order(params, order)  # an order below m raises here
+        key = (repr(params.B), n_d)  # repr tells 0.0 from -0.0
+        certificate = certificates.get(key)
+        if certificate is None:
+            certificate = certificates[key] = _unit_certificate(params.B, n_d)
+        return [sharpness_row(params, order, certificate, args.tol)]
+
+    return rows
 
 
 def _sharpness_summary(points, failed):

@@ -94,8 +94,18 @@ def _check_expdamp(theta: float, c: float) -> None:
 
 
 def _poly_total(coeffs, out=None) -> float:
-    """sum |p_i| of a polynomial seed's coefficients, as its certificate reads it."""
-    return float(np.add.reduce(np.abs(coeffs, out), 0))
+    """sum |p_i| of a polynomial seed's coefficients, as its certificate reads it:
+    numpy's |p_i| (into `out`, if given), added left to right from 0.0.
+
+    One explicit fold, not `sum()`, which compensates from Python 3.12 on.
+    For up to 7 coefficients this is numpy's `np.add.reduce` bit for bit (its
+    pairwise sum runs a plain loop below 8 entries), so `Polynomial` and the
+    search's row totals read one total; from 8 on numpy sums in 8 lanes, and
+    the two differ in the last bit for about 40% of random coefficients."""
+    total = 0.0
+    for mag in np.abs(coeffs, out).tolist():
+        total += mag
+    return total
 
 
 def _check_poly(total: float) -> None:
@@ -274,13 +284,27 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
     solved on buffers held by sum_sq, and, with a degree, `_held_stack`'s batch
     entry (None without).  sum_sq() returns sum |q_n|^2, the bits of
     `(np.abs(unit_log_coefficients(B, seed, N_d)) ** 2).sum()`, and allocates no
-    array but each later block's convolution.  Its calls: B v_n into the divisor
-    and rows 0..h of its band storage, v into the solution x, one `ztbsv` per
-    block and one convolution per later block, then divide, abs, square and sum
-    (eight numpy and f2py calls for one block).  The band is a degree-h
-    divisor's (dense up to _BLOCK rows, else h, which holds every shorter band
-    bit for bit), or each seed's, scanned, without a degree; its storage, a
-    view of one held buffer, and its plan are made when the band is first met."""
+    array but each later block's convolution.
+
+    Held: v, the divisor, the solution x, q and |q_n|^2, one block's band
+    storage, each band's block plan, and 1/n twice over, once for the real and
+    once for the imaginary part of x_n.  q_n = x_n/n is one float64 multiply of
+    x's parts by those reciprocals: numpy divides a complex by a real d as
+    Smith's division with ratio 0, (re + im 0) (1/d) and (im - re 0) (1/d), so
+    the product differs only in the sign of a zero part, which |q_n| cannot see.
+
+    With a degree whose plan is one block (N_d <= 818; up to _BLOCK rows the
+    storage is dense), the storage rows and the plan's one `ztbsv` are bound
+    once: storage row 0 holds the divisor's 1 from the start, and a seed
+    rewrites only rows 1..h.  sum_sq's calls are then B v_n into the divisor,
+    the rhs into x, the divisor's column into rows 1..h, `ztbsv`, the
+    multiply, abs, square and sum.  Otherwise each solve writes B v_n into the divisor, looks
+    up its band's plan, copies the divisor's column into rows 0..h of the
+    plan's storage and runs `series._solve_blocks` (one `ztbsv` per block and
+    one convolution per later block).  The band is a degree-h divisor's
+    (dense up to _BLOCK rows, else h, which holds every shorter band bit for
+    bit), or each seed's, scanned, without a degree; its storage, a view of
+    one held buffer, and its plan are made when the band is first met."""
     n = n_d + 1
     h = n_d if degree is None else min(degree, n_d)
     # B as a 0-d complex array: the same products as the Python number gives,
@@ -290,8 +314,10 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
     den[: h + 1] = 1.0
     fixed = None if degree is None else _band(den, n)
     flat = np.zeros(min(_BLOCK, n) ** 2, dtype=np.complex128)  # any band's storage
-    divisors, q, sq = np.arange(1.0, n), np.empty(n_d, dtype=np.complex128), np.empty(n_d)
-    v_head, den_head, x_tail = v[1 : h + 1], den[1 : h + 1], x[1:]
+    reciprocals = np.repeat(1.0 / np.arange(1.0, n), 2)  # 1/n for re x_n and for im x_n
+    q, sq = np.empty(n_d, dtype=np.complex128), np.empty(n_d)
+    v_head, den_head = v[1 : h + 1], den[1 : h + 1]
+    x_parts, q_parts = x[1:].view(np.float64), q.view(np.float64)
 
     @functools.cache
     def planned(band: int) -> tuple:
@@ -300,19 +326,34 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
         live = min(len(ab), h + 1)
         return ab[:live], den[:live, None], plan
 
+    if fixed is not None and len(planned(fixed)[2]) == 1:
+        [(_, ab, _, _)] = planned(fixed)[2]
+        ab[0] = 1.0  # the divisor's 1, never rewritten
+        rows, column = ab[1 : h + 1], den_head[:, None]
+
+        def solve() -> None:
+            rows[...] = column
+            # k, a, x, incx 1, offx 0, lower, no transpose, non-unit diagonal, overwrite x
+            ztbsv(len(ab) - 1, ab, x, 1, 0, 1, 0, 0, 1)
+
+    else:
+
+        def solve() -> None:
+            storage, column, plan = planned(_band(den, n) if fixed is None else fixed)
+            storage[...] = column
+            _solve_blocks(plan, x)
+
     def sum_sq() -> float:
         np.multiply(B, v_head, den_head)
-        storage, column, plan = planned(_band(den, n) if fixed is None else fixed)
-        storage[...] = column
         x[...] = v  # a fresh rhs: the solve overwrites x
-        _solve_blocks(plan, x)
-        np.divide(x_tail, divisors, q)
+        solve()
+        np.multiply(x_parts, reciprocals, q_parts)
         return float(np.add.reduce(np.square(np.abs(q, sq), sq), 0))
 
-    return v, sum_sq, None if fixed is None else _held_stack(B, n, h, fixed, divisors)
+    return v, sum_sq, None if fixed is None else _held_stack(B, n, h, fixed, reciprocals)
 
 
-def _held_stack(B: np.ndarray, n: int, h: int, band: int, divisors: np.ndarray):
+def _held_stack(B: np.ndarray, n: int, h: int, band: int, reciprocals: np.ndarray):
     """(heads, sums) for `_held_solver`'s degree-h divisors of `band`, or None
     where their plan has more than one block.  heads holds v_1..v_h of as many
     points as `_STACK_ENTRIES` of band storage take; sums(k) returns the
@@ -326,9 +367,12 @@ def _held_stack(B: np.ndarray, n: int, h: int, band: int, divisors: np.ndarray):
     every length up to h (OpenBLAS's rounds an update of 16 or more entries
     otherwise than a shorter one).  A dense band wider than h (h < N_d <
     _BLOCK) spans the point, so each point gets its own `ztbsv` on its own
-    columns, with the single solve's updates.  Its calls: B v_n into
-    the divisors and their storage rows 1..h, the rhs into the solution, the
-    solves, then divide, abs, square and a sum along each point's row; it
+    columns, with the single solve's updates.  Held: the rhs, divisor, solution,
+    q and |q_n|^2 rows, the band storage with its identity rows and row 0 of
+    ones, and each k's views.  Its calls: B v_n into the divisors and their
+    storage rows 1..h, the rhs into the solution, the solves, then one float64
+    multiply of the solutions' parts by `_held_solver`'s `reciprocals`
+    (the bits of sum_sq's q), abs, square and a sum along each point's row; it
     allocates only the k sums."""
     width = min(band, _BLOCK - 1) + 1
     if _BLOCK * _BLOCK // width < n:
@@ -350,17 +394,19 @@ def _held_stack(B: np.ndarray, n: int, h: int, band: int, divisors: np.ndarray):
             solves = [(ab[:, : k * step], 0)]
         else:
             solves = [(ab[:, p * step : p * step + n], p * step) for p in range(k)]
-        return rhs[:k, 1 : h + 1], den[:k], columns[:k], points[:k], rhs[:k], solves, points[:k, 1:n], q[:k], sq[:k]
+        # each point's x_1..x_{n-1} and q as float64 parts: rows of k, each contiguous
+        parts = points[:k, 1:n].view(np.float64), q[:k].view(np.float64)
+        return rhs[:k, 1 : h + 1], den[:k], columns[:k], points[:k], rhs[:k], solves, *parts, q[:k], sq[:k]
 
     def sums(k: int) -> list:
-        head, dk, stored, solution, fresh, solves, tail, qk, sqk = views(k)
+        head, dk, stored, solution, fresh, solves, x_parts, q_parts, qk, sqk = views(k)
         np.multiply(B, head, dk)
         stored[...] = dk[:, None]
         solution[...] = fresh  # a fresh rhs, zero on the identity rows
         for stack, offset in solves:
             # incx 1, offx, lower, no transpose, non-unit diagonal, overwrite x
             ztbsv(width - 1, stack, x, 1, offset, 1, 0, 0, 1)
-        np.divide(tail, divisors, qk)
+        np.multiply(x_parts, reciprocals, q_parts)
         return np.add.reduce(np.square(np.abs(qk, sqk), sqk), 1).tolist()
 
     return rhs[:, 1 : h + 1], sums

@@ -68,7 +68,10 @@ def _poly_point(v: np.ndarray, x: np.ndarray, mags: np.ndarray) -> tuple:
     complex128 in place and copied, so a projection scales the copy, not x.
     For a point with no -0.0 and no non-finite coordinate, which is every
     point of a search, these are the bits of x[0::2] + 1j * x[1::2].  Each
-    total's |p_i| go to `mags`, held by the search.
+    total is `_poly_total`'s, the certificate's own: numpy's |p_i| into
+    `mags`, held by the search, added left to right in Python, which costs
+    less than a numpy reduce over four entries.  A projected point (most of a
+    poly search's) takes two totals, the point's and the one certified.
     """
     p = x.view(np.complex128).copy()
     total = _poly_total(p, mags)
@@ -83,14 +86,20 @@ def _poly_point(v: np.ndarray, x: np.ndarray, mags: np.ndarray) -> tuple:
 def _poly_points(heads: np.ndarray, xs) -> list:
     """Write the certified Polynomial seeds of points xs into the first rows of
     heads, v_1..v_h of each, as `_poly_point` writes each into v; returns each
-    one's (coeffs,), a row of one new array.  Each total is a sum along a row
-    and each projection scales a row, with the bits of the point's own; any
-    point that fails the certificate fails the batch before anything is written."""
+    one's (coeffs,), a row of one new array.  Each total is a numpy sum along
+    a row, which for four coefficients folds left to right as `_poly_total`
+    does, so it has the bits of the point's own.  The projection is one masked
+    multiply, with no boolean indexing: each projected row by its factor, which
+    is computed only for the rows projected.  Any point that fails the
+    certificate fails the batch before anything is written."""
     p = np.array(xs).view(np.complex128)
     totals = np.add.reduce(np.abs(p), 1)
     over = totals > 1.0
     if over.any():
-        p[over] *= ((1.0 - 1e-12) / totals[over])[:, None]  # project back onto the certified simplex
+        # project back onto the certified simplex: each projected row's total becomes
+        # its factor, and no other row's total is divided (a total of 0 would warn)
+        np.divide(1.0 - 1e-12, totals, out=totals, where=over)
+        np.multiply(p, totals[:, None], out=p, where=over[:, None])
         totals = np.add.reduce(np.abs(p), 1)
     _check_poly(np.maximum.reduce(totals))  # NaN, the max of a NaN total, fails too
     heads[: len(p)] = p[:, : heads.shape[1]]

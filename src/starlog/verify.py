@@ -190,22 +190,41 @@ def check_sharpness(
     if order is None:
         order = suggested_order(params)
     n_d = log_order(params, order)
-    q = unit_log_coefficients(params.B, Identity(), n_d)
-    ran_at = ("ThmA-sharpness", "identity", None, order, n_d)
+    return sharpness_row(params, order, _unit_certificate(params.B, n_d), tol)
 
+
+def _unit_certificate(B: float, n_d: int) -> tuple:
+    """`check_sharpness`'s G-free part at (B, N_d): (q, failure, total), q the
+    identity seed's unit coefficients.  failure is None when every term
+    passes, else (n, |q_n|^2, B^{2(n-1)}/n^2) of the first n that fails; total
+    is sum |q_n|^2, or None after a failure (no sum is made)."""
+    q = unit_log_coefficients(B, Identity(), n_d)
     # one rule for every B: |q_n|^2 against B^{2(n-1)}/n^2; where that vanishes (each
     # n > 1 at B = 0, or an underflow) |q_n| itself must; a NaN fails either comparison
     sq = np.abs(q) ** 2
-    expected = (params.B * params.B) ** np.arange(n_d) / np.arange(1.0, n_d + 1.0) ** 2
+    expected = (B * B) ** np.arange(n_d) / np.arange(1.0, n_d + 1.0) ** 2
     close = np.where(expected == 0.0, np.abs(q), np.abs(sq - expected)) <= COEFF_TOL
     n = int(np.argmin(close)) + 1
     if not close[n - 1]:
+        return q, (n, sq[n - 1], expected[n - 1]), None
+    return q, None, float(sq.sum())
+
+
+def sharpness_row(params: ClassParams, order: int, certificate: tuple, tol: float) -> CheckRow:
+    """The `check_sharpness` row of the point `params` at N = order from the
+    `_unit_certificate` of its (B, N_d), N_d = order // m: every figure G times
+    the certificate's."""
+    q, failure, total = certificate
+    n_d = len(q)
+    ran_at = ("ThmA-sharpness", "identity", None, order, n_d)
+    if failure:
+        n, term, expected = failure
         G, d = params.G, q[n - 1] * ((params.A - params.B) / (2 * params.m))
-        s, e = G * sq[n - 1], G * expected[n - 1]
+        s, e = G * term, G * expected
         note = f"term-by-term equality failed at n={n}: |d_{n}|^2 = {s} != {e} (d_{n} = {d})"
         return CheckRow(*ran_at, None, None, None, False, None, note)
 
-    partial = params.G * float(sq.sum())
+    partial = params.G * total
     tail = extremal_tail_bound(params, n_d)
     bound = thm_a_bound(params)
     # fail closed, as verify_member does: only a positive finite bound can pass

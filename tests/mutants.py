@@ -87,6 +87,12 @@ MUTANTS = (
            "stacked = width == h + 1", "stacked = True", "test_search.py"),
     Mutant("batch scores past the remaining budget", "search.py",
            "take = min(len(xs), maxfev - calls)", "take = len(xs)", "test_search.py"),
+    Mutant("held reciprocals off by one", "members.py",
+           "np.repeat(1.0 / np.arange(1.0, n), 2)", "np.repeat(1.0 / (np.arange(1.0, n) + 1.0), 2)",
+           "test_search.py"),
+    Mutant("poly total folded from the right", "members.py",
+           "for mag in np.abs(coeffs, out).tolist():", "for mag in reversed(np.abs(coeffs, out).tolist()):",
+           "test_members.py"),
 )
 
 

@@ -893,6 +893,26 @@ def test_search_runs_once_per_distinct_b_and_n_d(tmp_path, monkeypatch, capsys, 
     assert len(tails) == len(searched_ms)
 
 
+@pytest.mark.parametrize("argv, certified", [
+    # 135 points and 75 distinct (m, A, B), but the default order gives each B one N_d
+    ([], [("0.0", 32), ("-0.25", 11), ("-0.5", 22), ("-0.75", 54), ("-0.9", 150)]),
+    # an explicit order gives m = 1..5 the N_d 12, 6, 4, 3 and 2; B = 0 and -0.0 each their own
+    (["--terms", "12", "--B=0,-0.0"], [(b, n_d) for b in ("0.0", "-0.0") for n_d in (12, 6, 4, 3, 2)]),
+], ids=["default", "terms-12-signed-zero"])
+def test_sharpness_certifies_once_per_distinct_b_and_n_d(tmp_path, monkeypatch, argv, certified):
+    made = count_calls(monkeypatch, "_unit_certificate", key=lambda B, n_d: (repr(B), n_d))
+    out = tmp_path / "sharpness.json"
+    assert main(["sharpness", *argv, "--out", str(out), "--no-timestamp"]) == 0
+    assert len(made) == len(set(made)) and set(made) == set(certified)
+    # each row is check_sharpness's at its own point, which makes its own certificate
+    for row in json.loads(out.read_text()):
+        params = ClassParams(row["j"], row["k"], cli.parse_complex(row["A"]), row["B"])
+        want = check_sharpness(params, int(argv[1]) if argv else None)
+        assert {name: row["pass" if name == "passed" else name] for name in CheckRow._fields} == (
+            want._asdict()
+        )
+
+
 def test_computed_points_do_not_outlive_their_command(tmp_path, monkeypatch):
     solves = count_unit_solves(monkeypatch)
     argv = ["verify", "--j", "0,1", "--k", "1,2", "--A", "1", "--B=-0.5", "--no-timestamp"]

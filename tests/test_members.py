@@ -8,8 +8,11 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starlog.errors import InvalidParams, InvalidSeed, TruncationTooSmall
+from starlog.members import _poly_total
 from starlog.members import (
     ClassParams,
     ExpDamp,
@@ -359,3 +362,38 @@ def test_smallest_normal_lead_factor_accepted():
 def test_non_finite_seed_rejected(make):
     with pytest.raises(InvalidSeed):
         make()
+
+
+# `_poly_total`, the polynomial certificate's sum |p_i|, adds numpy's |p_i| left
+# to right.  Its oracle is numpy's reduce, whose pairwise sum folds the same way
+# below 8 entries; from 8 on it sums in 8 lanes, and the two can differ.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False), max_size=7))
+def test_poly_total_is_numpys_reduce_up_to_seven_coefficients(coeffs):
+    want = float(np.add.reduce(np.abs(np.array(coeffs, dtype=np.complex128)), 0))
+    assert _poly_total(tuple(coeffs)).hex() == want.hex()
+    out = np.empty(len(coeffs))
+    assert _poly_total(np.array(coeffs, dtype=np.complex128), out).hex() == want.hex()
+    assert out.tolist() == np.abs(np.array(coeffs, dtype=np.complex128)).tolist()  # the |p_i| go to out
+
+
+@pytest.mark.parametrize(
+    "coeffs, total, reduced",
+    [
+        # three terms whose fold from the right rounds one ulp lower
+        ([-0.39 + 0.07j, -0.5 - 0.03j, 0.48 + 0.3j], "0x1.7692546942d98p+0", "0x1.7692546942d98p+0"),
+        # eight terms: numpy's lanes, the fold and the fold from the right each round otherwise
+        ([-0.09 + 0.08j, -0.09 - 0.26j, -0.23 - 0.29j, -0.28 + 0.11j, -0.18 + 0.22j, 0.16 + 0.14j,
+          0.1 + 0.26j, 0.03 - 0.14j], "0x1.fc30f253e2ddfp+0", "0x1.fc30f253e2ddep+0"),
+    ],
+    ids=["3", "8"],
+)
+def test_poly_total_folds_left_to_right(coeffs, total, reduced):
+    assert _poly_total(coeffs).hex() == total
+    assert float(np.add.reduce(np.abs(coeffs), 0)).hex() == reduced
+    backward = 0.0
+    for mag in reversed(np.abs(coeffs).tolist()):
+        backward += mag
+    assert backward.hex() != total  # the order of the fold shows in the last bit

@@ -696,3 +696,96 @@ def test_poly_points_write_each_point_as_poly_point():
         with np.errstate(invalid="ignore"), pytest.raises(InvalidSeed):
             search._poly_points(heads, bad)
         assert not heads.any()  # nothing written
+
+
+# The held solves scale x_n by 1/n as one float64 multiply of x's parts, where
+# `unit_log_coefficients` divides by n.  numpy's complex-by-real division is that
+# same product (Smith's, with ratio 0) but for the sign of a zero part, so every
+# finite |q_n|^2 keeps its bits: checked here where q holds zeros, -0.0 parts,
+# subnormals and huge values.  (A non-finite x_n is another matter: the division
+# reads inf i as NaN + inf i, the product keeps it; no certified seed reaches it.)
+
+
+class _Written(members.SchwarzSeed):
+    """Coefficients written as they are, without a certificate: the solve at its edges."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def write(self, cs: np.ndarray) -> None:
+        members._write_poly(cs, self.coeffs)
+
+
+def _unit_sum(B: float, seed, n_d: int) -> float:
+    return float((np.abs(unit_log_coefficients(B, seed, n_d)) ** 2).sum())
+
+
+# re or im parts: signed zeros, a square below the normal range (1e-160), a
+# subnormal, and a tiny part whose square is 0 (1e-200)
+_EDGE_PARTS = [0.0, -0.0, 1e-200, -1e-160, 2.5e-310, 5e-324]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_d=st.sampled_from(_STACK_N_D + [819, 4096]),
+    B=st.sampled_from([0.0, -0.5, -0.9, -1.0]) | st.floats(-1.0, 0.0),
+    # parts within 0.17 keep sum |p_i| below 1, as the certificate does: else 1 + Bv can
+    # vanish inside the disk, and q overflows long before N_d = 4096
+    points=st.lists(
+        st.lists(st.sampled_from(_EDGE_PARTS) | st.floats(-0.17, 0.17), min_size=8, max_size=8),
+        min_size=1, max_size=4,
+    ),
+    huge=st.booleans(),
+)
+def test_held_sums_keep_the_bits_of_the_divided_q(n_d, B, points, huge):
+    """sum_sq() and sums(k), for any poly coefficients, give the bits of the sum
+    of |q_n|^2 of `unit_log_coefficients`, whose q is x_n / n."""
+    coeffs = np.array(points).view(np.complex128)
+    if huge:  # at B = 0, u = v: q_n = v_n / n up to 1e150, |q_n|^2 up to 1e300
+        B, coeffs = 0.0, coeffs * 1e150
+    v, sum_sq, stack = members._held_solver(B, n_d, search._POLY_DEGREE)
+    want = [_unit_sum(B, _Written(p), n_d).hex() for p in coeffs]
+    singles = []
+    for p in coeffs:
+        members._write_poly(v, p)
+        singles.append(sum_sq().hex())
+    assert singles == want
+    if stack is not None:
+        heads, sums = stack
+        heads[: len(coeffs)] = coeffs[:, : heads.shape[1]]
+        assert [s.hex() for s in sums(len(coeffs))] == want
+
+
+@pytest.mark.parametrize(
+    "B, seed, n_d",
+    [
+        (-0.9, _Written([0.5, 1e-200, 0, 0.25j]), 22),
+        (-0.9, _Written([0.5, 1e-200j, 0, 0.25j]), 150),
+        (-0.5, _Written([complex(-0.0, 0.5), complex(0.25, -0.0), 0, 0]), 22),
+        (-0.5, _Written([complex(-0.0, 0.5), complex(0.25, -0.0), 0, 0]), 150),
+        # e^{-c} c^i / i! falls below the smallest normal double from i = 104 on
+        (-0.9, ExpDamp(0.3, 0.05), 300),
+        (-1.0, _Written([-1.0, 0, 0, 0]), 4096),
+        (-1.0, ExpDamp(2.0, 0.5), 4096),
+    ],
+    ids=["1e-200-dense", "1e-200-banded", "-0.0-dense", "-0.0-banded", "subnormal-divisor",
+         "B-1-poly", "B-1-expdamp"],
+)
+def test_held_sum_keeps_the_bits_at_the_edges(B, seed, n_d):
+    """The poly solver (and its stack, where it has one) and the scanned
+    ExpDamp solver, on seeds whose q holds zeros, -0.0 parts or subnormals."""
+    want = _unit_sum(B, seed, n_d)
+    q = unit_log_coefficients(B, seed, n_d)
+    degree = None if isinstance(seed, ExpDamp) else search._POLY_DEGREE
+    v, sum_sq, stack = members._held_solver(B, n_d, degree)
+    seed.write(v)
+    assert sum_sq().hex() == want.hex()
+    if stack is not None:
+        heads, sums = stack
+        heads[0] = v[1 : heads.shape[1] + 1]
+        assert sums(1)[0].hex() == want.hex()
+    if isinstance(seed, ExpDamp) and n_d == 300:
+        divisor = B * members.seed_series(seed, n_d).array
+        assert np.any((divisor != 0) & (np.abs(divisor) < np.finfo(float).tiny))
+    if not isinstance(seed, ExpDamp):
+        assert np.any(q.view(np.float64) == 0) and np.all(np.isfinite(q))  # zero parts in q
