@@ -29,7 +29,8 @@ from .errors import InvalidParams, InvalidSeed, TruncationTooSmall
 from .series import _BLOCK, TruncatedSeries, _band, _block_plan, _solve_blocks, _solve_toeplitz, ztbsv
 
 #: complex128 entries of band storage that one stack of poly search points may
-#: hold (320 KiB): 10 points at N_d = 44 and 13 at N_d = 300, a whole simplex
+#: hold (320 KiB): 151 points at N_d = 22, 83 at N_d = 44 and 13 at N_d = 300,
+#: a whole simplex
 _STACK_ENTRIES = 5 * _BLOCK * _BLOCK
 
 
@@ -281,10 +282,10 @@ def log_order(params: ClassParams, order: int) -> int:
 def _held_solver(B: float, n_d: int, degree: int | None = None):
     """(v, sum_sq, stack): seeds written one after another into the zero-padded
     rhs v (v_1..v_h, h = min(degree, N_d), or any v_n without a degree) and
-    solved on buffers held by sum_sq, and, with a degree, `_held_stack`'s batch
-    entry (None without).  sum_sq() returns sum |q_n|^2, the bits of
-    `(np.abs(unit_log_coefficients(B, seed, N_d)) ** 2).sum()`, and allocates no
-    array but each later block's convolution.
+    solved on buffers held by sum_sq, and, with a degree whose plan is one
+    block, `_held_stack`'s batch entry (else None).  sum_sq() returns sum
+    |q_n|^2, the bits of `(np.abs(unit_log_coefficients(B, seed, N_d)) **
+    2).sum()`, and allocates no array but each later block's convolution.
 
     Held: v, the divisor, the solution x, q and |q_n|^2, one block's band
     storage, each band's block plan, and 1/n twice over, once for the real and
@@ -293,26 +294,25 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
     Smith's division with ratio 0, (re + im 0) (1/d) and (im - re 0) (1/d), so
     the product differs only in the sign of a zero part, which |q_n| cannot see.
 
-    With a degree whose plan is one block (N_d <= 818; up to _BLOCK rows the
-    storage is dense), the storage rows and the plan's one `ztbsv` are bound
-    once: storage row 0 holds the divisor's 1 from the start, and a seed
-    rewrites only rows 1..h.  sum_sq's calls are then B v_n into the divisor,
-    the rhs into x, the divisor's column into rows 1..h, `ztbsv`, the
-    multiply, abs, square and sum.  Otherwise each solve writes B v_n into the divisor, looks
-    up its band's plan, copies the divisor's column into rows 0..h of the
-    plan's storage and runs `series._solve_blocks` (one `ztbsv` per block and
-    one convolution per later block).  The band is a degree-h divisor's
-    (dense up to _BLOCK rows, else h, which holds every shorter band bit for
-    bit), or each seed's, scanned, without a degree; its storage, a view of
-    one held buffer, and its plan are made when the band is first met."""
+    With a degree whose plan is one block (N_d <= 818), the storage rows and
+    the plan's one `ztbsv` are bound once: storage row 0 holds the divisor's 1
+    from the start, and a seed rewrites only rows 1..h.  sum_sq's calls are
+    then B v_n into the divisor, the rhs into x, the divisor's column into
+    rows 1..h, `ztbsv`, the multiply, abs, square and sum.  Otherwise each
+    solve writes B v_n into the divisor, looks up its band's plan, copies the
+    divisor's column into rows 0..h of the plan's storage and runs
+    `series._solve_blocks` (one `ztbsv` per block and one convolution per
+    later block).  The band is h with a degree, which holds every shorter band
+    bit for bit, or each seed's, scanned, without a degree; its storage, a
+    view of one held buffer, and its plan are made when the band is first met."""
     n = n_d + 1
     h = n_d if degree is None else min(degree, n_d)
     # B as a 0-d complex array: the same products as the Python number gives,
     # without numpy converting a Python scalar on every call
     B = np.array(complex(B))
     v, den, x = (np.zeros(n, dtype=np.complex128) for _ in range(3))
-    den[: h + 1] = 1.0
-    fixed = None if degree is None else _band(den, n)
+    den[0] = 1.0
+    fixed = None if degree is None else h  # a degree-h divisor's band
     flat = np.zeros(min(_BLOCK, n) ** 2, dtype=np.complex128)  # any band's storage
     reciprocals = np.repeat(1.0 / np.arange(1.0, n), 2)  # 1/n for re x_n and for im x_n
     q, sq = np.empty(n_d, dtype=np.complex128), np.empty(n_d)
@@ -326,7 +326,8 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
         live = min(len(ab), h + 1)
         return ab[:live], den[:live, None], plan
 
-    if fixed is not None and len(planned(fixed)[2]) == 1:
+    one_block = fixed is not None and len(planned(fixed)[2]) == 1
+    if one_block:
         [(_, ab, _, _)] = planned(fixed)[2]
         ab[0] = 1.0  # the divisor's 1, never rewritten
         rows, column = ab[1 : h + 1], den_head[:, None]
@@ -350,62 +351,51 @@ def _held_solver(B: float, n_d: int, degree: int | None = None):
         np.multiply(x_parts, reciprocals, q_parts)
         return float(np.add.reduce(np.square(np.abs(q, sq), sq), 0))
 
-    return v, sum_sq, None if fixed is None else _held_stack(B, n, h, fixed, reciprocals)
+    return v, sum_sq, _held_stack(B, n, h, reciprocals) if one_block else None
 
 
-def _held_stack(B: np.ndarray, n: int, h: int, band: int, reciprocals: np.ndarray):
-    """(heads, sums) for `_held_solver`'s degree-h divisors of `band`, or None
-    where their plan has more than one block.  heads holds v_1..v_h of as many
-    points as `_STACK_ENTRIES` of band storage take; sums(k) returns the
-    sum_sq() of each of the first k points, as floats, bit for bit.
+def _held_stack(B: np.ndarray, n: int, h: int, reciprocals: np.ndarray):
+    """(heads, sums) for `_held_solver`'s divisors of band h, whose plan is one
+    block.  heads holds v_1..v_h of as many points as `_STACK_ENTRIES` of band
+    storage take; sums(k) returns the sum_sq() of each of the first k points,
+    as floats, bit for bit.
 
-    The k points lie one after another in one band storage.  At the divisor's
-    own band h, one `ztbsv` solves the stack: each point's n rows are followed
-    by h rows of the identity, so no entry of a point reaches the next.  Its
-    updates are then h long where a point's own solve has shorter ones in its
-    last h columns, which keeps the bits for a BLAS whose axpy rounds alike at
-    every length up to h (OpenBLAS's rounds an update of 16 or more entries
-    otherwise than a shorter one).  A dense band wider than h (h < N_d <
-    _BLOCK) spans the point, so each point gets its own `ztbsv` on its own
-    columns, with the single solve's updates.  Held: the rhs, divisor, solution,
-    q and |q_n|^2 rows, the band storage with its identity rows and row 0 of
-    ones, and each k's views.  Its calls: B v_n into the divisors and their
-    storage rows 1..h, the rhs into the solution, the solves, then one float64
-    multiply of the solutions' parts by `_held_solver`'s `reciprocals`
-    (the bits of sum_sq's q), abs, square and a sum along each point's row; it
-    allocates only the k sums."""
-    width = min(band, _BLOCK - 1) + 1
-    if _BLOCK * _BLOCK // width < n:
-        return None
-    stacked = width == h + 1
-    step = n + h if stacked else n
-    cap = max(1, _STACK_ENTRIES // (width * step))
+    The k points lie one after another in one band storage of h + 1 rows, and
+    one `ztbsv` solves the stack: each point's n rows are followed by h rows of
+    the identity, so no entry of a point reaches the next.  Its updates are
+    then h long where a point's own solve has shorter ones in its last h
+    columns, which keeps the bits for a BLAS whose axpy rounds alike at every
+    length up to h.  Held: the rhs, divisor, solution, q and |q_n|^2 rows, the
+    band storage with its identity rows and row 0 of ones, and each k's views.
+    Its calls: B v_n into the divisors and their storage rows 1..h, the rhs
+    into the solution, the `ztbsv`, then one float64 multiply of the
+    solutions' parts by `_held_solver`'s `reciprocals` (the bits of sum_sq's
+    q), abs, square and a sum along each point's row; it allocates only the k
+    sums."""
+    step = n + h
+    cap = max(1, _STACK_ENTRIES // ((h + 1) * step))
     rhs, x = np.zeros((cap, step), dtype=np.complex128), np.empty(cap * step, dtype=np.complex128)
     den, q = np.empty((cap, h), dtype=np.complex128), np.empty((cap, n - 1), dtype=np.complex128)
     points, sq = x.reshape(cap, step), np.empty((cap, n - 1))
-    ab = np.zeros((width, cap * step), dtype=np.complex128, order="F")
+    ab = np.zeros((h + 1, cap * step), dtype=np.complex128, order="F")
     ab[0] = 1.0
     # [p, c, i]: storage row i of column c of point p, the entry (p step + c + i, p step + c)
-    columns = ab.reshape((width, step, cap), order="F").transpose(2, 1, 0)[:, :n, 1 : h + 1]
+    columns = ab.reshape((h + 1, step, cap), order="F").transpose(2, 1, 0)[:, :n, 1:]
 
     @functools.cache
     def views(k: int) -> tuple:
-        if stacked:
-            solves = [(ab[:, : k * step], 0)]
-        else:
-            solves = [(ab[:, p * step : p * step + n], p * step) for p in range(k)]
         # each point's x_1..x_{n-1} and q as float64 parts: rows of k, each contiguous
         parts = points[:k, 1:n].view(np.float64), q[:k].view(np.float64)
-        return rhs[:k, 1 : h + 1], den[:k], columns[:k], points[:k], rhs[:k], solves, *parts, q[:k], sq[:k]
+        stack = ab[:, : k * step]
+        return rhs[:k, 1 : h + 1], den[:k], columns[:k], points[:k], rhs[:k], stack, *parts, q[:k], sq[:k]
 
     def sums(k: int) -> list:
-        head, dk, stored, solution, fresh, solves, x_parts, q_parts, qk, sqk = views(k)
+        head, dk, stored, solution, fresh, stack, x_parts, q_parts, qk, sqk = views(k)
         np.multiply(B, head, dk)
         stored[...] = dk[:, None]
         solution[...] = fresh  # a fresh rhs, zero on the identity rows
-        for stack, offset in solves:
-            # incx 1, offx, lower, no transpose, non-unit diagonal, overwrite x
-            ztbsv(width - 1, stack, x, 1, offset, 1, 0, 0, 1)
+        # k, a, x, incx 1, offx 0, lower, no transpose, non-unit diagonal, overwrite x
+        ztbsv(h, stack, x, 1, 0, 1, 0, 0, 1)
         np.multiply(x_parts, reciprocals, q_parts)
         return np.add.reduce(np.square(np.abs(qk, sqk), sqk), 1).tolist()
 

@@ -15,12 +15,12 @@ the search loads nothing of scipy beyond the BLAS extension of `starlog.series`.
 
 Points that do not depend on each other, the grid, the initial simplex and
 the n vertices of each shrink, are scored together: a poly search writes up
-to a stack of them at once and solves them on its solver's held stack (one
-`ztbsv` over a banded stack, one per point when dense), a few calls per
-stack where one point alone takes about fifteen.  Reflections, expansions
-and contractions, and every ExpDamp point, are scored one at a time.  The
-best ratio and its ties are tracked in the order the points come, so a
-report has the bits of one scored point by point.
+to a stack of them at once and solves them on its solver's held stack with
+one `ztbsv`, a few calls per stack where one point alone takes about
+fifteen.  Reflections, expansions and contractions, and every ExpDamp
+point, are scored one at a time.  The best ratio and its ties are tracked in
+the order the points come, so a report has the bits of one scored point by
+point.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def _scorer(B: float, family: str, n_d: int):
     the seed at x, scored op for op as `(np.abs(unit_log_coefficients(B, seed,
     n_d)) ** 2).sum() / K(B)`; score_all(xs) is [score(x) for x in xs], the same
     bits.  A poly seed is solved at its degree's band, and score_all solves its
-    points a stack at a time where the solver has a stack (a one-block plan); a
-    dense ExpDamp seed is solved at the band scanned per point, one at a time."""
+    points a stack at a time where the solver has a stack (a one-block plan); an
+    ExpDamp seed is solved at the band scanned per point, one at a time."""
     write = _FAMILY[family][1]
     kernel = _weighted_series(B, 0.0)  # K(B), the bound in units of G
     if family == "poly":

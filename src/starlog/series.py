@@ -100,9 +100,8 @@ class TruncatedSeries:
 
 def _band(t: np.ndarray, n: int) -> int:
     """The band b of the first n entries of t (t_k = 0 for k > b): scanned for
-    only past _BLOCK rows and when t[n - 1] is zero, else n - 1 (dense); NaN
-    and inf count as nonzero."""
-    if n > _BLOCK and t[n - 1] == 0:
+    when t[n - 1] is zero, else n - 1; NaN and inf count as nonzero."""
+    if t[n - 1] == 0:
         (nonzero,) = t[:n].nonzero()
         return int(nonzero[-1]) if nonzero.size else 0
     return n - 1
@@ -112,7 +111,7 @@ def _block_plan(t: np.ndarray, x: np.ndarray, band: int, flat: np.ndarray, diag=
     """(ab, plan) for the solve of x in place on t, of band `band`.  ab, one
     block's band storage (unfilled), is a Fortran-order view of `flat`: w =
     min(band, _BLOCK - 1) + 1 rows (row i for t_i) over _BLOCK**2 // w columns,
-    at most len(x), so 64 rows of x a block when dense, 2048 when band = 1.  The
+    at most len(x), so 64 rows of x a block at band 63 or more, 2048 at band 1.  The
     plan has each block's (offset, storage, history, diagonal): the history, from
     the second block on, is (its first min(band, rows) rows of x, t_1.., the
     solved rows of x the band reaches), since the band reaches no later row of

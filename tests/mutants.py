@@ -81,15 +81,18 @@ MUTANTS = (
     Mutant("projection onto the simplex's boundary", "search.py",
            "p *= (1.0 - 1e-12) / total", "p *= 1.0 / total", "test_search.py"),
     Mutant("stacked point reaches into the next", "members.py",
-           "order=\"F\").transpose(2, 1, 0)[:, :n, 1 : h + 1]",
-           "order=\"F\").transpose(2, 1, 0)[:, : n + 1, 1 : h + 1]", "test_search.py"),
-    Mutant("dense points solved as one stack", "members.py",
-           "stacked = width == h + 1", "stacked = True", "test_search.py"),
+           "order=\"F\").transpose(2, 1, 0)[:, :n, 1:]",
+           "order=\"F\").transpose(2, 1, 0)[:, : n + 1, 1:]", "test_search.py"),
     Mutant("batch scores past the remaining budget", "search.py",
            "take = min(len(xs), maxfev - calls)", "take = len(xs)", "test_search.py"),
     Mutant("held reciprocals off by one", "members.py",
            "np.repeat(1.0 / np.arange(1.0, n), 2)", "np.repeat(1.0 / (np.arange(1.0, n) + 1.0), 2)",
            "test_search.py"),
+    Mutant("band scanned only past 64 rows", "series.py",
+           "if t[n - 1] == 0:", "if n > _BLOCK and t[n - 1] == 0:", "test_series.py"),
+    Mutant("bound in range down to the subnormals", "bounds.py",
+           "if not sys.float_info.min <= bound < math.inf:", "if not 0.0 < bound < math.inf:",
+           "test_bounds.py"),
     Mutant("poly total folded from the right", "members.py",
            "for mag in np.abs(coeffs, out).tolist():", "for mag in reversed(np.abs(coeffs, out).tolist()):",
            "test_members.py"),

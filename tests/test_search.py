@@ -89,10 +89,10 @@ def _record_scores(monkeypatch) -> list:
 
 
 # (k, B, order) at j = 1 over the edges of the solve: N_d = 22 and 150 (m = 2),
-# one block; N_d = 22 at m = 4, where n <= 64 rows solve at full width; B = 0,
-# the divisor 1; N_d = 1, 2, 3, below the poly seed's degree; B = -0.99, N_d =
-# 1685, three blocks of a band-4 solve.  Every poly grid starts at 8 corner
-# seeds, p_2 = p_3 = p_4 = 0, whose member's band scan (past 64 rows) finds 1.
+# one block; N_d = 22 at m = 4, an order of 88 over 23 rows; B = 0, the divisor
+# 1; N_d = 1, 2, 3, below the poly seed's degree; B = -0.99, N_d = 1685, three
+# blocks of a band-4 solve.  Every poly grid starts at 8 corner seeds, p_2 = p_3
+# = p_4 = 0, whose member's band scan finds 1.
 _SOLVE_EDGES = [
     pytest.param(2, -0.5, None, id="-0.5"),
     pytest.param(2, -0.9, None, id="-0.9"),
@@ -614,8 +614,9 @@ def _poly_xs(rng, k: int) -> np.ndarray:
 
 
 # N_d at the edges of the held solve: below the seed's degree (1, 2, 3), at it (4),
-# dense (22, 63), banded from 64 rows on, and the last N_d whose band-4 plan is one block
-_STACK_N_D = [1, 2, 3, 4, 22, 63, 64, 150, 818]
+# about 150 and 80 points a stack (22, 44), the last N_d up to _BLOCK rows (63) and
+# the first past it (64), and the last N_d whose band-4 plan is one block
+_STACK_N_D = [1, 2, 3, 4, 22, 44, 63, 64, 150, 818]
 
 
 @settings(max_examples=60, deadline=None)
@@ -656,17 +657,17 @@ def test_score_all_is_score_of_each_point_bitwise(n_d):
     assert [args[0].tobytes() for _, args in got] == [args[0].tobytes() for _, args in want]
 
 
-# A dense band reaches across a whole point.  One `ztbsv` over a stack of dense
-# points runs each column's update as long as the band, where a point's own
-# solve has shorter ones in its last columns; OpenBLAS rounds an update of 16 or
-# more entries otherwise than a shorter one, so the last 15 q_n of a stacked
-# point round otherwise, and now and then its sum: here the first point's.
-_DENSE_POINT = [-0.042, -0.0847, -0.234, 0.195, -0.0492, -0.0023, 0.27, -0.268]
+# A stack's `ztbsv` runs each column's update h = 4 entries long, where a point's
+# own solve has shorter ones in its last columns.  This point, stacked at N_d = 22
+# over a dense band of 22, rounds its sum otherwise than alone (OpenBLAS rounds an
+# update of 16 or more entries otherwise than a shorter one); on its band-4 stack
+# it keeps the single solve's bits.
+_STACKED_POINT = [-0.042, -0.0847, -0.234, 0.195, -0.0492, -0.0023, 0.27, -0.268]
 
 
-def test_dense_points_keep_their_own_solve():
+def test_stacked_points_keep_the_single_solve_bits():
     v, sum_sq, (heads, sums) = members._held_solver(-0.9, 22, search._POLY_DEGREE)
-    xs = np.array([_DENSE_POINT, _DENSE_POINT])
+    xs = np.array([_STACKED_POINT, _STACKED_POINT])
     search._poly_point(v, xs[0], np.empty(4))
     single = sum_sq()
     search._poly_points(heads, xs)
@@ -768,7 +769,7 @@ def test_held_sums_keep_the_bits_of_the_divided_q(n_d, B, points, huge):
         (-1.0, _Written([-1.0, 0, 0, 0]), 4096),
         (-1.0, ExpDamp(2.0, 0.5), 4096),
     ],
-    ids=["1e-200-dense", "1e-200-banded", "-0.0-dense", "-0.0-banded", "subnormal-divisor",
+    ids=["1e-200-n22", "1e-200-banded", "-0.0-n22", "-0.0-banded", "subnormal-divisor",
          "B-1-poly", "B-1-expdamp"],
 )
 def test_held_sum_keeps_the_bits_at_the_edges(B, seed, n_d):

@@ -479,9 +479,12 @@ def test_empty_series_rejected(empty):
 # without the scipy.linalg package, or through the public import when that fails.
 
 
-# (divisor width, rows, band storage width of the solve): up to 64 rows the
-# divisor is taken as dense, so its storage spans every row
-@pytest.mark.parametrize("width, rows, stored", [(2, 22, 22), (5, 150, 5), (2, 2048, 2), (64, 64, 64)])
+# (divisor width, rows, band storage width of the solve): the band is scanned at
+# every size, so a band-1 divisor at 22 rows is stored in 2 rows, and a divisor
+# as wide as the solve (22 or 64 rows) is stored dense
+@pytest.mark.parametrize(
+    "width, rows, stored", [(2, 22, 2), (22, 22, 22), (5, 150, 5), (2, 2048, 2), (64, 64, 64)]
+)
 def test_solve_is_bitwise_a_public_ztbsv_solve(width, rows, stored):
     from scipy.linalg.blas import ztbsv as public_ztbsv
 
